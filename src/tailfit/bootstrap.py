@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mle
-from .distributions import PARAM_NAMES, SeverityModel, sample
+from .distributions import PARAM_NAMES, SeverityModel, in_support, sample
 from .mle import FitError, FitResult
 
 __all__ = [
@@ -29,8 +29,9 @@ __all__ = [
 ]
 
 
-class TooFewConverged(Exception):
-    """Fewer than half the requested replications produced an estimate."""
+class TooFewConverged(ValueError):
+    """Too few replications produced an estimate: fewer than half of those
+    requested in a run, or fewer than 100 in a cell to analyse."""
 
 
 @dataclass
@@ -51,15 +52,26 @@ class BootstrapMatrix:
     def true_model(self) -> SeverityModel:
         return SeverityModel(self.family, self.true_params, self.threshold)
 
+    @staticmethod
+    def files(path_base) -> tuple[Path, Path]:
+        """The `<base>.csv` / `<base>.json` pair.  The suffix is appended:
+        with_suffix would clobber dots inside the name."""
+        return Path(f"{path_base}.csv"), Path(f"{path_base}.json")
+
+    def check_analysable(self) -> None:
+        """Interval and density estimates need at least 100 replications."""
+        if self.m_converged < 100:
+            raise TooFewConverged(f"{self.family} at n={self.n}: need at least 100 "
+                                  f"converged replications, have {self.m_converged}")
+
     def write(self, path_base: Path, extra_meta: dict | None = None) -> None:
         """`<base>.csv` (header = param names, one row per converged
         replication) plus a `<base>.json` sidecar."""
-        path_base = Path(path_base)
+        csv_path, json_path = self.files(path_base)
         lines = [",".join(self.param_names)]
         for row in self.rows:
             lines.append(",".join(repr(float(v)) for v in row))
-        # append the suffix (with_suffix would clobber dots inside the name)
-        path_base.parent.joinpath(path_base.name + ".csv").write_text("\n".join(lines) + "\n")
+        csv_path.write_text("\n".join(lines) + "\n")
         meta = {
             "family": self.family,
             "true_params": list(self.true_params),
@@ -71,14 +83,13 @@ class BootstrapMatrix:
         }
         if extra_meta:
             meta.update(extra_meta)
-        path_base.parent.joinpath(path_base.name + ".json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        json_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def read(cls, path_base: Path) -> "BootstrapMatrix":
-        path_base = Path(path_base)
-        meta = json.loads(path_base.parent.joinpath(path_base.name + ".json").read_text())
-        text = path_base.parent.joinpath(path_base.name + ".csv").read_text().strip().splitlines()
+        csv_path, json_path = cls.files(path_base)
+        meta = json.loads(json_path.read_text())
+        text = csv_path.read_text().strip().splitlines()
         rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
         if rows.size == 0:
             rows = rows.reshape(0, len(text[0].split(",")))
@@ -171,12 +182,8 @@ class TrueModel:
 
 
 def true_model_from_losses(family: str, losses, T: float) -> TrueModel:
-    """Fit `family` to the tail of `losses`: x >= T for Pareto (its support
-    includes T), x > T for the shifted families."""
+    """Fit `family` to the tail of `losses` that lies in its support."""
     losses = np.asarray(losses, dtype=float)
-    if family == "pareto":
-        tail = losses[losses >= T]
-    else:
-        tail = losses[losses > T]
+    tail = losses[in_support(family, losses, T)]
     result = mle.fit(family, tail, T)
     return TrueModel(fit=result, n_tail=tail.size, n_excluded=losses.size - tail.size)

@@ -40,8 +40,7 @@ def normal_ci_width(model: SeverityModel, n: int, j: int, level: float = 0.95) -
 def bootstrap_ci_width(bm: BootstrapMatrix, j: int, level: float = 0.95) -> float:
     """Empirical quantile width with linear interpolation between order
     statistics (position h = (m - 1) u + 1)."""
-    if bm.m_converged < 100:
-        raise ValueError(f"need at least 100 converged replications, have {bm.m_converged}")
+    bm.check_analysable()
     tail = 0.5 * (1.0 - level)
     lo, hi = np.quantile(bm.rows[:, j], [tail, 1.0 - tail], method="linear")
     return float(hi - lo)

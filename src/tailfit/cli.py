@@ -2,7 +2,8 @@
 
 Commands: generate, fit, bootstrap, normality, cierror, overlays.
 Exit codes: 0 success, 2 ingestion/config error, 3 fit failure,
-4 too few converged replications, 5 required bootstrap matrix missing.
+4 too few converged replications (in a bootstrap run, or in a cell that
+cierror or overlays analyse), 5 required bootstrap matrix missing.
 """
 
 from __future__ import annotations
@@ -242,8 +243,9 @@ def _load_matrices(cfg: StudyConfig) -> list[BootstrapMatrix]:
     for family in cfg.families:
         for n in cfg.sample_sizes:
             base = matrix_path(out, family, n)
-            if not base.parent.joinpath(base.name + ".csv").exists():
-                raise ConfigError(f"missing bootstrap matrix {base}.csv")
+            csv_path = BootstrapMatrix.files(base)[0]
+            if not csv_path.exists():
+                raise ConfigError(f"missing bootstrap matrix {csv_path}")
             bms.append(BootstrapMatrix.read(base))
     return bms
 
@@ -270,7 +272,11 @@ def cmd_cierror(cfg: StudyConfig) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    rows = ci_error_table(bms, cfg.level)
+    try:
+        rows = ci_error_table(bms, cfg.level)
+    except TooFewConverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
     out = Path(cfg.out)
     (out / "ci_error.csv").write_text(table_csv(rows))
     (out / "ci_error.json").write_text(table_json(rows))
@@ -285,15 +291,16 @@ def cmd_overlays(cfg: StudyConfig) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    try:
+        overlays = [overlay(bm, j) for bm in bms for j in range(len(bm.param_names))]
+    except TooFewConverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
     out = Path(cfg.out)
-    count = 0
-    for bm in bms:
-        for j, name in enumerate(bm.param_names):
-            ov = overlay(bm, j)
-            (out / f"overlay_{bm.family}_{name}_{bm.n}.csv").write_text(ov.to_csv())
-            count += 1
+    for ov in overlays:
+        (out / f"overlay_{ov.family}_{ov.param_name}_{ov.n}.csv").write_text(ov.to_csv())
     _write_meta(cfg, out, "overlays")
-    print(f"wrote {count} overlay files to {out}")
+    print(f"wrote {len(overlays)} overlay files to {out}")
     return EXIT_OK
 
 
@@ -304,11 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path)
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--out", type=str)
         p.add_argument("--replications", type=int)
         p.add_argument("--paper-scale", action="store_true",
                        help="replications = 40000")
+        if name == "bootstrap":
+            p.add_argument("--threads", type=int)
         if name == "generate":
             p.add_argument("--profile", default="uom1")
             p.add_argument("--n", type=int, default=50000)
@@ -328,7 +336,7 @@ def main(argv=None) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads is not None:
+    if getattr(args, "threads", None) is not None:
         overrides["threads"] = args.threads
     if args.out is not None:
         overrides["out"] = args.out

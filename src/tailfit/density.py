@@ -64,8 +64,7 @@ def kde(xs, grid) -> np.ndarray:
 def overlay(bm: BootstrapMatrix, j: int) -> DensityOverlay:
     """KDE of bootstrap column j vs. N(theta*_j, (I^{-1})_jj / n) on a shared
     512-point grid spanning both."""
-    if bm.m_converged < 100:
-        raise ValueError(f"need at least 100 converged replications, have {bm.m_converged}")
+    bm.check_analysable()
     col = bm.rows[:, j]
     model = bm.true_model()
     target = model.params[j]

@@ -4,12 +4,9 @@ Pareto lives on [T, inf) with the threshold T as its support edge; the other
 four families are shifted: X = T + Y with Y from the base family on (0, inf),
 so T = 0 recovers the unshifted distribution.
 
-Parameter order matches the reporting labels:
-  pareto       (shape,)
-  weibull      (shape, scale)
-  lognormal    (meanlog, sdlog)
-  loglogistic  (shape, scale)
-  gb2          (shape1, scale, shape2, shape3)   i.e. (a, b, p, q)
+FAMILY_TABLE defines each family once: its parameter names in reporting
+order, which must be positive, whether the support includes T, and its
+formulas.  The module functions are one table lookup each.
 """
 
 from __future__ import annotations
@@ -20,17 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import (
+    digamma,
     inverse_incomplete_beta,
     log_beta,
     regularized_incomplete_beta,
     std_normal_cdf,
     std_normal_quantile,
+    trigamma,
 )
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_TABLE",
     "PARAM_NAMES",
     "SeverityModel",
+    "in_support",
     "pdf",
     "log_pdf",
     "cdf",
@@ -39,40 +40,189 @@ __all__ = [
     "log_likelihood",
 ]
 
-PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "pareto": ("shape",),
-    "weibull": ("shape", "scale"),
-    "lognormal": ("meanlog", "sdlog"),
-    "loglogistic": ("shape", "scale"),
-    "gb2": ("shape1", "scale", "shape2", "shape3"),
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_EULER_GAMMA = 0.5772156649015329
+
+
+class _Family:
+    """A FAMILY_TABLE entry.  Formulas take x inside the support or u in
+    (0, 1), then T and the parameters; T never enters the information `info`."""
+
+    names: tuple[str, ...]
+    positive: tuple[str, ...]  # parameters that must be > 0
+    closed = False  # support (T, inf) of the shifted X = T + Y
+
+    def sample(self, n: int, rng: np.random.Generator, T: float, *theta) -> np.ndarray:
+        """Draw by inversion."""
+        return self.quantile(rng.random(n), T, *theta)
+
+
+class _Pareto(_Family):
+    names = ("shape",)
+    positive = names
+    closed = True  # support [T, inf) with T as the scale, so T must be > 0
+
+    def log_pdf(self, x, T, alpha):
+        return math.log(alpha) + alpha * math.log(T) - (alpha + 1.0) * np.log(x)
+
+    def cdf(self, x, T, alpha):
+        return -np.expm1(alpha * np.log(T / x))
+
+    def quantile(self, u, T, alpha):
+        return T * (1.0 - u) ** (-1.0 / alpha)
+
+    def info(self, alpha):
+        return np.array([[1.0 / alpha**2]])
+
+
+class _Weibull(_Family):
+    names = ("shape", "scale")
+    positive = names
+
+    def log_pdf(self, x, T, a, b):
+        t = a * (np.log(x - T) - math.log(b))
+        return math.log(a) - math.log(b) + (a - 1.0) / a * t - np.exp(t)
+
+    def cdf(self, x, T, a, b):
+        return -np.expm1(-(((x - T) / b) ** a))
+
+    def quantile(self, u, T, a, b):
+        return T + b * (-np.log1p(-u)) ** (1.0 / a)
+
+    def info(self, a, b):
+        psi1 = math.pi**2 / 6.0          # psi'(1)
+        psi2 = 1.0 - _EULER_GAMMA        # psi(2)
+        off = -(1.0 + (-_EULER_GAMMA)) / b   # -(1 + psi(1)) / b
+        return np.array([
+            [(psi1 + psi2**2) / a**2, off],
+            [off, a**2 / b**2],
+        ])
+
+
+class _Lognormal(_Family):
+    names = ("meanlog", "sdlog")
+    positive = ("sdlog",)
+
+    def log_pdf(self, x, T, mu, sigma):
+        ly = np.log(x - T)
+        z = (ly - mu) / sigma
+        return -ly - math.log(sigma) - _LOG_SQRT_2PI - 0.5 * z * z
+
+    def cdf(self, x, T, mu, sigma):
+        z = (np.log(x - T) - mu) / sigma
+        return np.array([std_normal_cdf(v) for v in z])
+
+    def quantile(self, u, T, mu, sigma):
+        z = np.array([std_normal_quantile(v) for v in u.ravel()]).reshape(u.shape)
+        return T + np.exp(mu + sigma * z)
+
+    def sample(self, n, rng, T, mu, sigma):
+        return T + np.exp(mu + sigma * rng.standard_normal(n))
+
+    def info(self, mu, sigma):
+        return np.diag([1.0 / sigma**2, 2.0 / sigma**2])
+
+
+class _LogLogistic(_Family):
+    names = ("shape", "scale")
+    positive = names
+
+    def log_pdf(self, x, T, a, s):
+        ly = np.log(x - T)
+        t = a * (ly - math.log(s))
+        return math.log(a) + t - ly - 2.0 * np.logaddexp(0.0, t)
+
+    def cdf(self, x, T, a, s):
+        # logistic in log-space: 1 / (1 + (y/s)^{-a})
+        return 1.0 / (1.0 + np.exp(-a * (np.log(x - T) - math.log(s))))
+
+    def quantile(self, u, T, a, s):
+        return T + s * (u / (1.0 - u)) ** (1.0 / a)
+
+    def info(self, a, s):
+        return np.diag([(3.0 + math.pi**2) / (9.0 * a**2), (a / s) ** 2 / 3.0])
+
+
+class _GB2(_Family):
+    names = ("shape1", "scale", "shape2", "shape3")
+    positive = names
+
+    def log_pdf(self, x, T, a, b, p, q):
+        t = a * (np.log(x - T) - math.log(b))
+        return (math.log(a) + (p - 1.0 / a) * t - math.log(b)
+                - log_beta(p, q) - (p + q) * np.logaddexp(0.0, t))
+
+    def cdf(self, x, T, a, b, p, q):
+        z = 1.0 / (1.0 + np.exp(-a * (np.log(x - T) - math.log(b))))
+        return np.array([regularized_incomplete_beta(v, p, q) for v in z])
+
+    def quantile(self, u, T, a, b, p, q):
+        z = np.array([inverse_incomplete_beta(v, p, q) for v in u.ravel()]).reshape(u.shape)
+        return T + b * (z / (1.0 - z)) ** (1.0 / a)
+
+    def sample(self, n, rng, T, a, b, p, q):
+        # the Beta-ratio representation: cheaper than inverting I_z in a hot loop
+        gp = rng.standard_gamma(p, n)
+        gq = rng.standard_gamma(q, n)
+        return T + b * (gp / gq) ** (1.0 / a)
+
+    def info(self, a, b, p, q):
+        # with w = (y/b)^a / (1 + (y/b)^a) ~ Beta(p, q), the scores are
+        #   d/da = (1/a)(1 + R (p - (p+q) w)),  R = ln(w / (1-w))
+        #   d/db = (a/b)((p+q) w - p)
+        #   d/dp = ln w - psi(p) + psi(p+q),  d/dq = ln(1-w) - psi(q) + psi(p+q)
+        # and the entries below are the exact Beta moments of their products.
+        dp, dq = digamma(p), digamma(q)
+        dp1, dq1 = digamma(p + 1.0), digamma(q + 1.0)
+        tp, tq, tpq = trigamma(p), trigamma(q), trigamma(p + q)
+        tp1, tq1 = trigamma(p + 1.0), trigamma(q + 1.0)
+        i11 = (1.0 + p * q / (p + q + 1.0) * (tp1 + tq1 + (dp1 - dq1) ** 2)) / a**2
+        i12 = -p * q * (dp1 - dq1) / (b * (p + q + 1.0))
+        i13 = (1.0 - q * (dp - dq)) / (a * (p + q))
+        i14 = (1.0 + p * (dp - dq)) / (a * (p + q))
+        i22 = a**2 * p * q / (b**2 * (p + q + 1.0))
+        i23 = a * q / (b * (p + q))
+        i24 = -a * p / (b * (p + q))
+        i33 = tp - tpq
+        i34 = -tpq
+        i44 = tq - tpq
+        return np.array([
+            [i11, i12, i13, i14],
+            [i12, i22, i23, i24],
+            [i13, i23, i33, i34],
+            [i14, i24, i34, i44],
+        ])
+
+
+FAMILY_TABLE: dict[str, _Family] = {
+    "pareto": _Pareto(), "weibull": _Weibull(), "lognormal": _Lognormal(),
+    "loglogistic": _LogLogistic(), "gb2": _GB2(),
 }
 
-FAMILIES = tuple(PARAM_NAMES)
+PARAM_NAMES: dict[str, tuple[str, ...]] = {f: e.names for f, e in FAMILY_TABLE.items()}
+FAMILIES = tuple(FAMILY_TABLE)
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+def in_support(family: str, x, T: float):
+    """Whether x lies in the family's support: [T, inf) or (T, inf)."""
+    return x >= T if FAMILY_TABLE[family].closed else x > T
 
 
 def _validate(family: str, params: tuple[float, ...], threshold: float) -> None:
-    if family not in PARAM_NAMES:
+    if family not in FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}")
-    names = PARAM_NAMES[family]
-    if len(params) != len(names):
-        raise ValueError(f"{family} expects {len(names)} parameters, got {len(params)}")
+    entry = FAMILY_TABLE[family]
+    if len(params) != len(entry.names):
+        raise ValueError(f"{family} expects {len(entry.names)} parameters, got {len(params)}")
     if not all(math.isfinite(p) for p in params):
         raise ValueError(f"{family} parameters must be finite, got {params}")
     if threshold < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    if family == "pareto":
-        if threshold <= 0.0:
-            raise ValueError("pareto requires threshold > 0")
-        if params[0] <= 0.0:
-            raise ValueError("pareto shape must be positive")
-    elif family == "lognormal":
-        if params[1] <= 0.0:
-            raise ValueError("lognormal sdlog must be positive")
-    else:
-        if any(p <= 0.0 for p in params):
-            raise ValueError(f"{family} parameters must be positive, got {params}")
+    if entry.closed and threshold <= 0.0:
+        raise ValueError(f"{family} requires threshold > 0")
+    for name, p in zip(entry.names, params):
+        if name in entry.positive and p <= 0.0:
+            raise ValueError(f"{family} {name} must be positive, got {params}")
 
 
 @dataclass(frozen=True)
@@ -95,44 +245,13 @@ class SeverityModel:
         return SeverityModel(self.family, tuple(params), self.threshold)
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    """log(1 + e^t), overflow-safe."""
-    return np.logaddexp(0.0, t)
-
-
 def log_pdf(model: SeverityModel, x):
     """Log-density at x (scalar or array); -inf outside support."""
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    T = model.threshold
     out = np.full(x.shape, -np.inf)
-
-    if model.family == "pareto":
-        (alpha,) = model.params
-        ok = x >= T
-        xs = x[ok]
-        out[ok] = math.log(alpha) + alpha * math.log(T) - (alpha + 1.0) * np.log(xs)
-    else:
-        ok = x > T
-        y = x[ok] - T
-        ly = np.log(y)
-        if model.family == "weibull":
-            a, b = model.params
-            t = a * (ly - math.log(b))
-            out[ok] = math.log(a) - math.log(b) + (a - 1.0) / a * t - np.exp(t)
-        elif model.family == "lognormal":
-            mu, sigma = model.params
-            z = (ly - mu) / sigma
-            out[ok] = -ly - math.log(sigma) - _LOG_SQRT_2PI - 0.5 * z * z
-        elif model.family == "loglogistic":
-            a, s = model.params
-            t = a * (ly - math.log(s))
-            out[ok] = math.log(a) + t - ly - 2.0 * _softplus(t)
-        else:  # gb2
-            a, b, p, q = model.params
-            t = a * (ly - math.log(b))
-            out[ok] = (math.log(a) + (p - 1.0 / a) * t - math.log(b)
-                       - log_beta(p, q) - (p + q) * _softplus(t))
+    ok = in_support(model.family, x, model.threshold)
+    out[ok] = FAMILY_TABLE[model.family].log_pdf(x[ok], model.threshold, *model.params)
     return float(out) if scalar else out
 
 
@@ -145,31 +264,9 @@ def cdf(model: SeverityModel, x):
     """Distribution function; 0 at and below the support edge."""
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    T = model.threshold
     out = np.zeros(x.shape)
-
-    if model.family == "pareto":
-        (alpha,) = model.params
-        ok = x > T
-        out[ok] = -np.expm1(alpha * np.log(T / x[ok]))
-    else:
-        ok = x > T
-        y = x[ok] - T
-        if model.family == "weibull":
-            a, b = model.params
-            out[ok] = -np.expm1(-((y / b) ** a))
-        elif model.family == "lognormal":
-            mu, sigma = model.params
-            z = (np.log(y) - mu) / sigma
-            out[ok] = np.array([std_normal_cdf(v) for v in z])
-        elif model.family == "loglogistic":
-            a, s = model.params
-            # logistic in log-space: 1 / (1 + (y/s)^{-a})
-            out[ok] = 1.0 / (1.0 + np.exp(-a * (np.log(y) - math.log(s))))
-        else:  # gb2
-            a, b, p, q = model.params
-            z = 1.0 / (1.0 + np.exp(-a * (np.log(y) - math.log(b))))
-            out[ok] = np.array([regularized_incomplete_beta(v, p, q) for v in z])
+    ok = x > model.threshold
+    out[ok] = FAMILY_TABLE[model.family].cdf(x[ok], model.threshold, *model.params)
     return float(out) if scalar else out
 
 
@@ -179,51 +276,13 @@ def quantile(model: SeverityModel, u):
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("quantile requires 0 < u < 1")
-    T = model.threshold
-
-    if model.family == "pareto":
-        (alpha,) = model.params
-        out = T * (1.0 - u) ** (-1.0 / alpha)
-    elif model.family == "weibull":
-        a, b = model.params
-        out = T + b * (-np.log1p(-u)) ** (1.0 / a)
-    elif model.family == "lognormal":
-        mu, sigma = model.params
-        z = np.array([std_normal_quantile(v) for v in u.ravel()]).reshape(u.shape)
-        out = T + np.exp(mu + sigma * z)
-    elif model.family == "loglogistic":
-        a, s = model.params
-        out = T + s * (u / (1.0 - u)) ** (1.0 / a)
-    else:  # gb2
-        a, b, p, q = model.params
-        z = np.array([inverse_incomplete_beta(v, p, q) for v in u.ravel()]).reshape(u.shape)
-        out = T + b * (z / (1.0 - z)) ** (1.0 / a)
+    out = FAMILY_TABLE[model.family].quantile(u, model.threshold, *model.params)
     return float(out) if scalar else out
 
 
 def sample(model: SeverityModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws.  The only state touched is the caller's rng."""
-    T = model.threshold
-    if model.family == "pareto":
-        (alpha,) = model.params
-        u = rng.random(n)
-        return T * (1.0 - u) ** (-1.0 / alpha)
-    if model.family == "weibull":
-        a, b = model.params
-        u = rng.random(n)
-        return T + b * (-np.log1p(-u)) ** (1.0 / a)
-    if model.family == "lognormal":
-        mu, sigma = model.params
-        return T + np.exp(mu + sigma * rng.standard_normal(n))
-    if model.family == "loglogistic":
-        a, s = model.params
-        u = rng.random(n)
-        return T + s * (u / (1.0 - u)) ** (1.0 / a)
-    # gb2 via the Beta-ratio representation: cheaper than inverting I_z in a hot loop
-    a, b, p, q = model.params
-    gp = rng.standard_gamma(p, n)
-    gq = rng.standard_gamma(q, n)
-    return T + b * (gp / gq) ** (1.0 / a)
+    return FAMILY_TABLE[model.family].sample(n, rng, model.threshold, *model.params)
 
 
 def log_likelihood(model: SeverityModel, xs) -> float:

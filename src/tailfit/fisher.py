@@ -1,20 +1,19 @@
 """Analytic Fisher information matrices and the asymptotic MLE covariance.
 
-All matrices are evaluated from closed forms at the model's parameters; the
-support shift T never enters (the shifted families carry the base family's
+All matrices are evaluated from the closed forms in each family's
+`distributions.FAMILY_TABLE` entry at the model's parameters; the support
+shift T never enters (the shifted families carry the base family's
 information).  `mc_score_information` is the independent Monte-Carlo oracle:
 it averages outer products of finite-difference score vectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SeverityModel, log_pdf, sample
-from .special_functions import digamma, trigamma
+from .distributions import FAMILY_TABLE, SeverityModel, log_pdf, sample
 
 __all__ = [
     "InfoMatrix",
@@ -23,8 +22,6 @@ __all__ = [
     "asymptotic_covariance",
     "mc_score_information",
 ]
-
-_EULER_GAMMA = 0.5772156649015329
 
 
 class SingularInformation(Exception):
@@ -46,52 +43,7 @@ class InfoMatrix:
 
 
 def fisher_information(model: SeverityModel) -> InfoMatrix:
-    fam, th = model.family, model.params
-    if fam == "pareto":
-        (alpha,) = th
-        return InfoMatrix(np.array([[1.0 / alpha**2]]))
-    if fam == "weibull":
-        a, b = th
-        psi1 = math.pi**2 / 6.0          # psi'(1)
-        psi2 = 1.0 - _EULER_GAMMA        # psi(2)
-        off = -(1.0 + (-_EULER_GAMMA)) / b   # -(1 + psi(1)) / b
-        return InfoMatrix(np.array([
-            [(psi1 + psi2**2) / a**2, off],
-            [off, a**2 / b**2],
-        ]))
-    if fam == "lognormal":
-        _, sigma = th
-        return InfoMatrix(np.diag([1.0 / sigma**2, 2.0 / sigma**2]))
-    if fam == "loglogistic":
-        a, s = th
-        return InfoMatrix(np.diag([(3.0 + math.pi**2) / (9.0 * a**2),
-                                   (a / s) ** 2 / 3.0]))
-    # gb2: with w = (y/b)^a / (1 + (y/b)^a) ~ Beta(p, q), the scores are
-    #   d/da = (1/a)(1 + R (p - (p+q) w)),  R = ln(w / (1-w))
-    #   d/db = (a/b)((p+q) w - p)
-    #   d/dp = ln w - psi(p) + psi(p+q),  d/dq = ln(1-w) - psi(q) + psi(p+q)
-    # and the entries below are the exact Beta moments of their products.
-    a, b, p, q = th
-    dp, dq = digamma(p), digamma(q)
-    dp1, dq1 = digamma(p + 1.0), digamma(q + 1.0)
-    tp, tq, tpq = trigamma(p), trigamma(q), trigamma(p + q)
-    tp1, tq1 = trigamma(p + 1.0), trigamma(q + 1.0)
-    i11 = (1.0 + p * q / (p + q + 1.0) * (tp1 + tq1 + (dp1 - dq1) ** 2)) / a**2
-    i12 = -p * q * (dp1 - dq1) / (b * (p + q + 1.0))
-    i13 = (1.0 - q * (dp - dq)) / (a * (p + q))
-    i14 = (1.0 + p * (dp - dq)) / (a * (p + q))
-    i22 = a**2 * p * q / (b**2 * (p + q + 1.0))
-    i23 = a * q / (b * (p + q))
-    i24 = -a * p / (b * (p + q))
-    i33 = tp - tpq
-    i34 = -tpq
-    i44 = tq - tpq
-    return InfoMatrix(np.array([
-        [i11, i12, i13, i14],
-        [i12, i22, i23, i24],
-        [i13, i23, i33, i34],
-        [i14, i24, i34, i44],
-    ]))
+    return InfoMatrix(FAMILY_TABLE[model.family].info(*model.params))
 
 
 def asymptotic_covariance(model: SeverityModel, n: int) -> np.ndarray:

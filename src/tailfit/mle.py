@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import SeverityModel, log_likelihood
+from .distributions import SeverityModel, in_support, log_likelihood
 from .optimizer import InvalidStart, nelder_mead
 from .special_functions import log_beta
 
@@ -71,7 +71,7 @@ def _shifted(xs, T: float) -> np.ndarray:
 
 def fit_pareto(xs, T: float) -> FitResult:
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0 or np.any(xs < T):
+    if xs.size == 0 or not np.all(in_support("pareto", xs, T)):
         raise DegenerateSample(f"pareto needs data >= T={T}")
     n = xs.size
     s = float(np.sum(np.log(xs / T)))

@@ -126,8 +126,8 @@ def mardia(rows) -> tuple[NormalityReport, NormalityReport]:
 
 
 def normality_suite(bm: BootstrapMatrix) -> list[NormalityReport]:
-    """AD on the Pareto column; Mardia skew + kurtosis otherwise."""
-    if bm.family == "pareto":
+    """AD on a one-parameter (Pareto) column; Mardia skew + kurtosis otherwise."""
+    if len(bm.param_names) == 1:
         report = anderson_darling_normal(bm.rows[:, 0], bm.family, bm.n)
         return [report]
     skew, kurt = mardia(bm.rows)

@@ -25,7 +25,6 @@ class OptimResult:
     fmin: float
     converged: bool
     iterations: int
-    restarts_used: int = 0
 
 
 def nelder_mead(

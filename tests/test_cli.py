@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tailfit.bootstrap import BootstrapMatrix
 from tailfit.cli import ConfigError, StudyConfig, main, parse_config, read_losses
 
 
@@ -215,3 +216,29 @@ class TestPipeline:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus_key = 1\n")
         assert main(["bootstrap", "--config", str(cfg)]) == 2
+
+    def test_too_few_converged_to_analyse_exits_4(self, tmp_path, capsys):
+        # 88 of 100 converged, as GB2 at n = 100 gives with the minimum m
+        rows = np.random.default_rng(0).uniform(0.5, 2.0, (88, 4)) * [1.0, 1e5, 1.0, 1.0]
+        bm = BootstrapMatrix(family="gb2", true_params=(0.837, 117516.887, 1.184, 1.454),
+                             threshold=1e5, n=100, m_requested=100, m_converged=88,
+                             rows=rows, seed=777)
+        (tmp_path / "out").mkdir()
+        bm.write(tmp_path / "out" / "boot_gb2_n100")
+        cfg = write_config(tmp_path, families="gb2", replications=100)
+        for command in ("cierror", "overlays"):
+            assert main([command, "--config", str(cfg)]) == 4
+            assert "error: gb2 at n=100: need at least 100 converged replications, have 88" \
+                in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("overlay_*"))
+        assert not (tmp_path / "out" / "ci_error.csv").exists()
+
+
+class TestParser:
+    def test_threads_only_on_bootstrap(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for command in ("fit", "normality", "cierror", "overlays", "generate"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg), "--threads", "4"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads 4" in capsys.readouterr().err

@@ -15,6 +15,7 @@ import numpy as np
 from .bootstrap import BootstrapMatrix
 from .distributions import SeverityModel
 from .fisher import asymptotic_covariance
+from .mle import DegenerateSample
 from .special_functions import std_normal_quantile
 
 __all__ = ["CiErrorRow", "normal_ci_width", "bootstrap_ci_width", "ci_error_table"]
@@ -53,7 +54,7 @@ def ci_error_table(bms: list[BootstrapMatrix], level: float = 0.95) -> list[CiEr
         for j, name in enumerate(bm.param_names):
             boot = bootstrap_ci_width(bm, j, level)
             if boot == 0.0:
-                raise ValueError(f"degenerate bootstrap column {bm.family}/{name} at n={bm.n}")
+                raise DegenerateSample(f"{bm.family} at n={bm.n}: zero-width bootstrap interval for {name}")
             normal = normal_ci_width(model, bm.n, j, level)
             rows.append(CiErrorRow(
                 family=bm.family,

@@ -3,7 +3,9 @@
 Commands: generate, fit, bootstrap, normality, cierror, overlays.
 Exit codes: 0 success, 2 ingestion/config error, 3 fit failure,
 4 too few converged replications (in a bootstrap run, or in a cell that
-cierror or overlays analyse), 5 required bootstrap matrix missing.
+cierror or overlays analyse) or a degenerate cell (constant column, singular
+covariance) that normality, cierror or overlays analyse, 5 required bootstrap
+matrix missing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .ci_analysis import ci_error_table, table_csv, table_json
 from .density import overlay
 from .distributions import FAMILIES, PARAM_NAMES, SeverityModel
 from .generate import PROFILES, generate_losses
-from .normality import normality_suite, reports_to_csv
+from .mle import DegenerateSample
+from .normality import SingularCovariance, normality_suite, reports_to_csv
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -197,12 +200,7 @@ def cmd_fit(cfg: StudyConfig) -> int:
 def _load_true_models(cfg: StudyConfig) -> dict[str, SeverityModel]:
     path = Path(cfg.out) / "true_params.json"
     if not path.exists():
-        if cfg.input:
-            code = cmd_fit(cfg)
-            if code != EXIT_OK:
-                raise ConfigError("in-run fit failed")
-        else:
-            raise ConfigError(f"{path} missing and no input losses configured")
+        raise ConfigError(f"{path} missing and no input losses configured")
     payload = json.loads(path.read_text())
     models = {}
     for family, entry in payload["families"].items():
@@ -218,6 +216,10 @@ def matrix_path(out: Path, family: str, n: int) -> Path:
 def cmd_bootstrap(cfg: StudyConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    if cfg.input and not (out / "true_params.json").exists():
+        code = cmd_fit(cfg)
+        if code != EXIT_OK:
+            return code
     try:
         models = _load_true_models(cfg)
     except ConfigError as exc:
@@ -258,7 +260,11 @@ def cmd_normality(cfg: StudyConfig) -> int:
         return EXIT_MISSING
     reports = []
     for bm in bms:
-        reports.extend(normality_suite(bm))
+        try:
+            reports.extend(normality_suite(bm))
+        except (SingularCovariance, DegenerateSample) as exc:
+            print(f"error: {bm.family} at n={bm.n}: {exc}", file=sys.stderr)
+            return EXIT_CONVERGENCE
     out = Path(cfg.out)
     (out / "normality.csv").write_text(reports_to_csv(reports))
     _write_meta(cfg, out, "normality")
@@ -274,7 +280,7 @@ def cmd_cierror(cfg: StudyConfig) -> int:
         return EXIT_MISSING
     try:
         rows = ci_error_table(bms, cfg.level)
-    except TooFewConverged as exc:
+    except (TooFewConverged, DegenerateSample) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     out = Path(cfg.out)
@@ -291,11 +297,16 @@ def cmd_overlays(cfg: StudyConfig) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    try:
-        overlays = [overlay(bm, j) for bm in bms for j in range(len(bm.param_names))]
-    except TooFewConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+    overlays = []
+    for bm in bms:
+        try:
+            overlays.extend(overlay(bm, j) for j in range(len(bm.param_names)))
+        except TooFewConverged as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONVERGENCE
+        except DegenerateSample as exc:
+            print(f"error: {bm.family} at n={bm.n}: {exc}", file=sys.stderr)
+            return EXIT_CONVERGENCE
     out = Path(cfg.out)
     for ov in overlays:
         (out / f"overlay_{ov.family}_{ov.param_name}_{ov.n}.csv").write_text(ov.to_csv())

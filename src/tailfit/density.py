@@ -30,19 +30,19 @@ class DensityOverlay:
 
     def to_csv(self) -> str:
         lines = ["grid,kde,normal_pdf"]
-        for g, k, p in zip(self.grid, self.kde, self.normal_pdf):
-            lines.append(f"{g!r},{k!r},{p!r}")
+        for row in zip(self.grid, self.kde, self.normal_pdf):
+            lines.append(",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
 
 
 def silverman_bandwidth(xs: np.ndarray) -> float:
+    if np.ptp(xs) == 0.0:
+        raise DegenerateSample("constant sample has no bandwidth")
     m = xs.size
     sd = float(np.std(xs, ddof=1))
     q25, q75 = np.quantile(xs, [0.25, 0.75])
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    if spread <= 0.0:
-        raise DegenerateSample("zero-spread sample has no bandwidth")
     return 0.9 * spread * m ** (-0.2)
 
 

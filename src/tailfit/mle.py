@@ -43,8 +43,8 @@ class FitError(Exception):
     pass
 
 
-class DegenerateSample(FitError):
-    """The sample admits no finite, non-degenerate MLE."""
+class DegenerateSample(FitError, ValueError):
+    """The sample admits no finite, non-degenerate estimate."""
 
 
 class NoConvergence(FitError):

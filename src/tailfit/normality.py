@@ -69,9 +69,9 @@ def anderson_darling_normal(xs, family: str = "", n: int = 0) -> NormalityReport
     m = xs.size
     if m < 8:
         raise ValueError("anderson_darling_normal needs at least 8 observations")
-    sd = float(np.std(xs, ddof=1))
-    if sd == 0.0:
+    if np.ptp(xs) == 0.0:
         raise DegenerateSample("constant sample")
+    sd = float(np.std(xs, ddof=1))
     z = np.sort((xs - np.mean(xs)) / sd)
     log_cdf = np.array([math.log(max(std_normal_cdf(v), 1e-300)) for v in z])
     log_sf = np.array([math.log(max(std_normal_cdf(-v), 1e-300)) for v in z])
@@ -82,14 +82,17 @@ def anderson_darling_normal(xs, family: str = "", n: int = 0) -> NormalityReport
                            _clip_p(_ad_p_value(a2_star)), m)
 
 
-def mardia_moments(rows: np.ndarray, block: int = 512) -> tuple[float, float]:
+def mardia_moments(rows: np.ndarray) -> tuple[float, float]:
     """(b1, b2) from Mahalanobis cross-products; covariance uses divisor m.
 
-    The double sum for b1 runs over fixed-size row blocks so the summation
-    order (and hence the float result) does not depend on available memory.
+    b1 = sum_ij (c_i' S c_j)^3 / m^2 = sum_abc T_abc H_abc / m^2, with T and H
+    the third-moment tensors of the centered rows c_i and of h_i = S c_i,
+    accumulated in long double.
     """
     rows = np.asarray(rows, dtype=float)
     m, k = rows.shape
+    if np.any(np.ptp(rows, axis=0) == 0.0):
+        raise SingularCovariance("constant column")
     centered = rows - rows.mean(axis=0)
     cov = centered.T @ centered / m
     try:
@@ -97,17 +100,15 @@ def mardia_moments(rows: np.ndarray, block: int = 512) -> tuple[float, float]:
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(str(exc)) from exc
     half = centered @ cov_inv  # (m, k)
-    b1_total = 0.0
-    for lo in range(0, m, block):
-        g_block = half[lo:lo + block] @ centered.T  # (block, m)
-        b1_total += float(np.sum(g_block**3))
-    b1 = b1_total / m**2
+    c, h = centered.astype(np.longdouble), half.astype(np.longdouble)
+    t = np.einsum("ia,ib,ic->abc", c, c, c)
+    b1 = float(np.sum(t * np.einsum("ia,ib,ic->abc", h, h, h))) / m**2
     g_diag = np.einsum("ij,ij->i", half, centered)
     b2 = float(np.mean(g_diag**2))
     return b1, b2
 
 
-def mardia(rows) -> tuple[NormalityReport, NormalityReport]:
+def mardia(rows, family: str = "", n: int = 0) -> tuple[NormalityReport, NormalityReport]:
     """Skewness and kurtosis reports for an (m, k) matrix, k in 2..4."""
     rows = np.asarray(rows, dtype=float)
     m, k = rows.shape
@@ -120,8 +121,8 @@ def mardia(rows) -> tuple[NormalityReport, NormalityReport]:
     kurt_z = (b2 - k * (k + 2)) / math.sqrt(8.0 * k * (k + 2) / m)
     kurt_p = _clip_p(2.0 * std_normal_cdf(-abs(kurt_z)))
     return (
-        NormalityReport("", 0, "MardiaSkew", skew_stat, skew_p, m),
-        NormalityReport("", 0, "MardiaKurtosis", kurt_z, kurt_p, m),
+        NormalityReport(family, n, "MardiaSkew", skew_stat, skew_p, m),
+        NormalityReport(family, n, "MardiaKurtosis", kurt_z, kurt_p, m),
     )
 
 
@@ -130,11 +131,7 @@ def normality_suite(bm: BootstrapMatrix) -> list[NormalityReport]:
     if len(bm.param_names) == 1:
         report = anderson_darling_normal(bm.rows[:, 0], bm.family, bm.n)
         return [report]
-    skew, kurt = mardia(bm.rows)
-    for report in (skew, kurt):
-        report.family = bm.family
-        report.n = bm.n
-    return [skew, kurt]
+    return list(mardia(bm.rows, bm.family, bm.n))
 
 
 def reports_to_csv(reports: list[NormalityReport]) -> str:

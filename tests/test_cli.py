@@ -24,6 +24,11 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def write_tail_at_threshold(path):
+    """Twelve tail losses, all exactly at the 1e5 threshold, over a body below it."""
+    path.write_text("loss\n" + "\n".join(["5000.0"] * 50 + ["100000.0"] * 12) + "\n")
+
+
 @pytest.fixture()
 def losses_file(tmp_path):
     rc = main(["generate", "--out", str(tmp_path), "--seed", "777",
@@ -159,6 +164,13 @@ class TestFitCommand:
         cfg = write_config(tmp_path)
         assert main(["fit", "--config", str(cfg)]) == 2
 
+    def test_degenerate_tail_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        write_tail_at_threshold(tmp_path / "losses.csv")
+        assert main(["fit", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not (tmp_path / "out" / "true_params.json").exists()
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -211,6 +223,30 @@ class TestPipeline:
         assert main(["normality", "--config", str(cfg)]) == 5
         assert main(["cierror", "--config", str(cfg)]) == 5
         assert main(["overlays", "--config", str(cfg)]) == 5
+
+    def test_in_run_fit_failure_keeps_its_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        write_tail_at_threshold(tmp_path / "losses.csv")
+        assert main(["bootstrap", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not list((tmp_path / "out").glob("boot_*"))
+
+    def test_constant_column_exits_4(self, tmp_path, capsys):
+        # meanlog fixed at 11.3, which no double represents exactly
+        sdlog = np.random.default_rng(1).normal(1.8, 0.1, 120)
+        bm = BootstrapMatrix(family="lognormal", true_params=(11.3, 1.8), threshold=1e5,
+                             n=100, m_requested=120, m_converged=120,
+                             rows=np.column_stack([np.full(120, 11.3), sdlog]), seed=777)
+        (tmp_path / "out").mkdir()
+        bm.write(tmp_path / "out" / "boot_lognormal_n100")
+        cfg = write_config(tmp_path, families="lognormal")
+        for command in ("normality", "cierror", "overlays"):
+            assert main([command, "--config", str(cfg)]) == 4
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1
+            assert err.startswith("error: lognormal at n=100: ")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["boot_lognormal_n100.csv", "boot_lognormal_n100.json"]
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -39,6 +39,9 @@ class TestBandwidth:
     def test_degenerate(self):
         with pytest.raises(DegenerateSample):
             silverman_bandwidth(np.full(10, 2.0))
+        # 11.3 is not representable: its rounded mean leaves np.std at ~1e-15
+        with pytest.raises(DegenerateSample):
+            silverman_bandwidth(np.full(120, 11.3))
 
 
 class TestKde:
@@ -113,8 +116,11 @@ class TestOverlay:
 
     def test_to_csv(self):
         bm = normal_matrix(self.MODEL, 100, 500, seed=409)
-        text = overlay(bm, 0).to_csv()
+        ov = overlay(bm, 0)
+        text = ov.to_csv()
         lines = text.strip().splitlines()
         assert lines[0] == "grid,kde,normal_pdf"
         assert len(lines) == 513
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+        values = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert np.array_equal(values, np.column_stack([ov.grid, ov.kde, ov.normal_pdf]))

@@ -3,8 +3,11 @@ import pytest
 
 from tailfit import SeverityModel, anderson_darling_normal, mardia, normality_suite, run_bootstrap
 from tailfit.bootstrap import BootstrapMatrix
+from tailfit.fisher import asymptotic_covariance
 from tailfit.mle import DegenerateSample
 from tailfit.normality import SingularCovariance, _ad_p_value, mardia_moments, reports_to_csv
+
+from conftest import TRUE_MODELS
 
 T = 1e5
 
@@ -49,6 +52,9 @@ class TestAndersonDarling:
             anderson_darling_normal(np.arange(7.0))
         with pytest.raises(DegenerateSample):
             anderson_darling_normal(np.full(50, 3.0))
+        # 1.11 is not representable: its rounded mean leaves np.std at 2.2e-16
+        with pytest.raises(DegenerateSample):
+            anderson_darling_normal(np.full(120, 1.11))
 
     def test_p_value_bounds(self):
         for stat in (0.01, 0.1, 0.25, 0.4, 0.75, 2.0, 10.0, 40.0):
@@ -81,11 +87,17 @@ class TestMardia:
 
     def test_random_instances_against_brute_force(self):
         rng = np.random.default_rng(212)
+        inputs = []
         for _ in range(20):
             m = int(rng.integers(10, 201))
             k = int(rng.integers(2, 5))
             mix = rng.normal(size=(k, k)) + np.eye(k)
-            rows = rng.normal(size=(m, k)) @ mix + rng.normal(size=k)
+            inputs.append(rng.normal(size=(m, k)) @ mix + rng.normal(size=k))
+        # the study's column scales: GB2 scale ~1e5 next to shapes ~1
+        gb2 = TRUE_MODELS["gb2"]
+        inputs.append(rng.multivariate_normal(gb2.params, asymptotic_covariance(gb2, 100),
+                                              size=300))
+        for rows in inputs:
             b1, b2 = mardia_moments(rows)
             ob1, ob2 = brute_force_mardia(rows)
             assert b1 == pytest.approx(ob1, rel=1e-12, abs=1e-12)
@@ -103,6 +115,10 @@ class TestMardia:
     def test_singular_covariance(self):
         col = np.random.default_rng(214).normal(size=100)
         rows = np.column_stack([col, 2.0 * col])
+        with pytest.raises(SingularCovariance):
+            mardia(rows)
+        # 11.3 is not representable: the rounded mean leaves the column a nonzero variance
+        rows = np.column_stack([np.full(100, 11.3), col])
         with pytest.raises(SingularCovariance):
             mardia(rows)
 

@@ -1,9 +1,11 @@
 """Parametric bootstrap engine: sample n points from theta*, refit, repeat.
 
 Each replication draws from its own counter-based Philox stream keyed by
-(seed, replication index), so results are bit-identical for any worker count
-and any chunking of the replication range.  Non-convergent replications are
-dropped and counted, never imputed.
+(seed, replication index), and the replications of a chunk are fitted
+together by `mle.fit_rows`, which gives every row the fit its sample alone
+would get.  So results are bit-identical for any worker count and any
+chunking of the replication range.  Non-convergent replications are dropped
+and counted, never imputed.
 """
 
 from __future__ import annotations
@@ -112,21 +114,34 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     )
 
 
-def _fit_replication(model: SeverityModel, n: int, seed: int, rep: int):
-    rng = replication_rng(seed, rep)
-    xs = sample(model, n, rng)
-    try:
-        result: FitResult = mle.fit(model.family, xs, model.threshold)
-    except FitError:
+def _kept(outcome):
+    """A replication's row: its parameters, or None if its fit failed or did
+    not converge (an InvalidStart, which is not a FitError, propagates)."""
+    if isinstance(outcome, FitError):
         return None
-    if not result.converged:
-        return None
-    return result.model.params
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome.model.params if outcome.converged else None
 
 
 def _run_chunk(args):
+    """Replications [lo, hi): each sampled from its own stream, then fitted
+    in batches of at most mle.BLOCK_ELEMENTS sample values."""
     model, n, seed, lo, hi = args
-    return [_fit_replication(model, n, seed, rep) for rep in range(lo, hi)]
+    per_batch = max(1, mle.BLOCK_ELEMENTS // n)
+    rows = []
+    for start in range(lo, hi, per_batch):
+        reps = range(start, min(start + per_batch, hi))
+        xs = np.empty((len(reps), n))
+        for i, rep in enumerate(reps):
+            xs[i] = sample(model, n, replication_rng(seed, rep))
+        rows.extend(_kept(o) for o in mle.fit_rows(model.family, xs, model.threshold))
+    return rows
+
+
+def _fit_replication(model: SeverityModel, n: int, seed: int, rep: int):
+    """Replication `rep` alone: its parameters, or None if it is dropped."""
+    return _run_chunk((model, n, seed, rep, rep + 1))[0]
 
 
 def run_bootstrap(

@@ -202,6 +202,9 @@ def _load_true_models(cfg: StudyConfig) -> dict[str, SeverityModel]:
     if not path.exists():
         raise ConfigError(f"{path} missing and no input losses configured")
     payload = json.loads(path.read_text())
+    missing = [f for f in cfg.families if f not in payload["families"]]
+    if missing:
+        raise ConfigError(f"{path} has no true parameters for {', '.join(missing)}")
     models = {}
     for family, entry in payload["families"].items():
         params = tuple(entry["params"][name] for name in PARAM_NAMES[family])

@@ -5,6 +5,12 @@ profile-likelihood root in the shape.  Log-logistic and GB2 are fitted by
 Nelder-Mead on the penalized negative log-likelihood; GB2 additionally runs
 the three-start protocol (plain / data scaled up 5% / scaled down 5%) and
 keeps the converged run with the lowest nll.
+
+`fit_rows` fits many samples of one size at once.  The Weibull root searches
+and the Nelder-Mead runs of all rows advance in lockstep, and the likelihood
+is evaluated for a block of rows at a time: per-row scalars (`math.log`,
+`log_beta`) row by row, sums row-wise along each sample.  Every row gets
+exactly the result a fit of that sample alone gets; `fit` is the one-row case.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import SeverityModel, in_support, log_likelihood
-from .optimizer import InvalidStart, nelder_mead
+# `nelder_mead` (the one-row optimizer) is not called here; the benchmark's
+# tracer (bench/tracer.py) looks it up under this name.
+from .optimizer import InvalidStart, nelder_mead, nelder_mead_rows  # noqa: F401
 from .special_functions import log_beta
 
 __all__ = [
@@ -31,9 +39,17 @@ __all__ = [
     "fit_loglogistic",
     "fit_gb2",
     "fit",
+    "fit_rows",
+    "BLOCK_ELEMENTS",
 ]
 
 PENALTY = 1e10
+
+# Elements (rows x sample size) per block of likelihood evaluations, and per
+# batch of samples that the bootstrap hands to `fit_rows`.  It bounds the
+# memory a batch adds at any n: n = 100 fits 163 rows at once, n = 2500 six,
+# and a sample larger than the block is fitted on its own.
+BLOCK_ELEMENTS = 1 << 14
 
 WEIBULL_INCONSISTENT = "WeibullInconsistent"
 LOCAL_MINIMUM_RISK = "LocalMinimumRisk"
@@ -69,8 +85,39 @@ def _shifted(xs, T: float) -> np.ndarray:
     return y
 
 
-def fit_pareto(xs, T: float) -> FitResult:
-    xs = np.asarray(xs, dtype=float)
+def _each(xs: np.ndarray, fn) -> list:
+    """fn(row) for every row; a row whose fn raises FitError or InvalidStart
+    gets that exception as its outcome."""
+    outcomes = []
+    for x in xs:
+        try:
+            outcomes.append(fn(x))
+        except (FitError, InvalidStart) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _prepared(outcomes: list) -> list[int]:
+    """The rows whose preparation did not raise."""
+    return [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
+
+
+def _blocks(fn, rows: np.ndarray, n: int, *cols: np.ndarray) -> np.ndarray:
+    """fn(rows, *cols) over consecutive blocks of at most BLOCK_ELEMENTS
+    elements (at least one row each), concatenated."""
+    step = max(1, BLOCK_ELEMENTS // n)
+    if rows.size <= step:
+        return fn(rows, *cols)
+    return np.concatenate([fn(rows[i:i + step], *(c[i:i + step] for c in cols))
+                           for i in range(0, rows.size, step)])
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log per element (numpy's vector log may differ in the last ulp)."""
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+def _fit_pareto_one(xs, T: float) -> FitResult:
     if xs.size == 0 or not np.all(in_support("pareto", xs, T)):
         raise DegenerateSample(f"pareto needs data >= T={T}")
     n = xs.size
@@ -82,7 +129,7 @@ def fit_pareto(xs, T: float) -> FitResult:
     return FitResult(model, -log_likelihood(model, xs), True, n)
 
 
-def fit_lognormal(xs, T: float) -> FitResult:
+def _fit_lognormal_one(xs, T: float) -> FitResult:
     y = _shifted(xs, T)
     if y.size < 2:
         raise DegenerateSample("lognormal fit needs n >= 2")
@@ -92,65 +139,102 @@ def fit_lognormal(xs, T: float) -> FitResult:
     if sigma == 0.0:
         raise DegenerateSample("zero variance in log data")
     model = SeverityModel("lognormal", (mu, sigma), T)
-    xs = np.asarray(xs, dtype=float)
     return FitResult(model, -log_likelihood(model, xs), True, y.size)
 
 
-def _weibull_profile(a: float, ly: np.ndarray, mean_ly: float) -> float:
-    """g(a) = sum y^a ln y / sum y^a - 1/a - mean(ln y); strictly increasing."""
-    w = a * ly
-    m = np.max(w)
-    e = np.exp(w - m)
-    return float(np.sum(e * ly) / np.sum(e)) - 1.0 / a - mean_ly
+def _pareto_rows(xs: np.ndarray, T: float) -> list:
+    return _each(xs, lambda x: _fit_pareto_one(x, T))
 
 
-def fit_weibull(xs, T: float) -> FitResult:
-    y = _shifted(xs, T)
-    n = y.size
-    if n < 2 or np.all(y == y[0]):
-        raise DegenerateSample("weibull fit needs n >= 2 distinct observations")
-    ly = np.log(y)
-    mean_ly = float(np.mean(ly))
+def _lognormal_rows(xs: np.ndarray, T: float) -> list:
+    return _each(xs, lambda x: _fit_lognormal_one(x, T))
+
+
+def _weibull_profile(a, ly, mean_ly):
+    """g(a) = sum y^a ln y / sum y^a - 1/a - mean(ln y); strictly increasing.
+    Evaluated along the last axis: a (k,), ly (k, n), mean_ly (k,), or a
+    scalar a with one sample."""
+    a = np.asarray(a)
+    e = a[..., None] * ly
+    e -= np.max(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.sum(e * ly, axis=-1) / np.sum(e, axis=-1) - 1.0 / a - mean_ly
+
+
+def _weibull_roots(ly: np.ndarray, mean_ly: np.ndarray):
+    """The profile root of every row: the first sign change on a 200-point
+    grid, then bisection in lockstep.  Returns (shapes, bracketed)."""
+    k, n = ly.shape
+
+    def profile(rows, a):
+        return _blocks(lambda r, a_: _weibull_profile(a_, ly[r], mean_ly[r]), rows, n, a)
 
     grid = np.geomspace(1e-3, 1e3, 200)
-    vals = np.array([_weibull_profile(a, ly, mean_ly) for a in grid])
-    idx = np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0]
-    if idx.size == 0:
-        raise NoConvergence("weibull profile root not bracketed in [1e-3, 1e3]")
-    lo, hi = grid[idx[0]], grid[idx[0] + 1]
+    vals = profile(np.repeat(np.arange(k), grid.size), np.tile(grid, k)).reshape(k, grid.size)
+    up = (vals[:, :-1] < 0.0) & (vals[:, 1:] >= 0.0)
+    bracketed = up.any(axis=1)
+    first = np.argmax(up, axis=1)
+    lo, hi = grid[first], grid[first + 1]
+    going = bracketed.copy()
     for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, lo):
+        going &= ~(hi - lo <= 1e-12 * np.where(lo > 1.0, lo, 1.0))
+        rows = np.nonzero(going)[0]
+        if not rows.size:
             break
-        mid = 0.5 * (lo + hi)
-        if _weibull_profile(mid, ly, mean_ly) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
-
-    # b = ((1/n) sum y^a)^{1/a}, in log space
-    w = a * ly
-    m = np.max(w)
-    b = math.exp((m + math.log(np.mean(np.exp(w - m)))) / a)
-    model = SeverityModel("weibull", (a, b), T)
-    warnings = {WEIBULL_INCONSISTENT} if a <= 1.0 else set()
-    xs = np.asarray(xs, dtype=float)
-    return FitResult(model, -log_likelihood(model, xs), True, n, warnings)
+        mid = 0.5 * (lo[rows] + hi[rows])
+        below = profile(rows, mid) < 0.0
+        lo[rows[below]] = mid[below]
+        hi[rows[~below]] = mid[~below]
+    return 0.5 * (lo + hi), bracketed
 
 
-def _loglogistic_nll_factory(y: np.ndarray):
-    ly = np.log(y)
-    sly = float(np.sum(ly))
-    n = y.size
+def _weibull_rows(xs: np.ndarray, T: float) -> list:
+    def prepare(x):
+        y = _shifted(x, T)
+        if y.size < 2 or np.all(y == y[0]):
+            raise DegenerateSample("weibull fit needs n >= 2 distinct observations")
+        ly = np.log(y)
+        return ly, float(np.mean(ly))
 
-    def nll(theta: np.ndarray) -> float:
-        a, s = theta
-        if a <= 0.0 or s <= 0.0:
-            return PENALTY
-        t = a * (ly - math.log(s))
-        total = n * math.log(a) + float(np.sum(t)) - sly \
-            - 2.0 * float(np.sum(np.logaddexp(0.0, t)))
-        return -total
+    outcomes = _each(xs, prepare)
+    ok = _prepared(outcomes)
+    if not ok:
+        return outcomes
+    ly = np.array([outcomes[i][0] for i in ok])
+    shapes, bracketed = _weibull_roots(ly, np.array([outcomes[i][1] for i in ok]))
+    for j, i in enumerate(ok):
+        if not bracketed[j]:
+            outcomes[i] = NoConvergence("weibull profile root not bracketed in [1e-3, 1e3]")
+            continue
+        a = shapes[j]
+        # b = ((1/n) sum y^a)^{1/a}, in log space
+        w = a * ly[j]
+        m = np.max(w)
+        b = math.exp((m + math.log(np.mean(np.exp(w - m)))) / a)
+        model = SeverityModel("weibull", (a, b), T)
+        warnings = {WEIBULL_INCONSISTENT} if a <= 1.0 else set()
+        outcomes[i] = FitResult(model, -log_likelihood(model, xs[i]), True, ly.shape[1], warnings)
+    return outcomes
+
+
+def _loglogistic_nll(ly: np.ndarray, sly: np.ndarray):
+    """The penalized nll of data row `rows[i]` at `theta[i]` = (a, s)."""
+    n = ly.shape[1]
+
+    def sums(rows, a, ls):
+        t = ly[rows]
+        t -= ls[:, None]
+        t *= a[:, None]
+        return np.stack([np.sum(t, axis=1), np.sum(np.logaddexp(0.0, t, out=t), axis=1)], axis=1)
+
+    def nll(rows, theta):
+        out = np.full(rows.size, PENALTY)
+        ok = np.nonzero(~np.any(theta <= 0.0, axis=1))[0]
+        a, s = theta[ok].T
+        st = _blocks(sums, rows[ok], n, a, _logs(s)).reshape(-1, 2)
+        total = n * _logs(a) + st[:, 0] - sly[rows[ok]] - 2.0 * st[:, 1]
+        out[ok] = -total
+        return out
 
     return nll
 
@@ -166,36 +250,59 @@ def loglogistic_init(y: np.ndarray) -> tuple[float, float]:
     return a0, s0
 
 
-def fit_loglogistic(xs, T: float) -> FitResult:
-    y = _shifted(xs, T)
-    n = y.size
-    if n < 3:
-        raise DegenerateSample("log-logistic fit needs n >= 3")
-    a0, s0 = loglogistic_init(y)
-    if not (math.isfinite(a0) and a0 > 0.0):
-        raise InvalidStart(f"log-logistic initial shape {a0} is unusable")
-    res = nelder_mead(_loglogistic_nll_factory(y), np.array([a0, s0]))
-    a, s = res.argmin
-    if not (a > 0.0 and s > 0.0 and math.isfinite(res.fmin)):
-        raise NoConvergence("log-logistic optimizer left the feasible region")
-    model = SeverityModel("loglogistic", (a, s), T)
-    return FitResult(model, res.fmin, res.converged, n, start_points_tried=1)
+def _loglogistic_rows(xs: np.ndarray, T: float) -> list:
+    def prepare(x):
+        y = _shifted(x, T)
+        if y.size < 3:
+            raise DegenerateSample("log-logistic fit needs n >= 3")
+        a0, s0 = loglogistic_init(y)
+        if not (math.isfinite(a0) and a0 > 0.0):
+            raise InvalidStart(f"log-logistic initial shape {a0} is unusable")
+        ly = np.log(y)
+        return ly, float(np.sum(ly)), (a0, s0)
+
+    outcomes = _each(xs, prepare)
+    ok = _prepared(outcomes)
+    if not ok:
+        return outcomes
+    ly = np.array([outcomes[i][0] for i in ok])
+    sly = np.array([outcomes[i][1] for i in ok])
+    x0 = np.array([outcomes[i][2] for i in ok])
+    res = nelder_mead_rows(_loglogistic_nll(ly, sly), x0)
+    for j, i in enumerate(ok):
+        a, s = res.argmin[j]
+        fmin = float(res.fmin[j])
+        if not res.valid[j]:
+            outcomes[i] = InvalidStart(f"objective is {fmin} at start point {x0[j]}")
+        elif not (a > 0.0 and s > 0.0 and math.isfinite(fmin)):
+            outcomes[i] = NoConvergence("log-logistic optimizer left the feasible region")
+        else:
+            model = SeverityModel("loglogistic", (a, s), T)
+            outcomes[i] = FitResult(model, fmin, bool(res.converged[j]), ly.shape[1],
+                                    start_points_tried=1)
+    return outcomes
 
 
-def _gb2_nll_factory(y: np.ndarray):
-    ly = np.log(y)
-    sly = float(np.sum(ly))
-    n = y.size
+def _gb2_nll(ly: np.ndarray, sly: np.ndarray):
+    """The penalized nll of data row `rows[i]` at `theta[i]` = (a, b, p, q)."""
+    n = ly.shape[1]
 
-    def nll(theta: np.ndarray) -> float:
-        a, b, p, q = theta
-        if a <= 0.0 or b <= 0.0 or p <= 0.0 or q <= 0.0:
-            return PENALTY
-        lb = math.log(b)
-        t = a * (ly - lb)
-        total = (n * math.log(a) + (a * p - 1.0) * (sly - n * lb) - n * lb
-                 - n * log_beta(p, q) - (p + q) * float(np.sum(np.logaddexp(0.0, t))))
-        return -total
+    def sums(rows, a, lb):
+        t = ly[rows]
+        t -= lb[:, None]
+        t *= a[:, None]
+        return np.sum(np.logaddexp(0.0, t, out=t), axis=1)
+
+    def nll(rows, theta):
+        out = np.full(rows.size, PENALTY)
+        ok = np.nonzero(~np.any(theta <= 0.0, axis=1))[0]
+        a, b, p, q = theta[ok].T
+        lb = _logs(b)
+        lbeta = np.array([log_beta(u, v) for u, v in zip(p.tolist(), q.tolist())])
+        total = (n * _logs(a) + (a * p - 1.0) * (sly[rows[ok]] - n * lb) - n * lb
+                 - n * lbeta - (p + q) * _blocks(sums, rows[ok], n, a, lb))
+        out[ok] = -total
+        return out
 
     return nll
 
@@ -207,41 +314,94 @@ def gb2_init(y: np.ndarray) -> np.ndarray:
     return np.array([a0, s0, 1.0, 1.0])
 
 
-def fit_gb2(xs, T: float) -> FitResult:
-    y = _shifted(xs, T)
-    n = y.size
-    if n < 8:
-        raise DegenerateSample("gb2 fit needs n >= 8")
-    objective = _gb2_nll_factory(y)
-    results = []
-    for scale in (1.0, 1.05, 0.95):
-        try:
-            res = nelder_mead(objective, gb2_init(y * scale))
-        except InvalidStart:
+def _gb2_rows(xs: np.ndarray, T: float) -> list:
+    def prepare(x):
+        y = _shifted(x, T)
+        if y.size < 8:
+            raise DegenerateSample("gb2 fit needs n >= 8")
+        starts = []
+        for scale in (1.0, 1.05, 0.95):
+            try:
+                starts.append(gb2_init(y * scale))
+            except InvalidStart:
+                starts.append(None)
+        ly = np.log(y)
+        return ly, float(np.sum(ly)), starts
+
+    outcomes = _each(xs, prepare)
+    ok = _prepared(outcomes)
+    # one Nelder-Mead run per (row, usable start), all in lockstep
+    runs = [(j, x0) for j, i in enumerate(ok) for x0 in outcomes[i][2] if x0 is not None]
+    if runs:
+        owner = np.array([j for j, _ in runs])
+        nll = _gb2_nll(np.array([outcomes[i][0] for i in ok]),
+                       np.array([outcomes[i][1] for i in ok]))
+        res = nelder_mead_rows(lambda r, theta: nll(owner[r], theta), [x0 for _, x0 in runs])
+    run = 0
+    for i in ok:
+        ly, _, starts = outcomes[i]
+        results = []
+        for x0 in starts:
+            if x0 is None:
+                continue
+            fmin = float(res.fmin[run])
+            if (res.valid[run] and res.converged[run] and math.isfinite(fmin)
+                    and np.all(res.argmin[run] > 0.0)):
+                results.append((fmin, res.argmin[run]))
+            run += 1
+        if not results:
+            outcomes[i] = NoConvergence("all three gb2 starts failed")
             continue
-        if res.converged and math.isfinite(res.fmin) and np.all(res.argmin > 0.0):
-            results.append(res)
-    if not results:
-        raise NoConvergence("all three gb2 starts failed")
-    best = min(results, key=lambda r: r.fmin)
-    warnings = set()
-    if len(results) < 3 or max(r.fmin for r in results) - best.fmin > 1e-6 * max(1.0, abs(best.fmin)):
-        warnings.add(LOCAL_MINIMUM_RISK)
-    model = SeverityModel("gb2", tuple(best.argmin), T)
-    return FitResult(model, best.fmin, True, n, warnings, start_points_tried=3)
+        best = min(results, key=lambda r: r[0])
+        warnings = set()
+        if len(results) < 3 or max(r[0] for r in results) - best[0] > 1e-6 * max(1.0, abs(best[0])):
+            warnings.add(LOCAL_MINIMUM_RISK)
+        model = SeverityModel("gb2", tuple(best[1]), T)
+        outcomes[i] = FitResult(model, best[0], True, ly.size, warnings, start_points_tried=3)
+    return outcomes
 
 
 _FITTERS = {
-    "pareto": fit_pareto,
-    "weibull": fit_weibull,
-    "lognormal": fit_lognormal,
-    "loglogistic": fit_loglogistic,
-    "gb2": fit_gb2,
+    "pareto": _pareto_rows,
+    "weibull": _weibull_rows,
+    "lognormal": _lognormal_rows,
+    "loglogistic": _loglogistic_rows,
+    "gb2": _gb2_rows,
 }
 
 
-def fit(family: str, xs, T: float) -> FitResult:
-    """Dispatch to the family's fitter."""
+def fit_rows(family: str, xs, T: float) -> list:
+    """Fit `family` above T to every row of `xs` (shape (R, n)).  Entry i is
+    row i's FitResult, or the FitError or InvalidStart its fit raised: exactly
+    what `fit` of that row alone returns or raises."""
     if family not in _FITTERS:
         raise ValueError(f"unknown family {family!r}")
-    return _FITTERS[family](xs, T)
+    return _FITTERS[family](np.asarray(xs, dtype=float), T)
+
+
+def fit(family: str, xs, T: float) -> FitResult:
+    """Fit one sample: the one-row case of `fit_rows`."""
+    outcome = fit_rows(family, np.reshape(np.asarray(xs, dtype=float), (1, -1)), T)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def fit_pareto(xs, T: float) -> FitResult:
+    return fit("pareto", xs, T)
+
+
+def fit_weibull(xs, T: float) -> FitResult:
+    return fit("weibull", xs, T)
+
+
+def fit_lognormal(xs, T: float) -> FitResult:
+    return fit("lognormal", xs, T)
+
+
+def fit_loglogistic(xs, T: float) -> FitResult:
+    return fit("loglogistic", xs, T)
+
+
+def fit_gb2(xs, T: float) -> FitResult:
+    return fit("gb2", xs, T)

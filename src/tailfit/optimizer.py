@@ -3,6 +3,13 @@
 Standard coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
 The initial simplex perturbs each coordinate of x0 by 5% (0.00025 absolute for
 zero coordinates).
+
+`nelder_mead_rows` advances many independent runs in lockstep: each row of
+`x0` is one run with its own simplex, iteration count, convergence flag and
+iteration cap, and each step evaluates the objective once for all the rows
+that need the same kind of point.  Every row does exactly the arithmetic a
+run started alone would do, so a row's result does not depend on which rows
+share its batch.  `nelder_mead` is the one-row case.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["OptimResult", "InvalidStart", "nelder_mead"]
+__all__ = ["OptimResult", "RowsResult", "InvalidStart", "nelder_mead", "nelder_mead_rows"]
 
 
 class InvalidStart(Exception):
@@ -27,6 +34,143 @@ class OptimResult:
     iterations: int
 
 
+@dataclass
+class RowsResult:
+    """Per-row outcomes of `nelder_mead_rows`.  A row whose start is not
+    finite (`valid` False) keeps its start as `argmin` and its objective
+    value there as `fmin`, with 0 iterations."""
+
+    argmin: np.ndarray      # (R, dim)
+    fmin: np.ndarray        # (R,)
+    converged: np.ndarray   # (R,) bool
+    iterations: np.ndarray  # (R,) int
+    valid: np.ndarray       # (R,) bool: the objective was finite at the start
+
+
+def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Python's min(a, b) per element: b only where b < a, so a NaN b is never taken."""
+    return np.where(b < a, b, a)
+
+
+def _max1(x: np.ndarray) -> np.ndarray:
+    """Python's max(1.0, x) per element."""
+    return np.where(x > 1.0, x, 1.0)
+
+
+def nelder_mead_rows(
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x0,
+    xtol: float = 1e-8,
+    ftol: float = 1e-10,
+    max_iterations: int | None = None,
+) -> RowsResult:
+    """Minimize one objective per row of `x0` (shape (R, dim)).
+
+    `objective(rows, thetas)` returns the objective of run `rows[i]` at
+    `thetas[i]` for every i.  Each run returns its best vertex regardless of
+    convergence; it is converged iff its relative simplex diameter drops below
+    xtol or its relative f-spread below ftol within the iteration cap (default
+    500 per dimension).  Runs whose start is not finite are reported invalid
+    and never evaluated again; the others proceed."""
+    x0 = np.array(x0, dtype=float, ndmin=2)
+    n_rows, dim = x0.shape
+    if max_iterations is None:
+        max_iterations = 500 * dim
+
+    f0 = _evaluate(objective, np.arange(n_rows), x0)
+    valid = np.isfinite(f0)
+    argmin, fmin = x0.copy(), f0.copy()
+    converged = np.zeros(n_rows, dtype=bool)
+    iterations = np.zeros(n_rows, dtype=int)
+
+    # the runs still going: `ids` maps a state row to its run
+    ids = np.nonzero(valid)[0]
+    verts = np.repeat(x0[ids, None, :], dim + 1, axis=1)
+    diag = np.arange(dim)
+    verts[:, diag + 1, diag] = np.where(x0[ids] != 0.0, x0[ids] * 1.05, 0.00025)
+    fvals = np.empty((ids.size, dim + 1))
+    fvals[:, 0] = f0[ids]
+    fvals[:, 1:] = _evaluate_vertices(objective, ids, verts[:, 1:])
+    verts, fvals = _sorted(verts, fvals)
+
+    steps = 0  # every run still going has taken this many iterations
+    while ids.size:
+        best, fbest = verts[:, 0], fvals[:, 0]
+        if steps >= max_iterations:
+            finished = np.ones(ids.size, dtype=bool)
+        else:
+            diam = np.max(np.abs(verts[:, 1:] - best[:, None]), axis=(1, 2))
+            finished = ((diam < xtol * _max1(np.max(np.abs(best), axis=1)))
+                        | (fvals[:, -1] - fbest < ftol * _max1(np.abs(fbest))))
+        if finished.any():
+            done = ids[finished]
+            argmin[done], fmin[done] = best[finished], fbest[finished]
+            converged[done] = steps < max_iterations
+            iterations[done] = steps
+            ids, verts, fvals = ids[~finished], verts[~finished], fvals[~finished]
+            if not ids.size:
+                break
+        steps += 1
+        verts, fvals = _step(objective, ids, verts, fvals)
+
+    return RowsResult(argmin=argmin, fmin=fmin, converged=converged,
+                      iterations=iterations, valid=valid)
+
+
+def _evaluate(objective, rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    if not rows.size:
+        return np.empty(0)
+    return np.asarray(objective(rows, thetas), dtype=float)
+
+
+def _evaluate_vertices(objective, ids: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """The objective at vertices (k, j, dim) of runs `ids`, shaped (k, j)."""
+    k, j, dim = verts.shape
+    return _evaluate(objective, np.repeat(ids, j), verts.reshape(-1, dim)).reshape(k, j)
+
+
+def _sorted(verts: np.ndarray, fvals: np.ndarray):
+    order = np.argsort(fvals, axis=1, kind="stable")
+    return np.take_along_axis(verts, order[:, :, None], axis=1), np.take_along_axis(fvals, order, axis=1)
+
+
+def _step(objective, ids, verts, fvals):
+    """One Nelder-Mead iteration of every run in the state, sorted again."""
+    dim = verts.shape[2]
+    centroid = verts[:, :-1].mean(axis=1)
+    worst = verts[:, -1]
+    xr = centroid + (centroid - worst)
+    fr = _evaluate(objective, ids, xr)
+
+    expand = fr < fvals[:, 0]
+    contract = ~expand & ~(fr < fvals[:, -2])
+    outside = contract & (fr < fvals[:, -1])
+    # the second point of a step: the expansion, or the outside or inside contraction
+    second = np.nonzero(expand | contract)[0]
+    c, w, r = centroid[second], worst[second], xr[second]
+    e, o = expand[second], outside[second]
+    i = ~e & ~o
+    x2 = np.empty((second.size, dim))
+    x2[e] = c[e] + 2.0 * (c[e] - w[e])
+    x2[o] = c[o] + 0.5 * (r[o] - c[o])
+    x2[i] = c[i] - 0.5 * (c[i] - w[i])
+    f2 = _evaluate(objective, ids[second], x2)
+
+    fr2 = fr[second]
+    take2 = np.where(e, f2 < fr2, f2 < _min(fr2, fvals[second, -1]))
+    xr[second[take2]], fr[second[take2]] = x2[take2], f2[take2]
+    shrink = second[~e & ~take2]
+    replace = np.ones(ids.size, dtype=bool)
+    replace[shrink] = False
+    verts[replace, -1], fvals[replace, -1] = xr[replace], fr[replace]
+    if shrink.size:
+        # the contraction failed: shrink toward the best vertex
+        lo = verts[shrink, :1]
+        verts[shrink, 1:] = lo + 0.5 * (verts[shrink, 1:] - lo)
+        fvals[shrink, 1:] = _evaluate_vertices(objective, ids[shrink], verts[shrink, 1:])
+    return _sorted(verts, fvals)
+
+
 def nelder_mead(
     objective: Callable[[np.ndarray], float],
     x0,
@@ -34,77 +178,16 @@ def nelder_mead(
     ftol: float = 1e-10,
     max_iterations: int | None = None,
 ) -> OptimResult:
-    """Minimize `objective` from `x0`; returns the best vertex regardless of
-    convergence.  `converged` is set iff the relative simplex diameter drops
-    below xtol or the relative f-spread below ftol within the iteration cap
-    (default 500 per dimension)."""
+    """Minimize `objective` from `x0`: the one-row case of `nelder_mead_rows`.
+    Raises InvalidStart if the objective is not finite at x0."""
     x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    if max_iterations is None:
-        max_iterations = 500 * dim
-    f0 = float(objective(x0))
-    if not np.isfinite(f0):
-        raise InvalidStart(f"objective is {f0} at start point {x0}")
-
-    verts = np.empty((dim + 1, dim))
-    verts[0] = x0
-    for j in range(dim):
-        v = x0.copy()
-        v[j] = v[j] * 1.05 if v[j] != 0.0 else 0.00025
-        verts[j + 1] = v
-    fvals = np.empty(dim + 1)
-    fvals[0] = f0
-    for j in range(dim):
-        fvals[j + 1] = objective(verts[j + 1])
-
-    def _converged() -> bool:
-        lo = verts[0]
-        diam = np.max(np.abs(verts[1:] - lo))
-        if diam < xtol * max(1.0, np.max(np.abs(lo))):
-            return True
-        spread = fvals[-1] - fvals[0]
-        return spread < ftol * max(1.0, abs(fvals[0]))
-
-    converged = False
-    iterations = 0
-    order = np.argsort(fvals, kind="stable")
-    verts, fvals = verts[order], fvals[order]
-
-    while iterations < max_iterations:
-        if _converged():
-            converged = True
-            break
-        iterations += 1
-        centroid = verts[:-1].mean(axis=0)
-        xr = centroid + (centroid - verts[-1])
-        fr = objective(xr)
-        if fr < fvals[0]:
-            xe = centroid + 2.0 * (centroid - verts[-1])
-            fe = objective(xe)
-            if fe < fr:
-                verts[-1], fvals[-1] = xe, fe
-            else:
-                verts[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            verts[-1], fvals[-1] = xr, fr
-        else:
-            if fr < fvals[-1]:  # outside contraction
-                xc = centroid + 0.5 * (xr - centroid)
-            else:  # inside contraction
-                xc = centroid - 0.5 * (centroid - verts[-1])
-            fc = objective(xc)
-            if fc < min(fr, fvals[-1]):
-                verts[-1], fvals[-1] = xc, fc
-            else:  # shrink toward the best vertex
-                for j in range(1, dim + 1):
-                    verts[j] = verts[0] + 0.5 * (verts[j] - verts[0])
-                    fvals[j] = objective(verts[j])
-        order = np.argsort(fvals, kind="stable")
-        verts, fvals = verts[order], fvals[order]
-
+    res = nelder_mead_rows(lambda rows, thetas: [objective(theta) for theta in thetas],
+                           x0.reshape(1, -1), xtol, ftol, max_iterations)
+    if not res.valid[0]:
+        raise InvalidStart(f"objective is {res.fmin[0]} at start point {x0}")
     return OptimResult(
-        argmin=verts[0].copy(),
-        fmin=float(fvals[0]),
-        converged=converged,
-        iterations=iterations,
+        argmin=res.argmin[0],
+        fmin=float(res.fmin[0]),
+        converged=bool(res.converged[0]),
+        iterations=int(res.iterations[0]),
     )

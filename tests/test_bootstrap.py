@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from tailfit import SeverityModel, run_bootstrap, sample, true_model_from_losses
-from tailfit.bootstrap import BootstrapMatrix, TooFewConverged, replication_rng
+from tailfit.bootstrap import (
+    BootstrapMatrix,
+    TooFewConverged,
+    _fit_replication,
+    _run_chunk,
+    replication_rng,
+)
 from tailfit.generate import generate_losses
 from tailfit.mle import fit_pareto
 
@@ -21,11 +27,33 @@ class TestDeterminism:
         assert np.array_equal(a.rows, b.rows)
         assert a.m_converged == b.m_converged
 
+    # (model, n, m, seed); the GB2 cell drops 8 of its 60 replications
+    INVARIANCE_CELLS = [
+        (SeverityModel("weibull", (0.56, 212303.18), T), 60, 100, 11),
+        (SeverityModel("gb2", (0.837, 117516.887, 1.184, 1.454), T), 100, 60, STUDY_SEED),
+        (SeverityModel("loglogistic", (1.0, 84000.0), T), 100, 60, 11),
+    ]
+
     def test_worker_count_invariance(self):
-        model = SeverityModel("weibull", (0.56, 212303.18), T)
-        serial = run_bootstrap(model, 60, 100, seed=11, workers=1)
-        parallel = run_bootstrap(model, 60, 100, seed=11, workers=3)
-        assert np.array_equal(serial.rows, parallel.rows)
+        for model, n, m, seed in self.INVARIANCE_CELLS:
+            serial = run_bootstrap(model, n, m, seed=seed, workers=1)
+            for workers in (2, 3):
+                parallel = run_bootstrap(model, n, m, seed=seed, workers=workers)
+                assert np.array_equal(serial.rows, parallel.rows)
+            assert serial.m_converged == (52 if model.family == "gb2" else m)
+
+    def test_chunk_split_invariance(self):
+        # a chunk fits its replications as one batch; splitting it, or fitting
+        # each replication alone, changes no row and no drop
+        for model, n, m, seed in self.INVARIANCE_CELLS:
+            whole = _run_chunk((model, n, seed, 0, m))
+            split = _run_chunk((model, n, seed, 0, 37)) + _run_chunk((model, n, seed, 37, m))
+            assert whole == split
+            alone = [_fit_replication(model, n, seed, rep) for rep in range(30, 45)]
+            assert alone == whole[30:45]
+            if model.family == "gb2":
+                assert [i for i, row in enumerate(whole) if row is None] == \
+                    [1, 5, 6, 7, 25, 30, 35, 56]
 
     def test_seed_changes_rows(self):
         model = SeverityModel("pareto", (1.11,), T)

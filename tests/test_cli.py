@@ -231,6 +231,18 @@ class TestPipeline:
         assert capsys.readouterr().err.count("error:") == 1
         assert not list((tmp_path / "out").glob("boot_*"))
 
+    def test_family_missing_from_true_params_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        payload = {"families": {"pareto": {"params": {"shape": 1.11}, "threshold": 1e5}}}
+        (out / "true_params.json").write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, families="pareto,gb2")
+        assert main(["bootstrap", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "gb2" in err
+        assert not list(out.glob("boot_*"))
+
     def test_constant_column_exits_4(self, tmp_path, capsys):
         # meanlog fixed at 11.3, which no double represents exactly
         sdlog = np.random.default_rng(1).normal(1.8, 0.1, 120)

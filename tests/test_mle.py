@@ -4,21 +4,27 @@ import numpy as np
 import pytest
 
 from tailfit import SeverityModel, asymptotic_covariance, log_likelihood, sample
+from tailfit.bootstrap import replication_rng
 from tailfit.mle import (
     LOCAL_MINIMUM_RISK,
     WEIBULL_INCONSISTENT,
     DegenerateSample,
+    FitError,
+    NoConvergence,
     fit,
     fit_gb2,
     fit_loglogistic,
     fit_lognormal,
     fit_pareto,
+    fit_rows,
     fit_weibull,
     gb2_init,
     loglogistic_init,
 )
 from tailfit.mle import _weibull_profile  # noqa: F401  (white-box root check)
-from tailfit.optimizer import nelder_mead
+from tailfit.optimizer import InvalidStart, nelder_mead
+
+from conftest import STUDY_SEED, TRUE_MODELS
 
 T = 1e5
 
@@ -201,6 +207,93 @@ class TestDispatch:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             fit("normal", [1.0], 0.0)
+
+
+def assert_same_outcome(batched, family, xs):
+    """A fit_rows entry equals the one-sample fit of its row: the same
+    exception class, or bit-identical parameters and nll, and the same flags."""
+    try:
+        one = fit(family, xs, T)
+    except (FitError, InvalidStart) as exc:
+        assert type(batched) is type(exc)
+        return
+    assert not isinstance(batched, Exception)
+    assert batched.model.params == one.model.params
+    assert batched.nll == one.nll
+    assert batched.converged == one.converged
+    assert batched.warnings == one.warnings
+    assert (batched.n, batched.start_points_tried) == (one.n, one.start_points_tried)
+
+
+def reference_weibull_shape(y):
+    """The one-sample grid scan and bisection that the lockstep root search
+    replaced, kept as its oracle."""
+    ly = np.log(y)
+    mean_ly = float(np.mean(ly))
+
+    def g(a):
+        w = a * ly
+        e = np.exp(w - np.max(w))
+        return float(np.sum(e * ly) / np.sum(e)) - 1.0 / a - mean_ly
+
+    grid = np.geomspace(1e-3, 1e3, 200)
+    vals = np.array([g(a) for a in grid])
+    i = np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0][0]
+    lo, hi = grid[i], grid[i + 1]
+    for _ in range(200):
+        if hi - lo <= 1e-12 * max(1.0, lo):
+            break
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestFitRows:
+    """fit_rows fits many samples at once; every row equals its one-sample fit."""
+
+    @pytest.mark.parametrize("family", list(TRUE_MODELS))
+    def test_mixed_rows_match_one_sample_fits(self, family):
+        model = TRUE_MODELS[family]
+        # the study's first replications: at n = 100 GB2 drops 1, 5, 6 and 7,
+        # whose starts all hit the iteration cap
+        xs = np.array([sample(model, 100, replication_rng(STUDY_SEED, rep)) for rep in range(8)])
+        xs[2] = T if family == "pareto" else T + 1.0  # all values equal
+        xs[3, 0] = 0.5 * T                             # a value below the threshold
+        outcomes = fit_rows(family, xs, T)
+        assert len(outcomes) == len(xs)
+        for x, outcome in zip(xs, outcomes):
+            assert_same_outcome(outcome, family, x)
+        assert isinstance(outcomes[3], DegenerateSample)
+        expected_equal_row = {"loglogistic": InvalidStart, "gb2": NoConvergence}
+        assert isinstance(outcomes[2], expected_equal_row.get(family, DegenerateSample))
+        if family == "gb2":
+            assert all(isinstance(outcomes[i], NoConvergence) for i in (1, 5, 6, 7))
+        if family == "weibull":
+            for i in (0, 1, 4, 5, 6, 7):
+                assert outcomes[i].model.params[0] == reference_weibull_shape(xs[i] - T)
+
+    def test_gb2_row_with_one_invalid_start(self):
+        # median and maximum one ulp apart: scaled by 0.95 they round together
+        base = 239353.6768384192
+        x = np.array([1.1e5, 1.2e5, 1.3e5, 1.4e5] + [base] * 4 + [np.nextafter(base, np.inf)])
+        y = x - T
+        gb2_init(y)
+        gb2_init(y * 1.05)
+        with pytest.raises(InvalidStart):
+            gb2_init(y * 0.95)
+        truth = TRUE_MODELS["gb2"]
+        xs = np.vstack([x, sample(truth, 9, np.random.default_rng(3)), np.full(9, 2.0 * T)])
+        outcomes = fit_rows("gb2", xs, T)
+        for row, outcome in zip(xs, outcomes):
+            assert_same_outcome(outcome, "gb2", row)
+
+    def test_empty_batch_and_unknown_family(self):
+        assert fit_rows("gb2", np.empty((0, 20)), T) == []
+        with pytest.raises(ValueError):
+            fit_rows("normal", np.ones((2, 3)), 0.0)
 
 
 class TestClosedFormIsGlobalOptimum:

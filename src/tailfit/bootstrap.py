@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mle
 from .distributions import PARAM_NAMES, SeverityModel, in_support, sample
-from .mle import FitError, FitResult
+from .mle import FitResult
 
 __all__ = [
     "TooFewConverged",
@@ -115,12 +115,10 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
 
 
 def _kept(outcome):
-    """A replication's row: its parameters, or None if its fit failed or did
-    not converge (an InvalidStart, which is not a FitError, propagates)."""
-    if isinstance(outcome, FitError):
-        return None
+    """A replication's row: its parameters, or None if its fit raised (a
+    FitError or an InvalidStart) or did not converge."""
     if isinstance(outcome, Exception):
-        raise outcome
+        return None
     return outcome.model.params if outcome.converged else None
 
 

@@ -178,7 +178,7 @@ def cmd_fit(cfg: StudyConfig) -> int:
     for family in cfg.families:
         try:
             tm = true_model_from_losses(family, losses, cfg.threshold)
-        except mle.FitError as exc:
+        except (mle.FitError, mle.InvalidStart) as exc:
             print(f"error: fit failed for family {family}: {exc}", file=sys.stderr)
             return EXIT_FIT
         entries[family] = {

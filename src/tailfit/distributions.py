@@ -46,7 +46,9 @@ _EULER_GAMMA = 0.5772156649015329
 
 class _Family:
     """A FAMILY_TABLE entry.  Formulas take x inside the support or u in
-    (0, 1), then T and the parameters; T never enters the information `info`."""
+    (0, 1), then T and the parameters; T never enters the information `info`.
+    A family that `mle` fits by Newton also defines `loglik_rows`: the
+    log-likelihood with its score and Hessian in log-parameters, per row."""
 
     names: tuple[str, ...]
     positive: tuple[str, ...]  # parameters that must be > 0
@@ -141,6 +143,42 @@ class _LogLogistic(_Family):
 
     def info(self, a, s):
         return np.diag([(3.0 + math.pi**2) / (9.0 * a**2), (a / s) ** 2 / 3.0])
+
+    def loglik_rows(self, lt, ly, sly):
+        """The log-likelihood, its score and its Hessian in (ln a, ln s) for
+        every row: lt (r, 2) log-parameters, ly (r, n) the logs of the
+        shifted samples y = x - T, sly (r,) their row sums.
+
+        With t = a (ln y - ln s), w = 1 / (1 + e^-t) and v = w (1 - w):
+          l     = n ln a + sum t - sum ln y - 2 sum softplus(t)
+          dl/d ln a = n + sum t - 2 sum w t,   dl/d ln s = a (2 sum w - n)
+        and the Hessian follows from d t / d ln a = t, d t / d ln s = -a and
+        dw/dt = v.  Sums run along each row, so a row's values do not depend
+        on the other rows."""
+        n = ly.shape[1]
+        a = np.exp(lt[:, 0])
+        t = ly - lt[:, 1:]
+        t *= a[:, None]
+        e = np.exp(-np.abs(t))
+        softplus = np.sum(np.maximum(t, 0.0) + np.log1p(e), axis=1)
+        r = 1.0 / (1.0 + e)
+        w = np.where(t >= 0.0, r, e * r)
+        v = e  # the products below run in place, to hold few arrays at a time
+        v *= r
+        v *= r
+        st, sw, sv = np.sum(t, axis=1), np.sum(w, axis=1), np.sum(v, axis=1)
+        w *= t
+        v *= t
+        swt, svt = np.sum(w, axis=1), np.sum(v, axis=1)
+        v *= t
+        svtt = np.sum(v, axis=1)
+        ll = n * lt[:, 0] + st - sly - 2.0 * softplus
+        score = np.stack([n + st - 2.0 * swt, a * (2.0 * sw - n)], axis=1)
+        h_aa = st - 2.0 * swt - 2.0 * svtt
+        h_as = a * (2.0 * sw - n + 2.0 * svt)
+        h_ss = -2.0 * a * a * sv
+        hess = np.stack([h_aa, h_as, h_as, h_ss], axis=1).reshape(-1, 2, 2)
+        return ll, score, hess
 
 
 class _GB2(_Family):

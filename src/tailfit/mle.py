@@ -1,16 +1,21 @@
 """Maximum-likelihood fitting for the five severity families.
 
-Pareto and lognormal have closed forms.  Weibull reduces to a monotone
-profile-likelihood root in the shape.  Log-logistic and GB2 are fitted by
-Nelder-Mead on the penalized negative log-likelihood; GB2 additionally runs
-the three-start protocol (plain / data scaled up 5% / scaled down 5%) and
-keeps the converged run with the lowest nll.
+Pareto and lognormal have closed forms.  The other three are fitted by
+iteration:
+- Weibull: Newton on the profile-likelihood equation g(a) = 0 in the shape,
+  which is strictly increasing, from Menon's start and safeguarded by
+  bisection inside the bracket [1e-3, 1e3].
+- Log-logistic: modified Newton (`optimizer.newton_rows`) on the
+  log-likelihood in (ln a, ln s), with the score and Hessian from the
+  family's `FAMILY_TABLE` entry.
+- GB2: Nelder-Mead on the penalized negative log-likelihood, from three
+  starts (plain / data scaled up 5% / scaled down 5%), keeping the converged
+  run with the lowest nll.  It moves to the Newton engine in a later change.
 
-`fit_rows` fits many samples of one size at once.  The Weibull root searches
-and the Nelder-Mead runs of all rows advance in lockstep, and the likelihood
-is evaluated for a block of rows at a time: per-row scalars (`math.log`,
-`log_beta`) row by row, sums row-wise along each sample.  Every row gets
-exactly the result a fit of that sample alone gets; `fit` is the one-row case.
+`fit_rows` fits many samples of one size at once.  The iterations of all rows
+advance in lockstep, and the likelihood is evaluated for a block of rows at a
+time, its sums taken row-wise along each sample.  Every row gets exactly the
+result a fit of that sample alone gets; `fit` is the one-row case.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import SeverityModel, in_support, log_likelihood
+from .distributions import FAMILY_TABLE, SeverityModel, in_support, log_likelihood
 # `nelder_mead` (the one-row optimizer) is not called here; the benchmark's
 # tracer (bench/tracer.py) looks it up under this name.
-from .optimizer import InvalidStart, nelder_mead, nelder_mead_rows  # noqa: F401
+from .optimizer import InvalidStart, nelder_mead, nelder_mead_rows, newton_rows  # noqa: F401
 from .special_functions import log_beta
 
 __all__ = [
@@ -102,14 +107,15 @@ def _prepared(outcomes: list) -> list[int]:
     return [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
 
 
-def _blocks(fn, rows: np.ndarray, n: int, *cols: np.ndarray) -> np.ndarray:
-    """fn(rows, *cols) over consecutive blocks of at most BLOCK_ELEMENTS
-    elements (at least one row each), concatenated."""
+def _blocks(fn, rows: np.ndarray, n: int, *cols: np.ndarray) -> tuple:
+    """fn(rows, *cols), a tuple of per-row arrays, over consecutive blocks of
+    at most BLOCK_ELEMENTS elements (at least one row each), concatenated."""
     step = max(1, BLOCK_ELEMENTS // n)
     if rows.size <= step:
         return fn(rows, *cols)
-    return np.concatenate([fn(rows[i:i + step], *(c[i:i + step] for c in cols))
-                           for i in range(0, rows.size, step)])
+    parts = [fn(rows[i:i + step], *(c[i:i + step] for c in cols))
+             for i in range(0, rows.size, step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
@@ -134,10 +140,11 @@ def _fit_lognormal_one(xs, T: float) -> FitResult:
     if y.size < 2:
         raise DegenerateSample("lognormal fit needs n >= 2")
     ly = np.log(y)
+    # exact: the rounded mean leaves a constant sample a spread of ~1e-15
+    if np.ptp(ly) == 0.0:
+        raise DegenerateSample("zero variance in log data")
     mu = float(np.mean(ly))
     sigma = float(np.sqrt(np.mean((ly - mu) ** 2)))  # divisor n: the MLE, not n-1
-    if sigma == 0.0:
-        raise DegenerateSample("zero variance in log data")
     model = SeverityModel("lognormal", (mu, sigma), T)
     return FitResult(model, -log_likelihood(model, xs), True, y.size)
 
@@ -150,42 +157,62 @@ def _lognormal_rows(xs: np.ndarray, T: float) -> list:
     return _each(xs, lambda x: _fit_lognormal_one(x, T))
 
 
-def _weibull_profile(a, ly, mean_ly):
-    """g(a) = sum y^a ln y / sum y^a - 1/a - mean(ln y); strictly increasing.
-    Evaluated along the last axis: a (k,), ly (k, n), mean_ly (k,), or a
-    scalar a with one sample."""
-    a = np.asarray(a)
-    e = a[..., None] * ly
-    e -= np.max(e, axis=-1, keepdims=True)
+def _weibull_profile(a: np.ndarray, c: np.ndarray) -> tuple:
+    """The profile-likelihood equation in the shape and its derivative,
+        g(a)  = sum y^a c / sum y^a - 1/a,
+        g'(a) = sum y^a c^2 / sum y^a - (sum y^a c / sum y^a)^2 + 1/a^2 > 0,
+    per row: a (k,), c (k, n) the centred logs ln y - mean(ln y)."""
+    e = a[:, None] * c
+    e -= np.max(e, axis=1, keepdims=True)
     np.exp(e, out=e)
-    return np.sum(e * ly, axis=-1) / np.sum(e, axis=-1) - 1.0 / a - mean_ly
+    s0 = np.sum(e, axis=1)
+    e *= c
+    m1 = np.sum(e, axis=1) / s0
+    e *= c
+    m2 = np.sum(e, axis=1) / s0
+    return m1 - 1.0 / a, m2 - m1 * m1 + 1.0 / (a * a)
 
 
-def _weibull_roots(ly: np.ndarray, mean_ly: np.ndarray):
-    """The profile root of every row: the first sign change on a 200-point
-    grid, then bisection in lockstep.  Returns (shapes, bracketed)."""
-    k, n = ly.shape
+def _weibull_roots(c: np.ndarray):
+    """The profile root of every row by Newton in lockstep, from Menon's
+    a0 = pi / (sqrt(6) sd(ln y)), kept inside a bracket that each evaluation
+    narrows: a step that leaves it bisects instead.  A row whose g does not
+    change sign on [1e-3, 1e3] has no root there.  Returns (shapes, bracketed)."""
+    k, n = c.shape
 
     def profile(rows, a):
-        return _blocks(lambda r, a_: _weibull_profile(a_, ly[r], mean_ly[r]), rows, n, a)
+        return _blocks(lambda r, a_: _weibull_profile(a_, c[r]), rows, n, a)
 
-    grid = np.geomspace(1e-3, 1e3, 200)
-    vals = profile(np.repeat(np.arange(k), grid.size), np.tile(grid, k)).reshape(k, grid.size)
-    up = (vals[:, :-1] < 0.0) & (vals[:, 1:] >= 0.0)
-    bracketed = up.any(axis=1)
-    first = np.argmax(up, axis=1)
-    lo, hi = grid[first], grid[first + 1]
-    going = bracketed.copy()
-    for _ in range(200):
-        going &= ~(hi - lo <= 1e-12 * np.where(lo > 1.0, lo, 1.0))
-        rows = np.nonzero(going)[0]
+    every = np.arange(k)
+    lo, hi = np.full(k, 1e-3), np.full(k, 1e3)
+    bracketed = (profile(every, lo)[0] < 0.0) & (profile(every, hi)[0] >= 0.0)
+    a = hi.copy()
+    rows = np.nonzero(bracketed)[0]
+    a[rows] = np.clip(math.pi / np.sqrt(6.0 * np.mean(c[rows] ** 2, axis=1)), lo[rows], hi[rows])
+    for _ in range(100):
         if not rows.size:
             break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        below = profile(rows, mid) < 0.0
-        lo[rows[below]] = mid[below]
-        hi[rows[~below]] = mid[~below]
-    return 0.5 * (lo + hi), bracketed
+        g, dg = profile(rows, a[rows])
+        below = g < 0.0
+        lo[rows[below]] = a[rows[below]]
+        hi[rows[~below]] = a[rows[~below]]
+        step = g / dg
+        new = a[rows] - step
+        done = np.abs(step) <= 1e-12 * np.maximum(a[rows], 1.0)
+        outside = ~done & ~((new > lo[rows]) & (new < hi[rows]))
+        new[outside] = 0.5 * (lo[rows] + hi[rows])[outside]
+        a[rows] = new
+        rows = rows[~done]
+    return a, bracketed
+
+
+def _weibull_scale(a: np.ndarray, c: np.ndarray, mean_ly: np.ndarray) -> tuple:
+    """b = ((1/n) sum y^a)^(1/a) per row, in log space."""
+    w = a[:, None] * c
+    m = np.max(w, axis=1)
+    w -= m[:, None]
+    np.exp(w, out=w)
+    return (np.exp(mean_ly + (m + np.log(np.mean(w, axis=1))) / a),)
 
 
 def _weibull_rows(xs: np.ndarray, T: float) -> list:
@@ -193,50 +220,40 @@ def _weibull_rows(xs: np.ndarray, T: float) -> list:
         y = _shifted(x, T)
         if y.size < 2 or np.all(y == y[0]):
             raise DegenerateSample("weibull fit needs n >= 2 distinct observations")
-        ly = np.log(y)
-        return ly, float(np.mean(ly))
+        return np.log(y)
 
     outcomes = _each(xs, prepare)
     ok = _prepared(outcomes)
     if not ok:
         return outcomes
-    ly = np.array([outcomes[i][0] for i in ok])
-    shapes, bracketed = _weibull_roots(ly, np.array([outcomes[i][1] for i in ok]))
+    ly = np.array([outcomes[i] for i in ok])
+    mean_ly = np.mean(ly, axis=1)
+    c = ly - mean_ly[:, None]
+    shapes, bracketed = _weibull_roots(c)
+    n = ly.shape[1]
+    (scales,) = _blocks(lambda r, a: _weibull_scale(a, c[r], mean_ly[r]), np.arange(len(ok)), n,
+                        shapes)
     for j, i in enumerate(ok):
         if not bracketed[j]:
             outcomes[i] = NoConvergence("weibull profile root not bracketed in [1e-3, 1e3]")
             continue
-        a = shapes[j]
-        # b = ((1/n) sum y^a)^{1/a}, in log space
-        w = a * ly[j]
-        m = np.max(w)
-        b = math.exp((m + math.log(np.mean(np.exp(w - m)))) / a)
-        model = SeverityModel("weibull", (a, b), T)
-        warnings = {WEIBULL_INCONSISTENT} if a <= 1.0 else set()
-        outcomes[i] = FitResult(model, -log_likelihood(model, xs[i]), True, ly.shape[1], warnings)
+        model = SeverityModel("weibull", (shapes[j], scales[j]), T)
+        warnings = {WEIBULL_INCONSISTENT} if shapes[j] <= 1.0 else set()
+        outcomes[i] = FitResult(model, -log_likelihood(model, xs[i]), True, n, warnings)
     return outcomes
 
 
-def _loglogistic_nll(ly: np.ndarray, sly: np.ndarray):
-    """The penalized nll of data row `rows[i]` at `theta[i]` = (a, s)."""
+def _newton_objective(family: str, ly: np.ndarray, sly: np.ndarray):
+    """The negative log-likelihood of data row `rows[i]` at log-parameters
+    `lt[i]`, with its gradient and Hessian, from the family's `loglik_rows`."""
+    loglik = FAMILY_TABLE[family].loglik_rows
     n = ly.shape[1]
 
-    def sums(rows, a, ls):
-        t = ly[rows]
-        t -= ls[:, None]
-        t *= a[:, None]
-        return np.stack([np.sum(t, axis=1), np.sum(np.logaddexp(0.0, t, out=t), axis=1)], axis=1)
+    def objective(rows, lt):
+        ll, score, hess = _blocks(lambda r, t: loglik(t, ly[r], sly[r]), rows, n, lt)
+        return -ll, -score, -hess
 
-    def nll(rows, theta):
-        out = np.full(rows.size, PENALTY)
-        ok = np.nonzero(~np.any(theta <= 0.0, axis=1))[0]
-        a, s = theta[ok].T
-        st = _blocks(sums, rows[ok], n, a, _logs(s)).reshape(-1, 2)
-        total = n * _logs(a) + st[:, 0] - sly[rows[ok]] - 2.0 * st[:, 1]
-        out[ok] = -total
-        return out
-
-    return nll
+    return objective
 
 
 def loglogistic_init(y: np.ndarray) -> tuple[float, float]:
@@ -259,7 +276,7 @@ def _loglogistic_rows(xs: np.ndarray, T: float) -> list:
         if not (math.isfinite(a0) and a0 > 0.0):
             raise InvalidStart(f"log-logistic initial shape {a0} is unusable")
         ly = np.log(y)
-        return ly, float(np.sum(ly)), (a0, s0)
+        return ly, float(np.sum(ly)), (math.log(a0), math.log(s0))
 
     outcomes = _each(xs, prepare)
     ok = _prepared(outcomes)
@@ -268,16 +285,16 @@ def _loglogistic_rows(xs: np.ndarray, T: float) -> list:
     ly = np.array([outcomes[i][0] for i in ok])
     sly = np.array([outcomes[i][1] for i in ok])
     x0 = np.array([outcomes[i][2] for i in ok])
-    res = nelder_mead_rows(_loglogistic_nll(ly, sly), x0)
+    res = newton_rows(_newton_objective("loglogistic", ly, sly), x0)
+    params = np.exp(res.argmin)
     for j, i in enumerate(ok):
-        a, s = res.argmin[j]
         fmin = float(res.fmin[j])
         if not res.valid[j]:
-            outcomes[i] = InvalidStart(f"objective is {fmin} at start point {x0[j]}")
-        elif not (a > 0.0 and s > 0.0 and math.isfinite(fmin)):
+            outcomes[i] = InvalidStart(f"log-likelihood is {-fmin} at start point {params[j]}")
+        elif not (np.all(np.isfinite(params[j]) & (params[j] > 0.0)) and math.isfinite(fmin)):
             outcomes[i] = NoConvergence("log-logistic optimizer left the feasible region")
         else:
-            model = SeverityModel("loglogistic", (a, s), T)
+            model = SeverityModel("loglogistic", tuple(params[j]), T)
             outcomes[i] = FitResult(model, fmin, bool(res.converged[j]), ly.shape[1],
                                     start_points_tried=1)
     return outcomes
@@ -291,7 +308,7 @@ def _gb2_nll(ly: np.ndarray, sly: np.ndarray):
         t = ly[rows]
         t -= lb[:, None]
         t *= a[:, None]
-        return np.sum(np.logaddexp(0.0, t, out=t), axis=1)
+        return (np.sum(np.logaddexp(0.0, t, out=t), axis=1),)
 
     def nll(rows, theta):
         out = np.full(rows.size, PENALTY)
@@ -300,7 +317,7 @@ def _gb2_nll(ly: np.ndarray, sly: np.ndarray):
         lb = _logs(b)
         lbeta = np.array([log_beta(u, v) for u, v in zip(p.tolist(), q.tolist())])
         total = (n * _logs(a) + (a * p - 1.0) * (sly[rows[ok]] - n * lb) - n * lb
-                 - n * lbeta - (p + q) * _blocks(sums, rows[ok], n, a, lb))
+                 - n * lbeta - (p + q) * _blocks(sums, rows[ok], n, a, lb)[0])
         out[ok] = -total
         return out
 

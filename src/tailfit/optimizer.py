@@ -1,15 +1,16 @@
-"""Nelder-Mead simplex minimizer (derivative-free, deterministic).
+"""Row-batched minimizers: modified Newton and the Nelder-Mead simplex.
 
-Standard coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-The initial simplex perturbs each coordinate of x0 by 5% (0.00025 absolute for
-zero coordinates).
+Each advances many independent runs in lockstep: each row of `x0` is one run
+with its own iterate, iteration count and convergence flag, and each step
+evaluates the objective once for all the rows that need a point.  Every row
+does exactly the arithmetic a run started alone would do, so a row's result
+does not depend on which rows share its batch.
 
-`nelder_mead_rows` advances many independent runs in lockstep: each row of
-`x0` is one run with its own simplex, iteration count, convergence flag and
-iteration cap, and each step evaluates the objective once for all the rows
-that need the same kind of point.  Every row does exactly the arithmetic a
-run started alone would do, so a row's result does not depend on which rows
-share its batch.  `nelder_mead` is the one-row case.
+`newton_rows` needs the objective's gradient and Hessian.  `nelder_mead_rows`
+is derivative-free, with the standard coefficients (reflection 1, expansion
+2, contraction 0.5, shrink 0.5) and an initial simplex that perturbs each
+coordinate of x0 by 5% (0.00025 absolute for zero coordinates);
+`nelder_mead` is its one-row case.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["OptimResult", "RowsResult", "InvalidStart", "nelder_mead", "nelder_mead_rows"]
+__all__ = ["OptimResult", "RowsResult", "InvalidStart", "nelder_mead", "nelder_mead_rows",
+           "newton_rows"]
 
 
 class InvalidStart(Exception):
@@ -36,15 +38,20 @@ class OptimResult:
 
 @dataclass
 class RowsResult:
-    """Per-row outcomes of `nelder_mead_rows`.  A row whose start is not
-    finite (`valid` False) keeps its start as `argmin` and its objective
-    value there as `fmin`, with 0 iterations."""
+    """Per-row outcomes of `nelder_mead_rows` and `newton_rows`.  A row whose
+    start is not finite (`valid` False) keeps its start as `argmin` and its
+    objective value there as `fmin`, with 0 iterations."""
 
     argmin: np.ndarray      # (R, dim)
     fmin: np.ndarray        # (R,)
     converged: np.ndarray   # (R,) bool
     iterations: np.ndarray  # (R,) int
     valid: np.ndarray       # (R,) bool: the objective was finite at the start
+
+
+_TINY = np.finfo(float).tiny
+_ARMIJO = 1e-4  # the share of the predicted decrease a Newton step must achieve
+_HALVINGS = 40  # step halvings before a Newton line search gives up
 
 
 def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,3 +198,81 @@ def nelder_mead(
         converged=bool(res.converged[0]),
         iterations=int(res.iterations[0]),
     )
+
+
+def _finite(f: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    return (np.isfinite(f) & np.all(np.isfinite(grad), axis=1)
+            & np.all(np.isfinite(hess), axis=(1, 2)))
+
+
+def newton_rows(
+    objective: Callable[[np.ndarray, np.ndarray], tuple],
+    x0,
+    rtol: float = 1e-12,
+    max_step: float = 2.0,
+    max_iterations: int = 100,
+) -> RowsResult:
+    """Minimize one smooth objective per row of `x0` (shape (R, dim)) by
+    modified Newton.
+
+    `objective(rows, thetas)` returns (f, gradient, Hessian) of run `rows[i]`
+    at `thetas[i]`, shaped (r,), (r, dim) and (r, dim, dim).  Each iteration
+    takes the Newton step with the Hessian's eigenvalues replaced by their
+    absolute values, floored at 1e-10 of the largest, so the step descends
+    even where the Hessian is not positive definite.  The step is scaled to
+    at most `max_step` in every coordinate and then halved until f falls by
+    at least 1e-4 of the decrease its slope predicts (Armijo).
+
+    A run converges when half its squared Newton decrement, the decrease the
+    quadratic model predicts, is at most rtol * max(1, |f|).  A run stops
+    unconverged after `max_iterations` steps, or when 40 halvings find no
+    such decrease.  Runs whose start is not finite are reported invalid and
+    never evaluated again, as in `nelder_mead_rows`."""
+    x = np.array(x0, dtype=float, ndmin=2)
+    n_rows = x.shape[0]
+    f, grad, hess = objective(np.arange(n_rows), x)
+    f = np.array(f, dtype=float)
+    valid = _finite(f, grad, hess)
+    converged = np.zeros(n_rows, dtype=bool)
+    iterations = np.zeros(n_rows, dtype=int)
+
+    # the runs still going: `ids` maps a state row to its run
+    ids = np.nonzero(valid)[0]
+    grad, hess = grad[ids], hess[ids]
+    steps = 0
+    while ids.size:
+        lam, vec = np.linalg.eigh(hess)
+        lam = np.abs(lam)
+        lam = np.maximum(lam, np.maximum(1e-10 * np.max(lam, axis=1, keepdims=True), _TINY))
+        vg = np.sum(vec * grad[:, :, None], axis=1)  # the gradient in the eigenbasis
+        step = -np.sum(vec * (vg / lam)[:, None, :], axis=2)
+        done = 0.5 * np.sum(vg * vg / lam, axis=1) <= rtol * _max1(np.abs(f[ids]))
+        converged[ids[done]] = True
+        stop = done | (steps >= max_iterations)
+        iterations[ids[stop]] = steps
+        ids, grad, hess, step = ids[~stop], grad[~stop], hess[~stop], step[~stop]
+        if not ids.size:
+            break
+
+        longest = np.max(np.abs(step), axis=1)
+        step *= np.where(longest > max_step, max_step / longest, 1.0)[:, None]
+        slope = np.sum(grad * step, axis=1)
+        t = np.ones(ids.size)
+        pending = np.ones(ids.size, dtype=bool)
+        for _ in range(_HALVINGS + 1):
+            rows = np.nonzero(pending)[0]
+            trial = x[ids[rows]] + t[rows, None] * step[rows]
+            ft, gt, ht = objective(ids[rows], trial)
+            ok = _finite(ft, gt, ht) & (ft <= f[ids[rows]] + _ARMIJO * t[rows] * slope[rows])
+            took = rows[ok]
+            x[ids[took]], f[ids[took]] = trial[ok], ft[ok]
+            grad[took], hess[took] = gt[ok], ht[ok]
+            pending[took] = False
+            t[rows[~ok]] *= 0.5
+            if not pending.any():
+                break
+        steps += 1
+        iterations[ids[pending]] = steps
+        ids, grad, hess = ids[~pending], grad[~pending], hess[~pending]
+
+    return RowsResult(argmin=x, fmin=f, converged=converged, iterations=iterations, valid=valid)

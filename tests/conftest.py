@@ -3,20 +3,31 @@
 The heavyweight bootstrap matrices (m = 2000) are computed once and cached
 under tests/.bootstrap_cache keyed by (family, params, T, n, m, seed); reruns
 of the suite reuse them.  The cache is tracked in git as the evidence the
-acceptance criteria read.  Cache entries are full BootstrapMatrix round trips,
-and every hit recomputes its first few surviving replications, so a cache
-that the current code would not reproduce fails loudly instead of being read.
+acceptance criteria read.  Cache entries are full BootstrapMatrix round trips.
+
+Each entry is also keyed on a fingerprint of the code's behaviour for its
+model: a hash of the rows the bootstrap keeps from a small fixed probe.
+`fingerprints.json` in the cache records the fingerprint each entry was
+computed under, and an entry whose fingerprint differs from the current
+code's is computed again and rewritten.  So a deliberate change of a family's
+numerics regenerates that family's entries, while an edit that changes no
+fitted bit regenerates nothing.  Every hit also recomputes its first few
+surviving replications, so a cache that the current code would not reproduce
+fails loudly instead of being read.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tailfit import SeverityModel, run_bootstrap
-from tailfit.bootstrap import BootstrapMatrix, _fit_replication
+from tailfit.bootstrap import BootstrapMatrix, _fit_replication, _run_chunk
 
 STUDY_SEED = 20260823
 STUDY_M = 2000
@@ -32,7 +43,31 @@ TRUE_MODELS = {
 }
 
 _CACHE_DIR = Path(__file__).parent / ".bootstrap_cache"
+_FINGERPRINTS = _CACHE_DIR / "fingerprints.json"
 _SPOT_CHECK_ROWS = 3
+# the probe: the first replications of a small cell at the study seed (for
+# GB2 they include replications its fit drops)
+_PROBE_N = 100
+_PROBE_REPS = 8
+
+
+@functools.cache
+def behaviour_fingerprint(model: SeverityModel) -> str:
+    """A hash of the rows (parameters, or None for a dropped replication)
+    the bootstrap keeps from the probe cell of `model`: it changes with any
+    fitted bit, drop or sampled value, and not with an edit that changes none."""
+    rows = _run_chunk((model, _PROBE_N, STUDY_SEED, 0, _PROBE_REPS))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def _recorded_fingerprints() -> dict:
+    return json.loads(_FINGERPRINTS.read_text()) if _FINGERPRINTS.exists() else {}
+
+
+def _record_fingerprint(name: str, fingerprint: str) -> None:
+    recorded = _recorded_fingerprints()
+    recorded[name] = fingerprint
+    _FINGERPRINTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
 
 
 def _spot_check(bm: BootstrapMatrix, model: SeverityModel, base: Path) -> None:
@@ -58,12 +93,15 @@ def cached_bootstrap(model: SeverityModel, n: int, m: int = STUDY_M,
     _CACHE_DIR.mkdir(exist_ok=True)
     tag = "_".join(repr(p) for p in model.params)
     base = _CACHE_DIR / f"{model.family}_{tag}_T{model.threshold!r}_n{n}_m{m}_s{seed}"
-    if BootstrapMatrix.files(base)[0].exists():
+    fingerprint = behaviour_fingerprint(model)
+    if (BootstrapMatrix.files(base)[0].exists()
+            and _recorded_fingerprints().get(base.name) == fingerprint):
         bm = BootstrapMatrix.read(base)
         _spot_check(bm, model, base)
         return bm
     bm = run_bootstrap(model, n, m, seed)
     bm.write(base)
+    _record_fingerprint(base.name, fingerprint)
     return bm
 
 

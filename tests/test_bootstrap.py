@@ -12,8 +12,10 @@ from tailfit.bootstrap import (
     replication_rng,
 )
 from tailfit.generate import generate_losses
-from tailfit.mle import fit_pareto
+from tailfit.mle import fit_pareto, fit_rows
+from tailfit.optimizer import InvalidStart
 
+import conftest
 from conftest import STUDY_SEED, cached_bootstrap
 
 T = 1e5
@@ -98,6 +100,17 @@ class TestRows:
         # scale column is orders of magnitude above the shape column
         assert np.min(bm.rows[:, 1]) > np.max(bm.rows[:, 0])
 
+    def test_invalid_start_replications_are_dropped(self):
+        # shape 3e15 rounds the draws onto a few doubles next to 1, so in some
+        # samples of 3 the maximum equals the median: no log-logistic start
+        model = SeverityModel("loglogistic", (3e15, 1.0), 0.0)
+        xs = np.array([sample(model, 3, replication_rng(4, rep)) for rep in range(100)])
+        invalid = [isinstance(o, InvalidStart) for o in fit_rows("loglogistic", xs, 0.0)]
+        assert 0 < sum(invalid) < 50
+        rows = _run_chunk((model, 3, 4, 0, 100))
+        assert [row is None for row in rows] == invalid
+        assert run_bootstrap(model, 3, 100, seed=4).m_converged == 100 - sum(invalid)
+
     def test_too_few_converged(self):
         # n below the GB2 minimum sample size: every replication errors out
         model = SeverityModel("gb2", (0.837, 117516.887, 1.184, 1.454), T)
@@ -133,6 +146,23 @@ class TestRoundTrip:
         again = cached_bootstrap(SeverityModel("pareto", (1.11,), T), 100)
         assert np.array_equal(bm.rows, again.rows)
         assert bm.seed == again.seed == STUDY_SEED
+
+    def test_cache_follows_the_behaviour_fingerprint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(conftest, "_CACHE_DIR", tmp_path)
+        monkeypatch.setattr(conftest, "_FINGERPRINTS", tmp_path / "fingerprints.json")
+        model = SeverityModel("pareto", (1.11,), T)
+        first = cached_bootstrap(model, 20, m=100, seed=5)
+        (name, fingerprint), = conftest._recorded_fingerprints().items()
+        assert fingerprint == conftest.behaviour_fingerprint(model)
+        csv_path = tmp_path / f"{name}.csv"
+        written = csv_path.read_bytes()
+        # an entry recorded under another fingerprint is computed again
+        conftest._record_fingerprint(name, "stale")
+        csv_path.write_text("shape\n1.0\n")
+        again = cached_bootstrap(model, 20, m=100, seed=5)
+        assert np.array_equal(again.rows, first.rows)
+        assert csv_path.read_bytes() == written
+        assert conftest._recorded_fingerprints() == {name: fingerprint}
 
 
 class TestTrueModelFromLosses:

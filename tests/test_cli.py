@@ -172,6 +172,18 @@ class TestFitCommand:
         assert not (tmp_path / "out" / "true_params.json").exists()
 
 
+    def test_loglogistic_without_start_exits_3(self, tmp_path, capsys):
+        # twelve equal tail losses: the maximum equals the median
+        cfg = write_config(tmp_path, families="loglogistic")
+        (tmp_path / "losses.csv").write_text(
+            "loss\n" + "\n".join(["5000.0"] * 50 + ["100005.0"] * 12) + "\n")
+        assert main(["fit", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.startswith("error: fit failed for family loglogistic: ")
+        assert not (tmp_path / "out" / "true_params.json").exists()
+
+
 class TestPipeline:
     @pytest.fixture()
     def ran_bootstrap(self, tmp_path, losses_file):

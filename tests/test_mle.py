@@ -5,6 +5,7 @@ import pytest
 
 from tailfit import SeverityModel, asymptotic_covariance, log_likelihood, sample
 from tailfit.bootstrap import replication_rng
+from tailfit.distributions import FAMILY_TABLE
 from tailfit.mle import (
     LOCAL_MINIMUM_RISK,
     WEIBULL_INCONSISTENT,
@@ -21,7 +22,6 @@ from tailfit.mle import (
     gb2_init,
     loglogistic_init,
 )
-from tailfit.mle import _weibull_profile  # noqa: F401  (white-box root check)
 from tailfit.optimizer import InvalidStart, nelder_mead
 
 from conftest import STUDY_SEED, TRUE_MODELS
@@ -75,6 +75,9 @@ class TestFitLognormal:
     def test_all_equal_degenerate(self):
         with pytest.raises(DegenerateSample):
             fit_lognormal([5.0, 5.0, 5.0], 0.0)
+        # the rounded mean of ln 5 leaves this sample a spread of ~1e-15
+        with pytest.raises(DegenerateSample):
+            fit_lognormal([T + 5.0] * 100, T)
 
 
 class TestFitWeibull:
@@ -83,8 +86,7 @@ class TestFitWeibull:
         xs = sample(truth, 10_000, np.random.default_rng(101))
         res = fit_weibull(xs, 0.0)
         a, b = res.model.params
-        ly = np.log(xs)
-        assert abs(_weibull_profile(a, ly, float(np.mean(ly)))) < 1e-8
+        assert abs(reference_weibull_profile(xs)(a)) < 1e-8
         se = math.sqrt(asymptotic_covariance(truth, 10_000)[0, 0])
         assert abs(a - 0.56) < 3.0 * se
         assert WEIBULL_INCONSISTENT in res.warnings
@@ -225,9 +227,9 @@ def assert_same_outcome(batched, family, xs):
     assert (batched.n, batched.start_points_tried) == (one.n, one.start_points_tried)
 
 
-def reference_weibull_shape(y):
-    """The one-sample grid scan and bisection that the lockstep root search
-    replaced, kept as its oracle."""
+def reference_weibull_profile(y):
+    """g(a) = sum y^a ln y / sum y^a - 1/a - mean(ln y) of one sample: the
+    Weibull profile-likelihood equation in the shape."""
     ly = np.log(y)
     mean_ly = float(np.mean(ly))
 
@@ -236,6 +238,13 @@ def reference_weibull_shape(y):
         e = np.exp(w - np.max(w))
         return float(np.sum(e * ly) / np.sum(e)) - 1.0 / a - mean_ly
 
+    return g
+
+
+def reference_weibull_shape(y):
+    """The one-sample grid scan and bisection that the Newton root search
+    replaced, kept as its oracle.  Its bracket ends within 1e-12 max(1, a)."""
+    g = reference_weibull_profile(y)
     grid = np.geomspace(1e-3, 1e3, 200)
     vals = np.array([g(a) for a in grid])
     i = np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0][0]
@@ -254,14 +263,19 @@ def reference_weibull_shape(y):
 class TestFitRows:
     """fit_rows fits many samples at once; every row equals its one-sample fit."""
 
-    @pytest.mark.parametrize("family", list(TRUE_MODELS))
-    def test_mixed_rows_match_one_sample_fits(self, family):
+    @staticmethod
+    def mixed_rows(family):
         model = TRUE_MODELS[family]
         # the study's first replications: at n = 100 GB2 drops 1, 5, 6 and 7,
         # whose starts all hit the iteration cap
         xs = np.array([sample(model, 100, replication_rng(STUDY_SEED, rep)) for rep in range(8)])
         xs[2] = T if family == "pareto" else T + 1.0  # all values equal
         xs[3, 0] = 0.5 * T                             # a value below the threshold
+        return xs
+
+    @pytest.mark.parametrize("family", list(TRUE_MODELS))
+    def test_mixed_rows_match_one_sample_fits(self, family):
+        xs = self.mixed_rows(family)
         outcomes = fit_rows(family, xs, T)
         assert len(outcomes) == len(xs)
         for x, outcome in zip(xs, outcomes):
@@ -272,8 +286,31 @@ class TestFitRows:
         if family == "gb2":
             assert all(isinstance(outcomes[i], NoConvergence) for i in (1, 5, 6, 7))
         if family == "weibull":
+            # the oracle's bisection stops within its own 1e-12 tolerance
             for i in (0, 1, 4, 5, 6, 7):
-                assert outcomes[i].model.params[0] == reference_weibull_shape(xs[i] - T)
+                ref = reference_weibull_shape(xs[i] - T)
+                assert abs(outcomes[i].model.params[0] - ref) <= 1e-12 * max(1.0, ref)
+
+    @pytest.mark.parametrize("family", ["weibull", "loglogistic"])
+    def test_newton_never_above_nelder_mead(self, family):
+        # the one-run Nelder-Mead on the package's own likelihood stops short
+        # of Newton: from the log-logistic fit's start, or from (1, median y)
+        xs = self.mixed_rows(family)
+        fitted = [(x, o) for x, o in zip(xs, fit_rows(family, xs, T))
+                  if not isinstance(o, Exception)]
+        assert len(fitted) == 6
+        for x, res in fitted:
+            y = x - T
+            start = loglogistic_init(y) if family == "loglogistic" else (1.0, float(np.median(y)))
+
+            def nll(theta, x=x, model=res.model):
+                if np.any(theta <= 0.0):
+                    return 1e10
+                return -log_likelihood(model.replace_params(theta), x)
+
+            nm = nelder_mead(nll, np.array(start))
+            assert nm.converged
+            assert nll(np.array(res.model.params)) <= nm.fmin
 
     def test_gb2_row_with_one_invalid_start(self):
         # median and maximum one ulp apart: scaled by 0.95 they round together
@@ -294,6 +331,49 @@ class TestFitRows:
         assert fit_rows("gb2", np.empty((0, 20)), T) == []
         with pytest.raises(ValueError):
             fit_rows("normal", np.ones((2, 3)), 0.0)
+
+
+class TestLogLogisticLikelihood:
+    """The log-likelihood with its score and Hessian in (ln a, ln s) that
+    the Newton fit maximizes."""
+
+    CASES = [((1.0, 84000.0), 100, 1), ((1.7, 5e4), 2500, 2), ((0.4, 3e5), 40, 3)]
+
+    @staticmethod
+    def loglik(lt, y):
+        ly = np.log(y)
+        ll, score, hess = FAMILY_TABLE["loglogistic"].loglik_rows(
+            np.array([lt]), ly[None, :], np.array([np.sum(ly)]))
+        return ll[0], score[0], hess[0]
+
+    @pytest.mark.parametrize("params,n,seed", CASES)
+    def test_equals_log_likelihood(self, params, n, seed):
+        model = SeverityModel("loglogistic", params, T)
+        xs = sample(model, n, np.random.default_rng(seed))
+        for scale in (1.0, 1.3, 0.6):
+            a, s = params[0] * scale, params[1] / scale
+            ll = self.loglik(np.log([a, s]), xs - T)[0]
+            want = log_likelihood(model.replace_params((a, s)), xs)
+            assert abs(ll - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("params,n,seed", CASES)
+    def test_derivatives_against_central_differences(self, params, n, seed):
+        model = SeverityModel("loglogistic", params, T)
+        y = sample(model, n, np.random.default_rng(seed)) - T
+        h = 1e-5
+        for scale in (1.0, 1.3, 0.6):
+            lt = np.log([params[0] * scale, params[1] / scale])
+            _, score, hess = self.loglik(lt, y)
+            fd_score, fd_hess = np.empty(2), np.empty((2, 2))
+            for j in range(2):
+                up, dn = lt.copy(), lt.copy()
+                up[j] += h
+                dn[j] -= h
+                (l_up, s_up, _), (l_dn, s_dn, _) = self.loglik(up, y), self.loglik(dn, y)
+                fd_score[j] = (l_up - l_dn) / (2.0 * h)
+                fd_hess[:, j] = (s_up - s_dn) / (2.0 * h)
+            assert np.max(np.abs(fd_score - score)) <= 1e-6 * np.max(np.abs(score))
+            assert np.max(np.abs(fd_hess - hess)) <= 1e-6 * np.max(np.abs(hess))
 
 
 class TestClosedFormIsGlobalOptimum:

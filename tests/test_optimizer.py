@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tailfit.optimizer import InvalidStart, nelder_mead, nelder_mead_rows
+from tailfit.optimizer import InvalidStart, nelder_mead, nelder_mead_rows, newton_rows
 
 
 def quad(x):
@@ -211,3 +211,71 @@ class TestNelderMeadRows:
         res = nelder_mead_rows(lambda rows, thetas: [float("nan")] * len(rows), np.ones((3, 2)))
         assert not res.valid.any() and not res.converged.any()
         assert np.array_equal(res.argmin, np.ones((3, 2)))
+
+
+def newton_objective(runs):
+    """Row objectives with analytic derivatives: `runs[i]` is ("quad", c),
+    ("rosenbrock", None), ("double_well", None) or ("nan", None)."""
+    def objective(rows, thetas):
+        f = np.empty(len(rows))
+        grad = np.empty((len(rows), 2))
+        hess = np.empty((len(rows), 2, 2))
+        for k, (r, (x, y)) in enumerate(zip(rows, thetas)):
+            kind, c = runs[r]
+            if kind == "quad":
+                f[k] = (x - c) ** 2 + 10.0 * (y + c) ** 2
+                grad[k] = [2.0 * (x - c), 20.0 * (y + c)]
+                hess[k] = [[2.0, 0.0], [0.0, 20.0]]
+            elif kind == "rosenbrock":
+                f[k] = rosenbrock((x, y))
+                grad[k] = [-2.0 * (1.0 - x) - 400.0 * x * (y - x * x), 200.0 * (y - x * x)]
+                hess[k] = [[2.0 - 400.0 * (y - 3.0 * x * x), -400.0 * x], [-400.0 * x, 200.0]]
+            elif kind == "double_well":  # x^4/4 - x^2/2 + y^2: concave in x near 0
+                f[k] = x**4 / 4.0 - x * x / 2.0 + y * y
+                grad[k] = [x**3 - x, 2.0 * y]
+                hess[k] = [[3.0 * x * x - 1.0, 0.0], [0.0, 2.0]]
+            else:
+                f[k], grad[k], hess[k] = np.nan, 0.0, 0.0
+        return f, grad, hess
+    return objective
+
+
+class TestNewtonRows:
+    RUNS = [("quad", 0.5), ("rosenbrock", None), ("double_well", None), ("nan", None),
+            ("quad", -40.0)]
+    STARTS = [[0.0, 0.0], [-1.2, 1.0], [0.1, 0.3], [1.0, 1.0], [0.0, 0.0]]
+
+    def test_minima(self):
+        res = newton_rows(newton_objective(self.RUNS), self.STARTS)
+        assert list(res.valid) == [True, True, True, False, True]
+        assert list(res.converged) == [True, True, True, False, True]
+        assert np.array_equal(res.argmin[0], [0.5, -0.5])
+        assert res.iterations[0] == 1  # a quadratic within the step cap: one step
+        assert np.max(np.abs(res.argmin[1] - 1.0)) < 1e-7
+        # negative curvature at the start: the clamped step still descends
+        assert np.max(np.abs(res.argmin[2] - [1.0, 0.0])) < 1e-7
+        # the invalid row keeps its start and its value there
+        assert np.array_equal(res.argmin[3], [1.0, 1.0]) and np.isnan(res.fmin[3])
+        assert res.iterations[3] == 0
+
+    def test_step_cap(self):
+        # a minimum 40 away in x: no step moves a coordinate by more than 2
+        res = newton_rows(newton_objective(self.RUNS), self.STARTS)
+        assert res.converged[4]
+        assert 20 <= res.iterations[4] <= 22
+        assert np.allclose(res.argmin[4], [-40.0, 40.0])
+
+    def test_iteration_cap(self):
+        res = newton_rows(newton_objective(self.RUNS), self.STARTS, max_iterations=3)
+        assert not res.converged[4] and res.iterations[4] == 3
+        assert res.converged[0]
+
+    def test_batch_membership_does_not_matter(self):
+        objective = newton_objective(self.RUNS)
+        batch = newton_rows(objective, self.STARTS)
+        for i, start in enumerate(self.STARTS):
+            alone = newton_rows(lambda rows, t, i=i: objective(np.full(len(rows), i), t), [start])
+            assert np.array_equal(alone.argmin[0], batch.argmin[i], equal_nan=True)
+            assert np.array_equal(alone.fmin, batch.fmin[i:i + 1], equal_nan=True)
+            assert (alone.converged[0], alone.iterations[0]) == \
+                (batch.converged[i], batch.iterations[i])

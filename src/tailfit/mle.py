@@ -107,15 +107,18 @@ def _prepared(outcomes: list) -> list[int]:
     return [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
 
 
-def _blocks(fn, rows: np.ndarray, n: int, *cols: np.ndarray) -> tuple:
-    """fn(rows, *cols), a tuple of per-row arrays, over consecutive blocks of
-    at most BLOCK_ELEMENTS elements (at least one row each), concatenated."""
+def _blocks(fn, rows: np.ndarray, n: int, *cols: np.ndarray):
+    """fn(rows, *cols) over consecutive blocks of at most BLOCK_ELEMENTS
+    elements (at least one row each), concatenated: an array, or a tuple of
+    arrays if fn returns one."""
     step = max(1, BLOCK_ELEMENTS // n)
     if rows.size <= step:
         return fn(rows, *cols)
     parts = [fn(rows[i:i + step], *(c[i:i + step] for c in cols))
              for i in range(0, rows.size, step)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
@@ -212,7 +215,7 @@ def _weibull_scale(a: np.ndarray, c: np.ndarray, mean_ly: np.ndarray) -> tuple:
     m = np.max(w, axis=1)
     w -= m[:, None]
     np.exp(w, out=w)
-    return (np.exp(mean_ly + (m + np.log(np.mean(w, axis=1))) / a),)
+    return np.exp(mean_ly + (m + np.log(np.mean(w, axis=1))) / a)
 
 
 def _weibull_rows(xs: np.ndarray, T: float) -> list:
@@ -231,8 +234,8 @@ def _weibull_rows(xs: np.ndarray, T: float) -> list:
     c = ly - mean_ly[:, None]
     shapes, bracketed = _weibull_roots(c)
     n = ly.shape[1]
-    (scales,) = _blocks(lambda r, a: _weibull_scale(a, c[r], mean_ly[r]), np.arange(len(ok)), n,
-                        shapes)
+    scales = _blocks(lambda r, a: _weibull_scale(a, c[r], mean_ly[r]), np.arange(len(ok)), n,
+                     shapes)
     for j, i in enumerate(ok):
         if not bracketed[j]:
             outcomes[i] = NoConvergence("weibull profile root not bracketed in [1e-3, 1e3]")
@@ -308,7 +311,7 @@ def _gb2_nll(ly: np.ndarray, sly: np.ndarray):
         t = ly[rows]
         t -= lb[:, None]
         t *= a[:, None]
-        return (np.sum(np.logaddexp(0.0, t, out=t), axis=1),)
+        return np.sum(np.logaddexp(0.0, t, out=t), axis=1)
 
     def nll(rows, theta):
         out = np.full(rows.size, PENALTY)
@@ -317,7 +320,7 @@ def _gb2_nll(ly: np.ndarray, sly: np.ndarray):
         lb = _logs(b)
         lbeta = np.array([log_beta(u, v) for u, v in zip(p.tolist(), q.tolist())])
         total = (n * _logs(a) + (a * p - 1.0) * (sly[rows[ok]] - n * lb) - n * lb
-                 - n * lbeta - (p + q) * _blocks(sums, rows[ok], n, a, lb)[0])
+                 - n * lbeta - (p + q) * _blocks(sums, rows[ok], n, a, lb))
         out[ok] = -total
         return out
 

@@ -50,6 +50,10 @@ class RowsResult:
 
 
 _TINY = np.finfo(float).tiny
+# modified Newton (`newton_rows`)
+_RTOL = 1e-12  # a run stops when its predicted decrease is <= _RTOL * max(1, |f|)
+_MAX_STEP = 2.0  # the longest step in any coordinate
+_MAX_ITERATIONS = 100
 _ARMIJO = 1e-4  # the share of the predicted decrease a Newton step must achieve
 _HALVINGS = 40  # step halvings before a Newton line search gives up
 
@@ -205,13 +209,27 @@ def _finite(f: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
             & np.all(np.isfinite(hess), axis=(1, 2)))
 
 
-def newton_rows(
-    objective: Callable[[np.ndarray, np.ndarray], tuple],
-    x0,
-    rtol: float = 1e-12,
-    max_step: float = 2.0,
-    max_iterations: int = 100,
-) -> RowsResult:
+def _eigh(hess: np.ndarray) -> tuple:
+    """The eigenvalues (R, k) and eigenvectors (columns of (R, k, k)) of the
+    symmetric matrices `hess`.  A 2x2 is diagonalized by one Jacobi rotation
+    with t = tan(angle) the smaller root (Golub and Van Loan, sec. 8.5), which
+    keeps a two-parameter fit off LAPACK, whose first call adds ~0.75 MB of
+    resident memory; larger matrices go to `np.linalg.eigh`."""
+    if hess.shape[1] != 2:
+        return np.linalg.eigh(hess)
+    a, b, d = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    delta = d - a
+    denom = np.abs(delta) + np.hypot(delta, 2.0 * b)
+    t = np.divide(np.where(delta < 0.0, -2.0, 2.0) * b, denom,
+                  out=np.zeros_like(b), where=denom > 0.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    lam = np.stack([a - t * b, d + t * b], axis=1)
+    vec = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
+    return lam, vec
+
+
+def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0) -> RowsResult:
     """Minimize one smooth objective per row of `x0` (shape (R, dim)) by
     modified Newton.
 
@@ -220,14 +238,14 @@ def newton_rows(
     takes the Newton step with the Hessian's eigenvalues replaced by their
     absolute values, floored at 1e-10 of the largest, so the step descends
     even where the Hessian is not positive definite.  The step is scaled to
-    at most `max_step` in every coordinate and then halved until f falls by
-    at least 1e-4 of the decrease its slope predicts (Armijo).
+    at most 2 in every coordinate and then halved until f falls by at least
+    1e-4 of the decrease its slope predicts (Armijo).
 
     A run converges when half its squared Newton decrement, the decrease the
-    quadratic model predicts, is at most rtol * max(1, |f|).  A run stops
-    unconverged after `max_iterations` steps, or when 40 halvings find no
-    such decrease.  Runs whose start is not finite are reported invalid and
-    never evaluated again, as in `nelder_mead_rows`."""
+    quadratic model predicts, is at most 1e-12 * max(1, |f|).  A run stops
+    unconverged after 100 steps, or when 40 halvings find no such decrease.
+    Runs whose start is not finite are reported invalid and never evaluated
+    again, as in `nelder_mead_rows`."""
     x = np.array(x0, dtype=float, ndmin=2)
     n_rows = x.shape[0]
     f, grad, hess = objective(np.arange(n_rows), x)
@@ -241,21 +259,21 @@ def newton_rows(
     grad, hess = grad[ids], hess[ids]
     steps = 0
     while ids.size:
-        lam, vec = np.linalg.eigh(hess)
+        lam, vec = _eigh(hess)
         lam = np.abs(lam)
         lam = np.maximum(lam, np.maximum(1e-10 * np.max(lam, axis=1, keepdims=True), _TINY))
         vg = np.sum(vec * grad[:, :, None], axis=1)  # the gradient in the eigenbasis
         step = -np.sum(vec * (vg / lam)[:, None, :], axis=2)
-        done = 0.5 * np.sum(vg * vg / lam, axis=1) <= rtol * _max1(np.abs(f[ids]))
+        done = 0.5 * np.sum(vg * vg / lam, axis=1) <= _RTOL * _max1(np.abs(f[ids]))
         converged[ids[done]] = True
-        stop = done | (steps >= max_iterations)
+        stop = done | (steps >= _MAX_ITERATIONS)
         iterations[ids[stop]] = steps
         ids, grad, hess, step = ids[~stop], grad[~stop], hess[~stop], step[~stop]
         if not ids.size:
             break
 
         longest = np.max(np.abs(step), axis=1)
-        step *= np.where(longest > max_step, max_step / longest, 1.0)[:, None]
+        step *= np.where(longest > _MAX_STEP, _MAX_STEP / longest, 1.0)[:, None]
         slope = np.sum(grad * step, axis=1)
         t = np.ones(ids.size)
         pending = np.ones(ids.size, dtype=bool)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tailfit import optimizer
 from tailfit.optimizer import InvalidStart, nelder_mead, nelder_mead_rows, newton_rows
 
 
@@ -265,8 +266,9 @@ class TestNewtonRows:
         assert 20 <= res.iterations[4] <= 22
         assert np.allclose(res.argmin[4], [-40.0, 40.0])
 
-    def test_iteration_cap(self):
-        res = newton_rows(newton_objective(self.RUNS), self.STARTS, max_iterations=3)
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_MAX_ITERATIONS", 3)
+        res = newton_rows(newton_objective(self.RUNS), self.STARTS)
         assert not res.converged[4] and res.iterations[4] == 3
         assert res.converged[0]
 
@@ -279,3 +281,34 @@ class TestNewtonRows:
             assert np.array_equal(alone.fmin, batch.fmin[i:i + 1], equal_nan=True)
             assert (alone.converged[0], alone.iterations[0]) == \
                 (batch.converged[i], batch.iterations[i])
+
+    def test_three_dimensions(self):
+        # a quadratic with a coupled, indefinite Hessian: the general eigensolver path
+        hess = np.array([[4.0, 1.0, 0.5], [1.0, -3.0, 0.2], [0.5, 0.2, 2.0]])
+        target = np.array([0.3, -0.4, 0.1])
+
+        def objective(rows, thetas):
+            d = thetas - target
+            f = 0.5 * np.einsum("ri,ij,rj->r", d, hess, d) + np.sum(d**4, axis=1)
+            grad = d @ hess + 4.0 * d**3
+            h = hess + 12.0 * d[:, :, None] ** 2 * np.eye(3)
+            return f, grad, h
+
+        res = newton_rows(objective, np.zeros((2, 3)))
+        assert res.converged.all()
+        assert np.all(np.isfinite(res.fmin)) and np.all(res.iterations > 1)
+
+    def test_two_by_two_eigensystem(self):
+        rng = np.random.default_rng(7)
+        h = rng.normal(size=(2000, 2, 2)) * np.exp(4.0 * rng.normal(size=(2000, 1, 1)))
+        h += h.transpose(0, 2, 1)
+        h[:4] = [[[2.0, 0.0], [0.0, 20.0]], [[3.0, 1.0], [1.0, 3.0]], [[0.0, 0.0], [0.0, 0.0]],
+                 [[-1.0, 2.0], [2.0, 5.0]]]
+        lam, vec = optimizer._eigh(h)
+        scale = np.maximum(np.max(np.abs(h), axis=(1, 2)), 1e-300)
+        assert np.array_equal(lam[0], [2.0, 20.0]) and np.array_equal(vec[0], np.eye(2))
+        assert np.max(np.abs(np.einsum("rij,rkj->rik", vec, vec) - np.eye(2))) < 1e-15
+        rebuilt = np.einsum("rij,rj,rkj->rik", vec, lam, vec)
+        assert np.max(np.max(np.abs(rebuilt - h), axis=(1, 2)) / scale) < 4e-15
+        lapack = np.linalg.eigh(h)[0]
+        assert np.max(np.max(np.abs(np.sort(lam, axis=1) - lapack), axis=1) / scale) < 4e-15

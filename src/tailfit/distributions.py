@@ -153,32 +153,41 @@ class _LogLogistic(_Family):
           l     = n ln a + sum t - sum ln y - 2 sum softplus(t)
           dl/d ln a = n + sum t - 2 sum w t,   dl/d ln s = a (2 sum w - n)
         and the Hessian follows from d t / d ln a = t, d t / d ln s = -a and
-        dw/dt = v.  Sums run along each row, so a row's values do not depend
-        on the other rows."""
+        dw/dt = v.  This is GB2's `loglik_rows` at p = q = 1."""
         n = ly.shape[1]
         a = np.exp(lt[:, 0])
-        t = ly - lt[:, 1:]
-        t *= a[:, None]
-        e = np.exp(-np.abs(t))
-        softplus = np.sum(np.maximum(t, 0.0) + np.log1p(e), axis=1)
-        r = 1.0 / (1.0 + e)
-        w = np.where(t >= 0.0, r, e * r)
-        v = e  # the products below run in place, to hold few arrays at a time
-        v *= r
-        v *= r
-        st, sw, sv = np.sum(t, axis=1), np.sum(w, axis=1), np.sum(v, axis=1)
-        w *= t
-        v *= t
-        swt, svt = np.sum(w, axis=1), np.sum(v, axis=1)
-        v *= t
-        svtt = np.sum(v, axis=1)
-        ll = n * lt[:, 0] + st - sly - 2.0 * softplus
+        st, ssp, sw, swt, sv, svt, svtt = _logistic_sums(a, lt[:, 1:], ly)
+        ll = n * lt[:, 0] + st - sly - 2.0 * ssp
         score = np.stack([n + st - 2.0 * swt, a * (2.0 * sw - n)], axis=1)
         h_aa = st - 2.0 * swt - 2.0 * svtt
         h_as = a * (2.0 * sw - n + 2.0 * svt)
         h_ss = -2.0 * a * a * sv
         hess = np.stack([h_aa, h_as, h_as, h_ss], axis=1).reshape(-1, 2, 2)
         return ll, score, hess
+
+
+def _logistic_sums(a, lb, ly):
+    """The row sums of t, softplus(t), w, w t, v, v t and v t^2, where
+    t = a (ln y - ln b), w = 1 / (1 + e^-t) and v = w (1 - w): a (r,) and
+    lb (r, 1) per row, ly (r, n).  One pass over the data, in the SIMD forms
+    softplus(t) = max(t, 0) + log1p(e^-|t|) and w from e^-|t|, with the
+    products in place to hold few arrays at a time.  Sums run along each row,
+    so a row's values do not depend on the other rows."""
+    t = ly - lb
+    t *= a[:, None]
+    e = np.exp(-np.abs(t))
+    softplus = np.sum(np.maximum(t, 0.0) + np.log1p(e), axis=1)
+    r = 1.0 / (1.0 + e)
+    w = np.where(t >= 0.0, r, e * r)
+    v = e
+    v *= r
+    v *= r
+    st, sw, sv = np.sum(t, axis=1), np.sum(w, axis=1), np.sum(v, axis=1)
+    w *= t
+    v *= t
+    swt, svt = np.sum(w, axis=1), np.sum(v, axis=1)
+    v *= t
+    return st, softplus, sw, swt, sv, svt, np.sum(v, axis=1)
 
 
 class _GB2(_Family):
@@ -230,6 +239,48 @@ class _GB2(_Family):
             [i13, i23, i33, i34],
             [i14, i24, i34, i44],
         ])
+
+    def loglik_rows(self, lt, ly, sly):
+        """The log-likelihood, its score and its Hessian in
+        (ln a, ln b, ln p, ln q) for every row: lt (r, 4) log-parameters,
+        ly (r, n) the logs of the shifted samples y = x - T, sly (r,) their
+        row sums.
+
+        With t = a (ln y - ln b), w = 1 / (1 + e^-t) and v = w (1 - w):
+          l = n ln a + p sum t - sum ln y - n ln B(p, q) - (p + q) sum softplus(t)
+          dl/d ln a = n + p sum t - (p + q) sum w t
+          dl/d ln b = a ((p + q) sum w - p n)
+          dl/d ln p = p (sum t - sum softplus(t) - n (psi(p) - psi(p + q)))
+          dl/d ln q = q (-sum softplus(t) - n (psi(q) - psi(p + q)))
+        and the Hessian follows from d t / d ln a = t, d t / d ln b = -a and
+        dw/dt = v.  ln B, psi and psi' are evaluated once per row."""
+        n = ly.shape[1]
+        a, p, q = np.exp(lt[:, 0]), np.exp(lt[:, 2]), np.exp(lt[:, 3])
+        st, ssp, sw, swt, sv, svt, svtt = _logistic_sums(a, lt[:, 1:2], ly)
+        lbeta, dp, dq, dpq, tp, tq, tpq = np.array([
+            (log_beta(u, z), digamma(u), digamma(z), digamma(u + z),
+             trigamma(u), trigamma(z), trigamma(u + z))
+            for u, z in zip(p.tolist(), q.tolist())]).reshape(-1, 7).T
+        pq = p + q
+        ll = n * lt[:, 0] + p * st - sly - n * lbeta - pq * ssp
+        g_p = p * (st - ssp - n * (dp - dpq))
+        g_q = q * (-ssp - n * (dq - dpq))
+        score = np.stack([n + p * st - pq * swt, a * (pq * sw - p * n), g_p, g_q], axis=1)
+        h_aa = p * st - pq * (swt + svtt)
+        h_ab = a * (pq * (sw + svt) - p * n)
+        h_ap = p * (st - swt)
+        h_aq = -q * swt
+        h_bb = -a * a * pq * sv
+        h_bp = a * p * (sw - n)
+        h_bq = a * q * sw
+        h_pp = g_p - n * p * p * (tp - tpq)
+        h_pq = n * p * q * tpq
+        h_qq = g_q - n * q * q * (tq - tpq)
+        hess = np.stack([h_aa, h_ab, h_ap, h_aq,
+                         h_ab, h_bb, h_bp, h_bq,
+                         h_ap, h_bp, h_pp, h_pq,
+                         h_aq, h_bq, h_pq, h_qq], axis=1).reshape(-1, 4, 4)
+        return ll, score, hess
 
 
 FAMILY_TABLE: dict[str, _Family] = {

@@ -5,12 +5,15 @@ iteration:
 - Weibull: Newton on the profile-likelihood equation g(a) = 0 in the shape,
   which is strictly increasing, from Menon's start and safeguarded by
   bisection inside the bracket [1e-3, 1e3].
-- Log-logistic: modified Newton (`optimizer.newton_rows`) on the
-  log-likelihood in (ln a, ln s), with the score and Hessian from the
-  family's `FAMILY_TABLE` entry.
-- GB2: Nelder-Mead on the penalized negative log-likelihood, from three
-  starts (plain / data scaled up 5% / scaled down 5%), keeping the converged
-  run with the lowest nll.  It moves to the Newton engine in a later change.
+- Log-logistic and GB2: modified Newton (`optimizer.newton_rows`) on the
+  log-likelihood in log-parameters, (ln a, ln s) and (ln a, ln b, ln p, ln q),
+  with the score and Hessian from the family's `FAMILY_TABLE` entry, from one
+  start.  Only a converged run is an estimate; a run that reaches the
+  iteration cap or fails its line search raises NoConvergence.  For GB2 at
+  small n these are mostly samples whose likelihood keeps rising toward a
+  nested limit of the family, so no interior maximum exists.  A converged
+  run whose Hessian is not negative definite there carries
+  LOCAL_MINIMUM_RISK.
 
 `fit_rows` fits many samples of one size at once.  The iterations of all rows
 advance in lockstep, and the likelihood is evaluated for a block of rows at a
@@ -22,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .distributions import FAMILY_TABLE, SeverityModel, in_support, log_likelihood
-# `nelder_mead` (the one-row optimizer) is not called here; the benchmark's
+# `nelder_mead` (the one-run optimizer) is not called here; the benchmark's
 # tracer (bench/tracer.py) looks it up under this name.
-from .optimizer import InvalidStart, nelder_mead, nelder_mead_rows, newton_rows  # noqa: F401
-from .special_functions import log_beta
+from .optimizer import InvalidStart, nelder_mead, newton_rows  # noqa: F401
 
 __all__ = [
     "FitError",
@@ -47,8 +50,6 @@ __all__ = [
     "fit_rows",
     "BLOCK_ELEMENTS",
 ]
-
-PENALTY = 1e10
 
 # Elements (rows x sample size) per block of likelihood evaluations, and per
 # batch of samples that the bootstrap hands to `fit_rows`.  It bounds the
@@ -79,14 +80,13 @@ class FitResult:
     converged: bool
     n: int
     warnings: set = field(default_factory=set)
-    start_points_tried: int = 0
 
 
 def _shifted(xs, T: float) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     y = xs - T
-    if xs.size == 0 or np.any(y <= 0.0):
-        raise DegenerateSample(f"need data strictly above T={T}")
+    if xs.size == 0 or not np.all(np.isfinite(y) & (y > 0.0)):
+        raise DegenerateSample(f"need finite data strictly above T={T}")
     return y
 
 
@@ -121,14 +121,9 @@ def _blocks(fn, rows: np.ndarray, n: int, *cols: np.ndarray):
     return np.concatenate(parts)
 
 
-def _logs(x: np.ndarray) -> np.ndarray:
-    """math.log per element (numpy's vector log may differ in the last ulp)."""
-    return np.array([math.log(v) for v in x.tolist()])
-
-
 def _fit_pareto_one(xs, T: float) -> FitResult:
-    if xs.size == 0 or not np.all(in_support("pareto", xs, T)):
-        raise DegenerateSample(f"pareto needs data >= T={T}")
+    if xs.size == 0 or not np.all(in_support("pareto", xs, T) & np.isfinite(xs)):
+        raise DegenerateSample(f"pareto needs finite data >= T={T}")
     n = xs.size
     s = float(np.sum(np.log(xs / T)))
     if s <= 0.0:
@@ -270,63 +265,6 @@ def loglogistic_init(y: np.ndarray) -> tuple[float, float]:
     return a0, s0
 
 
-def _loglogistic_rows(xs: np.ndarray, T: float) -> list:
-    def prepare(x):
-        y = _shifted(x, T)
-        if y.size < 3:
-            raise DegenerateSample("log-logistic fit needs n >= 3")
-        a0, s0 = loglogistic_init(y)
-        if not (math.isfinite(a0) and a0 > 0.0):
-            raise InvalidStart(f"log-logistic initial shape {a0} is unusable")
-        ly = np.log(y)
-        return ly, float(np.sum(ly)), (math.log(a0), math.log(s0))
-
-    outcomes = _each(xs, prepare)
-    ok = _prepared(outcomes)
-    if not ok:
-        return outcomes
-    ly = np.array([outcomes[i][0] for i in ok])
-    sly = np.array([outcomes[i][1] for i in ok])
-    x0 = np.array([outcomes[i][2] for i in ok])
-    res = newton_rows(_newton_objective("loglogistic", ly, sly), x0)
-    params = np.exp(res.argmin)
-    for j, i in enumerate(ok):
-        fmin = float(res.fmin[j])
-        if not res.valid[j]:
-            outcomes[i] = InvalidStart(f"log-likelihood is {-fmin} at start point {params[j]}")
-        elif not (np.all(np.isfinite(params[j]) & (params[j] > 0.0)) and math.isfinite(fmin)):
-            outcomes[i] = NoConvergence("log-logistic optimizer left the feasible region")
-        else:
-            model = SeverityModel("loglogistic", tuple(params[j]), T)
-            outcomes[i] = FitResult(model, fmin, bool(res.converged[j]), ly.shape[1],
-                                    start_points_tried=1)
-    return outcomes
-
-
-def _gb2_nll(ly: np.ndarray, sly: np.ndarray):
-    """The penalized nll of data row `rows[i]` at `theta[i]` = (a, b, p, q)."""
-    n = ly.shape[1]
-
-    def sums(rows, a, lb):
-        t = ly[rows]
-        t -= lb[:, None]
-        t *= a[:, None]
-        return np.sum(np.logaddexp(0.0, t, out=t), axis=1)
-
-    def nll(rows, theta):
-        out = np.full(rows.size, PENALTY)
-        ok = np.nonzero(~np.any(theta <= 0.0, axis=1))[0]
-        a, b, p, q = theta[ok].T
-        lb = _logs(b)
-        lbeta = np.array([log_beta(u, v) for u, v in zip(p.tolist(), q.tolist())])
-        total = (n * _logs(a) + (a * p - 1.0) * (sly[rows[ok]] - n * lb) - n * lb
-                 - n * lbeta - (p + q) * _blocks(sums, rows[ok], n, a, lb))
-        out[ok] = -total
-        return out
-
-    return nll
-
-
 def gb2_init(y: np.ndarray) -> np.ndarray:
     """Start point for the GB2 optimizer: the log-logistic initializer embedded
     at p = q = 1.  Scale-equivariant in b by construction."""
@@ -334,50 +272,40 @@ def gb2_init(y: np.ndarray) -> np.ndarray:
     return np.array([a0, s0, 1.0, 1.0])
 
 
-def _gb2_rows(xs: np.ndarray, T: float) -> list:
+def _newton_family_rows(family: str, min_n: int, init, xs: np.ndarray, T: float) -> list:
+    """Fit a family that `newton_rows` fits in log-parameters, from `init(y)`,
+    to samples of at least `min_n` values."""
     def prepare(x):
         y = _shifted(x, T)
-        if y.size < 8:
-            raise DegenerateSample("gb2 fit needs n >= 8")
-        starts = []
-        for scale in (1.0, 1.05, 0.95):
-            try:
-                starts.append(gb2_init(y * scale))
-            except InvalidStart:
-                starts.append(None)
+        if y.size < min_n:
+            raise DegenerateSample(f"{family} fit needs n >= {min_n}")
+        x0 = init(y)
+        if not all(math.isfinite(v) and v > 0.0 for v in x0):
+            raise InvalidStart(f"{family} start point {x0} is unusable")
         ly = np.log(y)
-        return ly, float(np.sum(ly)), starts
+        return ly, float(np.sum(ly)), [math.log(v) for v in x0]
 
     outcomes = _each(xs, prepare)
     ok = _prepared(outcomes)
-    # one Nelder-Mead run per (row, usable start), all in lockstep
-    runs = [(j, x0) for j, i in enumerate(ok) for x0 in outcomes[i][2] if x0 is not None]
-    if runs:
-        owner = np.array([j for j, _ in runs])
-        nll = _gb2_nll(np.array([outcomes[i][0] for i in ok]),
-                       np.array([outcomes[i][1] for i in ok]))
-        res = nelder_mead_rows(lambda r, theta: nll(owner[r], theta), [x0 for _, x0 in runs])
-    run = 0
-    for i in ok:
-        ly, _, starts = outcomes[i]
-        results = []
-        for x0 in starts:
-            if x0 is None:
-                continue
-            fmin = float(res.fmin[run])
-            if (res.valid[run] and res.converged[run] and math.isfinite(fmin)
-                    and np.all(res.argmin[run] > 0.0)):
-                results.append((fmin, res.argmin[run]))
-            run += 1
-        if not results:
-            outcomes[i] = NoConvergence("all three gb2 starts failed")
-            continue
-        best = min(results, key=lambda r: r[0])
-        warnings = set()
-        if len(results) < 3 or max(r[0] for r in results) - best[0] > 1e-6 * max(1.0, abs(best[0])):
-            warnings.add(LOCAL_MINIMUM_RISK)
-        model = SeverityModel("gb2", tuple(best[1]), T)
-        outcomes[i] = FitResult(model, best[0], True, ly.size, warnings, start_points_tried=3)
+    if not ok:
+        return outcomes
+    ly = np.array([outcomes[i][0] for i in ok])
+    sly = np.array([outcomes[i][1] for i in ok])
+    res = newton_rows(_newton_objective(family, ly, sly), [outcomes[i][2] for i in ok])
+    params = np.exp(res.argmin)
+    for j, i in enumerate(ok):
+        if not res.valid[j]:
+            outcomes[i] = InvalidStart(f"log-likelihood is {-res.fmin[j]} at start point "
+                                       f"{params[j]}")
+        elif not res.converged[j]:
+            outcomes[i] = NoConvergence(f"{family} Newton stopped unconverged after "
+                                        f"{res.iterations[j]} steps at {params[j]}")
+        elif not np.all(np.isfinite(params[j]) & (params[j] > 0.0)):
+            outcomes[i] = NoConvergence(f"{family} optimum {params[j]} is out of range")
+        else:
+            model = SeverityModel(family, tuple(params[j]), T)
+            warnings = set() if res.positive_definite[j] else {LOCAL_MINIMUM_RISK}
+            outcomes[i] = FitResult(model, float(res.fmin[j]), True, ly.shape[1], warnings)
     return outcomes
 
 
@@ -385,8 +313,8 @@ _FITTERS = {
     "pareto": _pareto_rows,
     "weibull": _weibull_rows,
     "lognormal": _lognormal_rows,
-    "loglogistic": _loglogistic_rows,
-    "gb2": _gb2_rows,
+    "loglogistic": partial(_newton_family_rows, "loglogistic", 3, loglogistic_init),
+    "gb2": partial(_newton_family_rows, "gb2", 8, gb2_init),
 }
 
 

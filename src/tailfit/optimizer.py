@@ -1,16 +1,17 @@
-"""Row-batched minimizers: modified Newton and the Nelder-Mead simplex.
+"""Minimizers: batched modified Newton, and the one-run Nelder-Mead simplex.
 
-Each advances many independent runs in lockstep: each row of `x0` is one run
-with its own iterate, iteration count and convergence flag, and each step
-evaluates the objective once for all the rows that need a point.  Every row
-does exactly the arithmetic a run started alone would do, so a row's result
-does not depend on which rows share its batch.
+`newton_rows` advances many independent runs in lockstep: each row of `x0` is
+one run with its own iterate, iteration count and convergence flag, and each
+step evaluates the objective once for all the rows that need a point.  Every
+row does exactly the arithmetic a run started alone would do, so a row's
+result does not depend on which rows share its batch.  It needs the
+objective's gradient and Hessian.
 
-`newton_rows` needs the objective's gradient and Hessian.  `nelder_mead_rows`
-is derivative-free, with the standard coefficients (reflection 1, expansion
-2, contraction 0.5, shrink 0.5) and an initial simplex that perturbs each
-coordinate of x0 by 5% (0.00025 absolute for zero coordinates);
-`nelder_mead` is its one-row case.
+`nelder_mead` is derivative-free and runs one start, with the standard
+coefficients (reflection 1, expansion 2, contraction 0.5, shrink 0.5) and an
+initial simplex that perturbs each coordinate of x0 by 5% (0.00025 absolute
+for zero coordinates).  No fit uses it; the tests use it as an independent
+oracle for the fits.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["OptimResult", "RowsResult", "InvalidStart", "nelder_mead", "nelder_mead_rows",
-           "newton_rows"]
+__all__ = ["OptimResult", "RowsResult", "InvalidStart", "nelder_mead", "newton_rows"]
 
 
 class InvalidStart(Exception):
@@ -38,19 +38,19 @@ class OptimResult:
 
 @dataclass
 class RowsResult:
-    """Per-row outcomes of `nelder_mead_rows` and `newton_rows`.  A row whose
-    start is not finite (`valid` False) keeps its start as `argmin` and its
-    objective value there as `fmin`, with 0 iterations."""
+    """Per-row outcomes of `newton_rows`.  A row whose start is not finite
+    (`valid` False) keeps its start as `argmin` and its objective value there
+    as `fmin`, with 0 iterations."""
 
-    argmin: np.ndarray      # (R, dim)
-    fmin: np.ndarray        # (R,)
-    converged: np.ndarray   # (R,) bool
-    iterations: np.ndarray  # (R,) int
-    valid: np.ndarray       # (R,) bool: the objective was finite at the start
+    argmin: np.ndarray             # (R, dim)
+    fmin: np.ndarray               # (R,)
+    converged: np.ndarray          # (R,) bool
+    iterations: np.ndarray         # (R,) int
+    valid: np.ndarray              # (R,) bool: the objective was finite at the start
+    positive_definite: np.ndarray  # (R,) bool: the Hessian at argmin is positive definite
 
 
 _TINY = np.finfo(float).tiny
-# modified Newton (`newton_rows`)
 _RTOL = 1e-12  # a run stops when its predicted decrease is <= _RTOL * max(1, |f|)
 _MAX_STEP = 2.0  # the longest step in any coordinate
 _MAX_ITERATIONS = 100
@@ -58,128 +58,9 @@ _ARMIJO = 1e-4  # the share of the predicted decrease a Newton step must achieve
 _HALVINGS = 40  # step halvings before a Newton line search gives up
 
 
-def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Python's min(a, b) per element: b only where b < a, so a NaN b is never taken."""
-    return np.where(b < a, b, a)
-
-
 def _max1(x: np.ndarray) -> np.ndarray:
     """Python's max(1.0, x) per element."""
     return np.where(x > 1.0, x, 1.0)
-
-
-def nelder_mead_rows(
-    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x0,
-    xtol: float = 1e-8,
-    ftol: float = 1e-10,
-    max_iterations: int | None = None,
-) -> RowsResult:
-    """Minimize one objective per row of `x0` (shape (R, dim)).
-
-    `objective(rows, thetas)` returns the objective of run `rows[i]` at
-    `thetas[i]` for every i.  Each run returns its best vertex regardless of
-    convergence; it is converged iff its relative simplex diameter drops below
-    xtol or its relative f-spread below ftol within the iteration cap (default
-    500 per dimension).  Runs whose start is not finite are reported invalid
-    and never evaluated again; the others proceed."""
-    x0 = np.array(x0, dtype=float, ndmin=2)
-    n_rows, dim = x0.shape
-    if max_iterations is None:
-        max_iterations = 500 * dim
-
-    f0 = _evaluate(objective, np.arange(n_rows), x0)
-    valid = np.isfinite(f0)
-    argmin, fmin = x0.copy(), f0.copy()
-    converged = np.zeros(n_rows, dtype=bool)
-    iterations = np.zeros(n_rows, dtype=int)
-
-    # the runs still going: `ids` maps a state row to its run
-    ids = np.nonzero(valid)[0]
-    verts = np.repeat(x0[ids, None, :], dim + 1, axis=1)
-    diag = np.arange(dim)
-    verts[:, diag + 1, diag] = np.where(x0[ids] != 0.0, x0[ids] * 1.05, 0.00025)
-    fvals = np.empty((ids.size, dim + 1))
-    fvals[:, 0] = f0[ids]
-    fvals[:, 1:] = _evaluate_vertices(objective, ids, verts[:, 1:])
-    verts, fvals = _sorted(verts, fvals)
-
-    steps = 0  # every run still going has taken this many iterations
-    while ids.size:
-        best, fbest = verts[:, 0], fvals[:, 0]
-        if steps >= max_iterations:
-            finished = np.ones(ids.size, dtype=bool)
-        else:
-            diam = np.max(np.abs(verts[:, 1:] - best[:, None]), axis=(1, 2))
-            finished = ((diam < xtol * _max1(np.max(np.abs(best), axis=1)))
-                        | (fvals[:, -1] - fbest < ftol * _max1(np.abs(fbest))))
-        if finished.any():
-            done = ids[finished]
-            argmin[done], fmin[done] = best[finished], fbest[finished]
-            converged[done] = steps < max_iterations
-            iterations[done] = steps
-            ids, verts, fvals = ids[~finished], verts[~finished], fvals[~finished]
-            if not ids.size:
-                break
-        steps += 1
-        verts, fvals = _step(objective, ids, verts, fvals)
-
-    return RowsResult(argmin=argmin, fmin=fmin, converged=converged,
-                      iterations=iterations, valid=valid)
-
-
-def _evaluate(objective, rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    if not rows.size:
-        return np.empty(0)
-    return np.asarray(objective(rows, thetas), dtype=float)
-
-
-def _evaluate_vertices(objective, ids: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """The objective at vertices (k, j, dim) of runs `ids`, shaped (k, j)."""
-    k, j, dim = verts.shape
-    return _evaluate(objective, np.repeat(ids, j), verts.reshape(-1, dim)).reshape(k, j)
-
-
-def _sorted(verts: np.ndarray, fvals: np.ndarray):
-    order = np.argsort(fvals, axis=1, kind="stable")
-    return np.take_along_axis(verts, order[:, :, None], axis=1), np.take_along_axis(fvals, order, axis=1)
-
-
-def _step(objective, ids, verts, fvals):
-    """One Nelder-Mead iteration of every run in the state, sorted again."""
-    dim = verts.shape[2]
-    centroid = verts[:, :-1].mean(axis=1)
-    worst = verts[:, -1]
-    xr = centroid + (centroid - worst)
-    fr = _evaluate(objective, ids, xr)
-
-    expand = fr < fvals[:, 0]
-    contract = ~expand & ~(fr < fvals[:, -2])
-    outside = contract & (fr < fvals[:, -1])
-    # the second point of a step: the expansion, or the outside or inside contraction
-    second = np.nonzero(expand | contract)[0]
-    c, w, r = centroid[second], worst[second], xr[second]
-    e, o = expand[second], outside[second]
-    i = ~e & ~o
-    x2 = np.empty((second.size, dim))
-    x2[e] = c[e] + 2.0 * (c[e] - w[e])
-    x2[o] = c[o] + 0.5 * (r[o] - c[o])
-    x2[i] = c[i] - 0.5 * (c[i] - w[i])
-    f2 = _evaluate(objective, ids[second], x2)
-
-    fr2 = fr[second]
-    take2 = np.where(e, f2 < fr2, f2 < _min(fr2, fvals[second, -1]))
-    xr[second[take2]], fr[second[take2]] = x2[take2], f2[take2]
-    shrink = second[~e & ~take2]
-    replace = np.ones(ids.size, dtype=bool)
-    replace[shrink] = False
-    verts[replace, -1], fvals[replace, -1] = xr[replace], fr[replace]
-    if shrink.size:
-        # the contraction failed: shrink toward the best vertex
-        lo = verts[shrink, :1]
-        verts[shrink, 1:] = lo + 0.5 * (verts[shrink, 1:] - lo)
-        fvals[shrink, 1:] = _evaluate_vertices(objective, ids[shrink], verts[shrink, 1:])
-    return _sorted(verts, fvals)
 
 
 def nelder_mead(
@@ -189,19 +70,58 @@ def nelder_mead(
     ftol: float = 1e-10,
     max_iterations: int | None = None,
 ) -> OptimResult:
-    """Minimize `objective` from `x0`: the one-row case of `nelder_mead_rows`.
-    Raises InvalidStart if the objective is not finite at x0."""
-    x0 = np.asarray(x0, dtype=float)
-    res = nelder_mead_rows(lambda rows, thetas: [objective(theta) for theta in thetas],
-                           x0.reshape(1, -1), xtol, ftol, max_iterations)
-    if not res.valid[0]:
-        raise InvalidStart(f"objective is {res.fmin[0]} at start point {x0}")
-    return OptimResult(
-        argmin=res.argmin[0],
-        fmin=float(res.fmin[0]),
-        converged=bool(res.converged[0]),
-        iterations=int(res.iterations[0]),
-    )
+    """Minimize `objective` from `x0`.  Returns the best vertex regardless of
+    convergence; the run is converged iff its relative simplex diameter drops
+    below xtol or its relative f-spread below ftol within the iteration cap
+    (default 500 per dimension).  Raises InvalidStart if the objective is not
+    finite at x0."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    dim = x0.size
+    if max_iterations is None:
+        max_iterations = 500 * dim
+    f0 = float(objective(x0))
+    if not np.isfinite(f0):
+        raise InvalidStart(f"objective is {f0} at start point {x0}")
+    verts = np.repeat(x0[None, :], dim + 1, axis=0)
+    diag = np.arange(dim)
+    verts[diag + 1, diag] = np.where(x0 != 0.0, x0 * 1.05, 0.00025)
+    fvals = np.array([f0] + [float(objective(v)) for v in verts[1:]])
+
+    converged, iterations = False, 0
+    while True:
+        order = np.argsort(fvals, kind="stable")
+        verts, fvals = verts[order], fvals[order]
+        if iterations >= max_iterations:
+            break
+        if (np.max(np.abs(verts[1:] - verts[0])) < xtol * max(1.0, np.max(np.abs(verts[0])))
+                or fvals[-1] - fvals[0] < ftol * max(1.0, abs(fvals[0]))):
+            converged = True
+            break
+        iterations += 1
+        centroid = verts[:-1].mean(axis=0)
+        worst = verts[-1]
+        xr = centroid + (centroid - worst)
+        fr = float(objective(xr))
+        if fr < fvals[0]:
+            xe = centroid + 2.0 * (centroid - worst)
+            fe = float(objective(xe))
+            verts[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fvals[-2]:
+            verts[-1], fvals[-1] = xr, fr
+        else:
+            if fr < fvals[-1]:
+                xc = centroid + 0.5 * (xr - centroid)
+            else:
+                xc = centroid - 0.5 * (centroid - worst)
+            fc = float(objective(xc))
+            if fc < min(fr, fvals[-1]):
+                verts[-1], fvals[-1] = xc, fc
+            else:
+                # the contraction failed: shrink toward the best vertex
+                verts[1:] = verts[0] + 0.5 * (verts[1:] - verts[0])
+                fvals[1:] = [float(objective(v)) for v in verts[1:]]
+    return OptimResult(argmin=verts[0].copy(), fmin=float(fvals[0]), converged=converged,
+                       iterations=iterations)
 
 
 def _finite(f: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -244,8 +164,9 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0) -> Row
     A run converges when half its squared Newton decrement, the decrease the
     quadratic model predicts, is at most 1e-12 * max(1, |f|).  A run stops
     unconverged after 100 steps, or when 40 halvings find no such decrease.
-    Runs whose start is not finite are reported invalid and never evaluated
-    again, as in `nelder_mead_rows`."""
+    Each run reports whether the Hessian at its last point is positive
+    definite.  Runs whose start is not finite are reported invalid and never
+    evaluated again; the others proceed."""
     x = np.array(x0, dtype=float, ndmin=2)
     n_rows = x.shape[0]
     f, grad, hess = objective(np.arange(n_rows), x)
@@ -253,6 +174,7 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0) -> Row
     valid = _finite(f, grad, hess)
     converged = np.zeros(n_rows, dtype=bool)
     iterations = np.zeros(n_rows, dtype=int)
+    positive_definite = np.zeros(n_rows, dtype=bool)
 
     # the runs still going: `ids` maps a state row to its run
     ids = np.nonzero(valid)[0]
@@ -260,6 +182,7 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0) -> Row
     steps = 0
     while ids.size:
         lam, vec = _eigh(hess)
+        pd = np.min(lam, axis=1) > 0.0
         lam = np.abs(lam)
         lam = np.maximum(lam, np.maximum(1e-10 * np.max(lam, axis=1, keepdims=True), _TINY))
         vg = np.sum(vec * grad[:, :, None], axis=1)  # the gradient in the eigenbasis
@@ -268,7 +191,8 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0) -> Row
         converged[ids[done]] = True
         stop = done | (steps >= _MAX_ITERATIONS)
         iterations[ids[stop]] = steps
-        ids, grad, hess, step = ids[~stop], grad[~stop], hess[~stop], step[~stop]
+        positive_definite[ids[stop]] = pd[stop]
+        ids, grad, hess, step, pd = ids[~stop], grad[~stop], hess[~stop], step[~stop], pd[~stop]
         if not ids.size:
             break
 
@@ -291,6 +215,8 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0) -> Row
                 break
         steps += 1
         iterations[ids[pending]] = steps
-        ids, grad, hess = ids[~pending], grad[~pending], hess[~pending]
+        positive_definite[ids[pending]] = pd[pending]
+        ids, grad, hess, pd = ids[~pending], grad[~pending], hess[~pending], pd[~pending]
 
-    return RowsResult(argmin=x, fmin=f, converged=converged, iterations=iterations, valid=valid)
+    return RowsResult(argmin=x, fmin=f, converged=converged, iterations=iterations, valid=valid,
+                      positive_definite=positive_definite)

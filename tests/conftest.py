@@ -6,7 +6,8 @@ of the suite reuse them.  The cache is tracked in git as the evidence the
 acceptance criteria read.  Cache entries are full BootstrapMatrix round trips.
 
 Each entry is also keyed on a fingerprint of the code's behaviour for its
-model: a hash of the rows the bootstrap keeps from a small fixed probe.
+model and sample size: a hash of the rows the bootstrap keeps from the
+entry's first replications.
 `fingerprints.json` in the cache records the fingerprint each entry was
 computed under, and an entry whose fingerprint differs from the current
 code's is computed again and rewritten.  So a deliberate change of a family's
@@ -45,18 +46,18 @@ TRUE_MODELS = {
 _CACHE_DIR = Path(__file__).parent / ".bootstrap_cache"
 _FINGERPRINTS = _CACHE_DIR / "fingerprints.json"
 _SPOT_CHECK_ROWS = 3
-# the probe: the first replications of a small cell at the study seed (for
-# GB2 they include replications its fit drops)
-_PROBE_N = 100
-_PROBE_REPS = 8
+# the probe: the first replications of the cell at the study seed (for GB2
+# at n = 100 they include replications its fit drops)
+_PROBE_REPS = 32
 
 
 @functools.cache
-def behaviour_fingerprint(model: SeverityModel) -> str:
+def behaviour_fingerprint(model: SeverityModel, n: int) -> str:
     """A hash of the rows (parameters, or None for a dropped replication)
-    the bootstrap keeps from the probe cell of `model`: it changes with any
-    fitted bit, drop or sampled value, and not with an edit that changes none."""
-    rows = _run_chunk((model, _PROBE_N, STUDY_SEED, 0, _PROBE_REPS))
+    the bootstrap keeps from the first replications of `model` at size n:
+    it changes with any fitted bit, drop or sampled value among them, and
+    not with an edit that changes none."""
+    rows = _run_chunk((model, n, STUDY_SEED, 0, _PROBE_REPS))
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
@@ -93,7 +94,7 @@ def cached_bootstrap(model: SeverityModel, n: int, m: int = STUDY_M,
     _CACHE_DIR.mkdir(exist_ok=True)
     tag = "_".join(repr(p) for p in model.params)
     base = _CACHE_DIR / f"{model.family}_{tag}_T{model.threshold!r}_n{n}_m{m}_s{seed}"
-    fingerprint = behaviour_fingerprint(model)
+    fingerprint = behaviour_fingerprint(model, n)
     if (BootstrapMatrix.files(base)[0].exists()
             and _recorded_fingerprints().get(base.name) == fingerprint):
         bm = BootstrapMatrix.read(base)

@@ -29,7 +29,7 @@ class TestDeterminism:
         assert np.array_equal(a.rows, b.rows)
         assert a.m_converged == b.m_converged
 
-    # (model, n, m, seed); the GB2 cell drops 8 of its 60 replications
+    # (model, n, m, seed); the GB2 cell drops 18 of its 60 replications
     INVARIANCE_CELLS = [
         (SeverityModel("weibull", (0.56, 212303.18), T), 60, 100, 11),
         (SeverityModel("gb2", (0.837, 117516.887, 1.184, 1.454), T), 100, 60, STUDY_SEED),
@@ -42,7 +42,7 @@ class TestDeterminism:
             for workers in (2, 3):
                 parallel = run_bootstrap(model, n, m, seed=seed, workers=workers)
                 assert np.array_equal(serial.rows, parallel.rows)
-            assert serial.m_converged == (52 if model.family == "gb2" else m)
+            assert serial.m_converged == (42 if model.family == "gb2" else m)
 
     def test_chunk_split_invariance(self):
         # a chunk fits its replications as one batch; splitting it, or fitting
@@ -55,7 +55,7 @@ class TestDeterminism:
             assert alone == whole[30:45]
             if model.family == "gb2":
                 assert [i for i, row in enumerate(whole) if row is None] == \
-                    [1, 5, 6, 7, 25, 30, 35, 56]
+                    [1, 5, 6, 7, 11, 12, 14, 19, 22, 25, 30, 35, 37, 45, 50, 53, 55, 56]
 
     def test_seed_changes_rows(self):
         model = SeverityModel("pareto", (1.11,), T)
@@ -153,7 +153,7 @@ class TestRoundTrip:
         model = SeverityModel("pareto", (1.11,), T)
         first = cached_bootstrap(model, 20, m=100, seed=5)
         (name, fingerprint), = conftest._recorded_fingerprints().items()
-        assert fingerprint == conftest.behaviour_fingerprint(model)
+        assert fingerprint == conftest.behaviour_fingerprint(model, 20)
         csv_path = tmp_path / f"{name}.csv"
         written = csv_path.read_bytes()
         # an entry recorded under another fingerprint is computed again

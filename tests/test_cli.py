@@ -278,7 +278,7 @@ class TestPipeline:
         assert main(["bootstrap", "--config", str(cfg)]) == 2
 
     def test_too_few_converged_to_analyse_exits_4(self, tmp_path, capsys):
-        # 88 of 100 converged, as GB2 at n = 100 gives with the minimum m
+        # 88 of 100 converged: fewer than the 100 an analysis needs
         rows = np.random.default_rng(0).uniform(0.5, 2.0, (88, 4)) * [1.0, 1e5, 1.0, 1.0]
         bm = BootstrapMatrix(family="gb2", true_params=(0.837, 117516.887, 1.184, 1.454),
                              threshold=1e5, n=100, m_requested=100, m_converged=88,

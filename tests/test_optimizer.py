@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailfit import optimizer
-from tailfit.optimizer import InvalidStart, nelder_mead, nelder_mead_rows, newton_rows
+from tailfit.optimizer import InvalidStart, nelder_mead, newton_rows
 
 
 def quad(x):
@@ -84,7 +84,7 @@ def infinite_far_out(x):
 
 
 def reference_nelder_mead(objective, x0, xtol=1e-8, ftol=1e-10, max_iterations=None):
-    """The one-run loop that nelder_mead_rows replaced, kept as its oracle:
+    """The textbook one-run loop, kept as the oracle of `nelder_mead`:
     (argmin, fmin, converged, iterations), or None for a non-finite start."""
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
@@ -147,8 +147,8 @@ def reference_nelder_mead(objective, x0, xtol=1e-8, ftol=1e-10, max_iterations=N
     return verts[0].copy(), float(fvals[0]), converged, iterations
 
 
-class TestNelderMeadRows:
-    """Many runs in lockstep equal the same runs made one at a time, bit for bit."""
+class TestNelderMeadReference:
+    """`nelder_mead` equals the reference loop bit for bit."""
 
     # (objective, start): different convergence iterations, a run that needs
     # far more iterations than the others, a start next to the penalty
@@ -163,60 +163,41 @@ class TestNelderMeadRows:
         (rosenbrock, [0.3, -0.7]),
     ]
 
-    @staticmethod
-    def rows_objective(runs):
-        return lambda rows, thetas: [runs[r][0](theta) for r, theta in zip(rows, thetas)]
-
-    def assert_rows_match_single_runs(self, runs, **kwargs):
-        res = nelder_mead_rows(self.rows_objective(runs), [x0 for _, x0 in runs], **kwargs)
-        for i, (f, x0) in enumerate(runs):
-            if not res.valid[i]:
+    def assert_runs_match_reference(self, **kwargs):
+        results = []
+        for f, x0 in self.RUNS:
+            want = reference_nelder_mead(f, x0, **kwargs)
+            if want is None:
                 with pytest.raises(InvalidStart):
                     nelder_mead(f, np.array(x0), **kwargs)
-                assert reference_nelder_mead(f, x0, **kwargs) is None
-                assert res.iterations[i] == 0 and not res.converged[i]
+                results.append(None)
                 continue
             one = nelder_mead(f, np.array(x0), **kwargs)
-            assert np.array_equal(res.argmin[i], one.argmin)
-            assert res.fmin[i] == one.fmin
-            assert bool(res.converged[i]) == one.converged
-            assert res.iterations[i] == one.iterations
-            argmin, fmin, converged, iterations = reference_nelder_mead(f, x0, **kwargs)
+            argmin, fmin, converged, iterations = want
             assert np.array_equal(one.argmin, argmin)
             assert (one.fmin, one.converged, one.iterations) == (fmin, converged, iterations)
-        return res
+            results.append(one)
+        return results
 
-    def test_rows_equal_single_runs(self):
-        res = self.assert_rows_match_single_runs(self.RUNS)
-        assert list(res.valid) == [True] * 5 + [False, True]
-        assert res.converged[[0, 1, 2, 3, 4, 6]].all()
-        assert len(set(res.iterations[[0, 1, 2, 3, 6]].tolist())) == 5
-        assert res.iterations[4] == 0  # the whole simplex lies on the plateau
-        assert res.fmin[3] < 1e-8 and res.argmin[3][0] > 0.0
+    def test_runs_equal_reference_loop(self):
+        res = self.assert_runs_match_reference()
+        assert [r is not None for r in res] == [True] * 5 + [False, True]
+        assert all(res[i].converged for i in (0, 1, 2, 3, 4, 6))
+        assert len({res[i].iterations for i in (0, 1, 2, 3, 6)}) == 5
+        assert res[4].iterations == 0  # the whole simplex lies on the plateau
+        assert res[3].fmin < 1e-8 and res[3].argmin[0] > 0.0
 
-    def test_small_cap(self):
-        res = self.assert_rows_match_single_runs(self.RUNS, max_iterations=60)
-        assert res.converged[[0, 3, 4]].all() and (res.iterations[[0, 3]] < 60).all()
-        assert not res.converged[[1, 2, 6]].any() and (res.iterations[[1, 2, 6]] == 60).all()
-
-    def test_batch_membership_does_not_matter(self):
-        full = nelder_mead_rows(self.rows_objective(self.RUNS), [x0 for _, x0 in self.RUNS])
-        order = [6, 2, 0]
-        runs = [self.RUNS[i] for i in order]
-        part = nelder_mead_rows(self.rows_objective(runs), [x0 for _, x0 in runs])
-        assert np.array_equal(part.argmin, full.argmin[order])
-        assert np.array_equal(part.fmin, full.fmin[order])
-        assert np.array_equal(part.iterations, full.iterations[order])
-
-    def test_all_invalid(self):
-        res = nelder_mead_rows(lambda rows, thetas: [float("nan")] * len(rows), np.ones((3, 2)))
-        assert not res.valid.any() and not res.converged.any()
-        assert np.array_equal(res.argmin, np.ones((3, 2)))
+    def test_small_cap_equals_reference_loop(self):
+        res = self.assert_runs_match_reference(max_iterations=60)
+        assert all(res[i].converged and res[i].iterations < 60 for i in (0, 3))
+        assert res[4].converged
+        assert all(not res[i].converged and res[i].iterations == 60 for i in (1, 2, 6))
 
 
 def newton_objective(runs):
     """Row objectives with analytic derivatives: `runs[i]` is ("quad", c),
-    ("rosenbrock", None), ("double_well", None) or ("nan", None)."""
+    ("rosenbrock", None), ("double_well", None), ("saddle", None) or
+    ("nan", None)."""
     def objective(rows, thetas):
         f = np.empty(len(rows))
         grad = np.empty((len(rows), 2))
@@ -235,6 +216,10 @@ def newton_objective(runs):
                 f[k] = x**4 / 4.0 - x * x / 2.0 + y * y
                 grad[k] = [x**3 - x, 2.0 * y]
                 hess[k] = [[3.0 * x * x - 1.0, 0.0], [0.0, 2.0]]
+            elif kind == "saddle":  # x^2 - y^2: stationary at 0, not a minimum
+                f[k] = x * x - y * y
+                grad[k] = [2.0 * x, -2.0 * y]
+                hess[k] = [[2.0, 0.0], [0.0, -2.0]]
             else:
                 f[k], grad[k], hess[k] = np.nan, 0.0, 0.0
         return f, grad, hess
@@ -243,13 +228,16 @@ def newton_objective(runs):
 
 class TestNewtonRows:
     RUNS = [("quad", 0.5), ("rosenbrock", None), ("double_well", None), ("nan", None),
-            ("quad", -40.0)]
-    STARTS = [[0.0, 0.0], [-1.2, 1.0], [0.1, 0.3], [1.0, 1.0], [0.0, 0.0]]
+            ("quad", -40.0), ("saddle", None)]
+    STARTS = [[0.0, 0.0], [-1.2, 1.0], [0.1, 0.3], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 
     def test_minima(self):
         res = newton_rows(newton_objective(self.RUNS), self.STARTS)
-        assert list(res.valid) == [True, True, True, False, True]
-        assert list(res.converged) == [True, True, True, False, True]
+        assert list(res.valid) == [True, True, True, False, True, True]
+        assert list(res.converged) == [True, True, True, False, True, True]
+        # a zero gradient stops the saddle at once, flagged as no minimum
+        assert list(res.positive_definite) == [True, True, True, False, True, False]
+        assert res.iterations[5] == 0
         assert np.array_equal(res.argmin[0], [0.5, -0.5])
         assert res.iterations[0] == 1  # a quadratic within the step cap: one step
         assert np.max(np.abs(res.argmin[1] - 1.0)) < 1e-7

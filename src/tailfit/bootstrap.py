@@ -72,7 +72,7 @@ class BootstrapMatrix:
         csv_path, json_path = self.files(path_base)
         lines = [",".join(self.param_names)]
         for row in self.rows:
-            lines.append(",".join(repr(float(v)) for v in row))
+            lines.append(",".join(map(repr, row.tolist())))
         csv_path.write_text("\n".join(lines) + "\n")
         meta = {
             "family": self.family,

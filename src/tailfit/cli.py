@@ -121,7 +121,14 @@ def read_losses(path: Path) -> np.ndarray:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0].strip() != "loss":
         raise ConfigError(f"{path}: first line must be the header 'loss'")
-    values = []
+    try:
+        values = np.fromiter(map(float, filter(str.strip, lines[1:])), float)
+    except ValueError:
+        pass
+    else:
+        if np.all(values > 0.0) and np.all(np.isfinite(values)):
+            return values
+    # some line is bad: name the first one
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -131,8 +138,7 @@ def read_losses(path: Path) -> np.ndarray:
             raise ConfigError(f"{path}: line {lineno}: not a number: {raw!r}") from exc
         if v <= 0.0 or not np.isfinite(v):
             raise ConfigError(f"{path}: line {lineno}: losses must be positive, got {raw!r}")
-        values.append(v)
-    return np.array(values)
+    raise AssertionError("a loss file that failed parsing has no bad line")
 
 
 def _write_meta(cfg: StudyConfig, out: Path, command: str) -> None:
@@ -148,7 +154,7 @@ def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "losses.csv"
-    path.write_text("loss\n" + "\n".join(repr(float(v)) for v in losses) + "\n")
+    path.write_text("loss\n" + "\n".join(map(repr, losses.tolist())) + "\n")
     _write_meta(cfg, out, "generate")
     frac_tail = float(np.mean(losses >= PROFILES[profile].threshold))
     print(f"wrote {path} ({n} losses)")

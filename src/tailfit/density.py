@@ -30,8 +30,8 @@ class DensityOverlay:
 
     def to_csv(self) -> str:
         lines = ["grid,kde,normal_pdf"]
-        for row in zip(self.grid, self.kde, self.normal_pdf):
-            lines.append(",".join(repr(float(v)) for v in row))
+        for row in zip(self.grid.tolist(), self.kde.tolist(), self.normal_pdf.tolist()):
+            lines.append(",".join(map(repr, row)))
         return "\n".join(lines) + "\n"
 
 
@@ -49,15 +49,25 @@ def silverman_bandwidth(xs: np.ndarray) -> float:
 def kde(xs, grid) -> np.ndarray:
     """Gaussian-kernel density of xs on grid, Silverman bandwidth."""
     xs = np.asarray(xs, dtype=float)
-    grid = np.asarray(grid, dtype=float)
     if xs.size < 2:
         raise DegenerateSample("kde needs at least 2 observations")
-    h = silverman_bandwidth(xs)
+    return _kde(xs, np.asarray(grid, dtype=float), silverman_bandwidth(xs))
+
+
+def _kde(xs: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
+    """Gaussian-kernel density of xs on grid with bandwidth h."""
     out = np.empty(grid.size)
-    # chunk the grid so the (grid, m) kernel matrix stays small
+    # chunk the grid so the (grid, m) kernel matrix stays small, and build
+    # each chunk in one buffer.  -0.5 * z**2 equals (-0.5 * z) * z bit for
+    # bit, since scaling by -0.5 is exact, except where one of them underflows
+    # or overflows; exp then gives 1 or 0 for both.
     for lo in range(0, grid.size, 64):
-        z = (grid[lo:lo + 64, None] - xs[None, :]) / h
-        out[lo:lo + 64] = np.exp(-0.5 * z * z).sum(axis=1)
+        w = grid[lo:lo + 64, None] - xs
+        w /= h
+        w *= w
+        w *= -0.5
+        np.exp(w, out=w)
+        out[lo:lo + 64] = w.sum(axis=1)
     return out / (xs.size * h * _SQRT_2PI)
 
 
@@ -72,7 +82,7 @@ def overlay(bm: BootstrapMatrix, j: int) -> DensityOverlay:
     lo = min(float(col.min()), target - 4.0 * sd)
     hi = max(float(col.max()), target + 4.0 * sd)
     grid = np.linspace(lo, hi, _GRID_POINTS)
-    dens = kde(col, grid)
+    h = silverman_bandwidth(col)
     z = (grid - target) / sd
     normal_pdf = np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
     return DensityOverlay(
@@ -80,7 +90,7 @@ def overlay(bm: BootstrapMatrix, j: int) -> DensityOverlay:
         param_name=bm.param_names[j],
         n=bm.n,
         grid=grid,
-        kde=dens,
+        kde=_kde(col, grid, h),
         normal_pdf=normal_pdf,
-        bandwidth=silverman_bandwidth(col),
+        bandwidth=h,
     )

@@ -112,11 +112,10 @@ class _Lognormal(_Family):
 
     def cdf(self, x, T, mu, sigma):
         z = (np.log(x - T) - mu) / sigma
-        return np.array([std_normal_cdf(v) for v in z])
+        return std_normal_cdf(z)
 
     def quantile(self, u, T, mu, sigma):
-        z = np.array([std_normal_quantile(v) for v in u.ravel()]).reshape(u.shape)
-        return T + np.exp(mu + sigma * z)
+        return T + np.exp(mu + sigma * std_normal_quantile(u))
 
     def sample(self, n, rng, T, mu, sigma):
         return T + np.exp(mu + sigma * rng.standard_normal(n))

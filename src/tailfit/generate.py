@@ -55,6 +55,6 @@ def generate_losses(profile: str, n: int, seed: int) -> np.ndarray:
     # lognormal body truncated above at T
     z_t = (np.log(p.threshold) - p.body_meanlog) / p.body_sdlog
     phi_t = std_normal_cdf(z_t)
-    z = np.array([std_normal_quantile(v) for v in u[~pick] * phi_t])
+    z = std_normal_quantile(u[~pick] * phi_t)
     out[~pick] = np.exp(p.body_meanlog + p.body_sdlog * z)
     return out

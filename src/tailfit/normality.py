@@ -63,6 +63,11 @@ def _ad_p_value(a2_star: float) -> float:
     return 1.0 - math.exp(-13.436 + 101.14 * z - 223.73 * z * z)
 
 
+def _log_floored(p: np.ndarray) -> np.ndarray:
+    """math.log(max(p, 1e-300)) per element: libm's log, not numpy's SIMD one."""
+    return np.fromiter(map(math.log, np.maximum(p, 1e-300).tolist()), float, count=p.size)
+
+
 def anderson_darling_normal(xs, family: str = "", n: int = 0) -> NormalityReport:
     """A-D statistic with the small-sample factor (1 + 0.75/m + 2.25/m^2)."""
     xs = np.asarray(xs, dtype=float)
@@ -73,8 +78,8 @@ def anderson_darling_normal(xs, family: str = "", n: int = 0) -> NormalityReport
         raise DegenerateSample("constant sample")
     sd = float(np.std(xs, ddof=1))
     z = np.sort((xs - np.mean(xs)) / sd)
-    log_cdf = np.array([math.log(max(std_normal_cdf(v), 1e-300)) for v in z])
-    log_sf = np.array([math.log(max(std_normal_cdf(-v), 1e-300)) for v in z])
+    log_cdf = _log_floored(std_normal_cdf(z))
+    log_sf = _log_floored(std_normal_cdf(-z))
     i = np.arange(1, m + 1)
     a2 = -m - float(np.sum((2 * i - 1) * (log_cdf + log_sf[::-1]))) / m
     a2_star = a2 * (1.0 + 0.75 / m + 2.25 / m**2)

@@ -1,14 +1,23 @@
 """Self-contained special functions.
 
-Everything here is a pure function of scalar floats.  Accuracy targets:
-log-gamma (math.lgamma, called directly) 1e-12 absolute for moderate
-arguments, digamma/trigamma 1e-10, regularized incomplete beta / gamma 1e-10,
-normal cdf 1e-12 and quantile inverse-consistent to 1e-9.
+Every function here is pure.  The normal pdf, cdf and quantile take a float
+or an array of any shape and return the same; the others take scalar floats.
+Accuracy targets: log-gamma (math.lgamma, called directly) 1e-12 absolute for
+moderate arguments, digamma/trigamma 1e-10, regularized incomplete beta /
+gamma 1e-10, normal cdf 1e-12 and quantile inverse-consistent to 1e-9.
+
+The array functions do their arithmetic with numpy ufuncs, whose + - * / and
+sqrt round exactly as Python floats do, but apply erfc, log, log1p and exp
+per element through `math`: numpy has no erfc, and its SIMD log and exp need
+not round as libm does.  So a value gets the same bits alone or in an array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 __all__ = [
     "log_beta",
@@ -199,13 +208,31 @@ def regularized_gamma_upper(x: float, k: float) -> float:
     return math.exp(ln_front) * h
 
 
-def std_normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """The `math` function fn applied to each element of the 1-d array x."""
+    return np.fromiter(map(fn, x.tolist()), float, count=x.size)
 
 
-def std_normal_cdf(x: float) -> float:
+def _elementwise(kernel):
+    """Let `kernel`, which maps a 1-d float array to one of the same size,
+    take a float or an array of any shape.  A float comes back as a float."""
+    @functools.wraps(kernel)
+    def wrapper(x):
+        a = np.asarray(x, dtype=float)
+        out = kernel(a.ravel()).reshape(a.shape)
+        return float(out) if a.ndim == 0 else out
+    return wrapper
+
+
+@_elementwise
+def std_normal_pdf(x):
+    return _each(math.exp, -0.5 * x * x) / _SQRT_2PI
+
+
+@_elementwise
+def std_normal_cdf(x):
     """Phi(x) via erfc; accurate far into the lower tail."""
-    return 0.5 * math.erfc(-x / _SQRT_2)
+    return 0.5 * _each(math.erfc, -x / _SQRT_2)
 
 
 # Acklam's rational approximation to the inverse normal CDF.
@@ -217,30 +244,36 @@ _ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e
              -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
              3.754408661907416e+00)
+_P_LOW = 0.02425
 
 
-def std_normal_quantile(u: float) -> float:
+def _acklam_tail(s: np.ndarray) -> np.ndarray:
+    """Acklam's lower-tail rational function of s = sqrt(-2 ln u)."""
+    c, d = _ACKLAM_C, _ACKLAM_D
+    return (((((c[0] * s + c[1]) * s + c[2]) * s + c[3]) * s + c[4]) * s + c[5]) / \
+        ((((d[0] * s + d[1]) * s + d[2]) * s + d[3]) * s + 1.0)
+
+
+@_elementwise
+def std_normal_quantile(u):
     """Phi^{-1}(u): rational approximation refined by one Newton step."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"std_normal_quantile requires 0 < u < 1, got {u}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if u < p_low:
-        s = math.sqrt(-2.0 * math.log(u))
-        x = (((((c[0] * s + c[1]) * s + c[2]) * s + c[3]) * s + c[4]) * s + c[5]) / \
-            ((((d[0] * s + d[1]) * s + d[2]) * s + d[3]) * s + 1.0)
-    elif u <= 1.0 - p_low:
-        s = u - 0.5
-        r = s * s
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * s / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        s = math.sqrt(-2.0 * math.log1p(-u))
-        x = -(((((c[0] * s + c[1]) * s + c[2]) * s + c[3]) * s + c[4]) * s + c[5]) / \
-            ((((d[0] * s + d[1]) * s + d[2]) * s + d[3]) * s + 1.0)
+    bad = ~((u > 0.0) & (u < 1.0))
+    if bad.any():
+        raise ValueError(f"std_normal_quantile requires 0 < u < 1, got {float(u[bad][0])}")
+    a, b = _ACKLAM_A, _ACKLAM_B
+    low = u < _P_LOW
+    high = u > 1.0 - _P_LOW
+    mid = ~(low | high)
+    x = np.empty_like(u)
+    x[low] = _acklam_tail(np.sqrt(-2.0 * _each(math.log, u[low])))
+    s = u[mid] - 0.5
+    r = s * s
+    x[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * s / \
+        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    x[high] = -_acklam_tail(np.sqrt(-2.0 * _each(math.log1p, -u[high])))
     # one Newton step on the cdf
     err = std_normal_cdf(x) - u
     pdf = std_normal_pdf(x)
-    if pdf > 0.0:
-        x -= err / pdf
+    step = pdf > 0.0
+    x[step] -= err[step] / pdf[step]
     return x

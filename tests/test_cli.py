@@ -5,6 +5,7 @@ import pytest
 
 from tailfit.bootstrap import BootstrapMatrix
 from tailfit.cli import ConfigError, StudyConfig, main, parse_config, read_losses
+from tailfit.generate import generate_losses
 
 
 def write_config(tmp_path, **overrides):
@@ -111,6 +112,50 @@ class TestReadLosses:
             read_losses(path)
 
 
+    # each line after a valid "2.5": the values read, or the exact error text
+    # (both as the one-float-per-line parser gave them)
+    @pytest.mark.parametrize("line,want", [
+        ("", [2.5]),
+        ("1_000", [2.5, 1000.0]),
+        (" 1.5 ", [2.5, 1.5]),
+        ("inf", "losses must be positive, got 'inf'"),
+        ("nan", "losses must be positive, got 'nan'"),
+        ("1e400", "losses must be positive, got '1e400'"),
+        ("0", "losses must be positive, got '0'"),
+        ("-0", "losses must be positive, got '-0'"),
+        ("1.0 2.0", "not a number: '1.0 2.0'"),
+        ("abc", "not a number: 'abc'"),
+    ])
+    def test_parity(self, tmp_path, line, want):
+        path = tmp_path / "l.csv"
+        path.write_text(f"loss\n2.5\n{line}\n")
+        if isinstance(want, list):
+            got = read_losses(path)
+            assert got.dtype == np.float64
+            assert got.tolist() == want
+        else:
+            with pytest.raises(ConfigError) as exc:
+                read_losses(path)
+            assert str(exc.value) == f"{path}: line 3: {want}"
+
+    @pytest.mark.parametrize("body,want", [
+        ("3\n\n-2\nabc\n", "line 4: losses must be positive, got '-2'"),
+        ("3\nabc\n-2\n", "line 3: not a number: 'abc'"),
+    ])
+    def test_first_bad_line_named(self, tmp_path, body, want):
+        path = tmp_path / "l.csv"
+        path.write_text("loss\n" + body)
+        with pytest.raises(ConfigError) as exc:
+            read_losses(path)
+        assert str(exc.value) == f"{path}: {want}"
+
+    def test_empty_body(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("loss\n\n")
+        got = read_losses(path)
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+
 class TestGenerateCommand:
     def test_unknown_profile_exits_2(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path), "--profile", "nope"]) == 2
@@ -122,6 +167,11 @@ class TestGenerateCommand:
             assert rc == 0
         assert (tmp_path / "a" / "losses.csv").read_bytes() == \
             (tmp_path / "b" / "losses.csv").read_bytes()
+
+    def test_file_round_trips(self, tmp_path):
+        assert main(["generate", "--out", str(tmp_path), "--seed", "5", "--n", "3000"]) == 0
+        want = generate_losses("uom1", 3000, seed=5)
+        assert read_losses(tmp_path / "losses.csv").tobytes() == want.tobytes()
 
     def test_meta_written(self, tmp_path):
         main(["generate", "--out", str(tmp_path), "--seed", "5", "--n", "1000"])

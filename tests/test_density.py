@@ -44,7 +44,27 @@ class TestBandwidth:
             silverman_bandwidth(np.full(120, 11.3))
 
 
+def reference_kde(xs, grid):
+    """The kernel sum as exp(-0.5 * z * z) over chunks of 64 grid points."""
+    h = silverman_bandwidth(xs)
+    out = np.empty(grid.size)
+    for lo in range(0, grid.size, 64):
+        z = (grid[lo:lo + 64, None] - xs[None, :]) / h
+        out[lo:lo + 64] = np.exp(-0.5 * z * z).sum(axis=1)
+    return out / (xs.size * h * math.sqrt(2.0 * math.pi))
+
+
 class TestKde:
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(403)
+        xs = np.concatenate([rng.standard_cauchy(3000), [1e-160]])
+        # a point whose z**2 overflows while -0.5 * z * z does not; the grid
+        # point 0 puts z**2 below the normal range for the 1e-160 point
+        xs = np.append(xs, 1.6e154 * silverman_bandwidth(xs))
+        grid = np.append(np.linspace(-1e3, 1e3, 700), 0.0)
+        with np.errstate(over="ignore"):
+            assert kde(xs, grid).tobytes() == reference_kde(xs, grid).tobytes()
+
     def test_single_point_rejected(self):
         with pytest.raises(DegenerateSample):
             kde(np.array([1.0]), np.linspace(0, 2, 10))

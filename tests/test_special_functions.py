@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +183,96 @@ class TestNormal:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 sf.std_normal_quantile(bad)
+
+
+# The scalar normal cdf and quantile that the array versions replaced, kept as
+# the oracle they must match bit for bit.
+_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+      6.680131188771972e+01, -1.328068155288572e+01)
+_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+      3.754408661907416e+00)
+
+
+def reference_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def reference_quantile(u):
+    a, b, c, d = _A, _B, _C, _D
+    p_low = 0.02425
+    if u < p_low:
+        s = math.sqrt(-2.0 * math.log(u))
+        x = (((((c[0] * s + c[1]) * s + c[2]) * s + c[3]) * s + c[4]) * s + c[5]) / \
+            ((((d[0] * s + d[1]) * s + d[2]) * s + d[3]) * s + 1.0)
+    elif u <= 1.0 - p_low:
+        s = u - 0.5
+        r = s * s
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * s / \
+            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    else:
+        s = math.sqrt(-2.0 * math.log1p(-u))
+        x = -(((((c[0] * s + c[1]) * s + c[2]) * s + c[3]) * s + c[4]) * s + c[5]) / \
+            ((((d[0] * s + d[1]) * s + d[2]) * s + d[3]) * s + 1.0)
+    err = reference_cdf(x) - u
+    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    if pdf > 0.0:
+        x -= err / pdf
+    return x
+
+
+# Acklam's branch edges from both sides, the far tails, and the centre.
+EDGE_U = [0.02425, math.nextafter(0.02425, 0.0), math.nextafter(0.02425, 1.0),
+          1.0 - 0.02425, math.nextafter(1.0 - 0.02425, 1.0), 1e-300, 5e-324,
+          1.0 - 2.0**-53, 0.5]
+
+
+class TestNormalArrays:
+    """The array cdf and quantile against the scalar oracle, bit for bit."""
+
+    @staticmethod
+    def _u():
+        rng = np.random.default_rng(20260823)
+        return np.concatenate([rng.random(100_000), EDGE_U])
+
+    def test_quantile_bit_identical(self):
+        u = self._u()
+        want = np.array([reference_quantile(v) for v in u.tolist()])
+        assert sf.std_normal_quantile(u).tobytes() == want.tobytes()
+
+    def test_cdf_bit_identical(self):
+        x = np.concatenate([sf.std_normal_quantile(self._u()), [0.0, -0.0, -38.5, 40.0]])
+        want = np.array([reference_cdf(v) for v in x.tolist()])
+        assert sf.std_normal_cdf(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("u", EDGE_U)
+    def test_edge_points_as_floats(self, u):
+        got = sf.std_normal_quantile(u)
+        assert type(got) is float
+        assert got == reference_quantile(u)
+        assert type(sf.std_normal_cdf(got)) is float
+        assert sf.std_normal_cdf(got) == reference_cdf(got)
+
+    def test_numpy_scalar_returns_float(self):
+        assert type(sf.std_normal_quantile(np.float64(0.3))) is float
+        assert type(sf.std_normal_cdf(np.array(0.3))) is float
+
+    def test_shape_kept(self):
+        u = self._u()[:12].reshape(3, 4)
+        got = sf.std_normal_quantile(u)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), sf.std_normal_quantile(u.ravel()))
+        assert sf.std_normal_cdf(got).shape == (3, 4)
+
+    @pytest.mark.parametrize("bad,text", [(math.nan, "nan"), (0.0, "0.0"), (1.0, "1.0")])
+    def test_domain_names_value(self, bad, text):
+        with pytest.raises(ValueError, match=f"got {text}$"):
+            sf.std_normal_quantile(bad)
+        with pytest.raises(ValueError, match=f"got {text}$"):
+            sf.std_normal_quantile(np.array([[0.5, 0.2], [bad, 0.7]]))
 
 
 def test_log_beta_definition():

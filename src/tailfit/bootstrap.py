@@ -11,6 +11,8 @@ and counted, never imputed.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +26,7 @@ from .mle import FitResult
 __all__ = [
     "TooFewConverged",
     "BootstrapMatrix",
+    "MalformedMatrix",
     "replication_rng",
     "run_bootstrap",
     "TrueModel",
@@ -34,6 +37,12 @@ __all__ = [
 class TooFewConverged(ValueError):
     """Too few replications produced an estimate: fewer than half of those
     requested in a run, or fewer than 100 in a cell to analyse."""
+
+
+class MalformedMatrix(ValueError):
+    """A bootstrap matrix file that is not the matrix its sidecar describes:
+    a wrong header, a row that is not one finite number per parameter, or a
+    row count other than the sidecar's m_converged."""
 
 
 @dataclass
@@ -89,12 +98,15 @@ class BootstrapMatrix:
 
     @classmethod
     def read(cls, path_base: Path) -> "BootstrapMatrix":
+        """The matrix at `path_base`; MalformedMatrix, naming the file and
+        line, if the csv is not m_converged rows of finite numbers under the
+        sidecar family's header."""
         csv_path, json_path = cls.files(path_base)
         meta = json.loads(json_path.read_text())
-        text = csv_path.read_text().strip().splitlines()
-        rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-        if rows.size == 0:
-            rows = rows.reshape(0, len(text[0].split(",")))
+        rows = _read_rows(csv_path, PARAM_NAMES[meta["family"]])
+        if rows.shape[0] != meta["m_converged"]:
+            raise MalformedMatrix(f"{csv_path}: {rows.shape[0]} rows, but {json_path.name} "
+                                  f"gives m_converged = {meta['m_converged']}")
         return cls(
             family=meta["family"],
             true_params=tuple(meta["true_params"]),
@@ -105,6 +117,51 @@ class BootstrapMatrix:
             rows=rows,
             seed=meta["seed"],
         )
+
+
+def _read_rows(csv_path: Path, names: tuple[str, ...]) -> np.ndarray:
+    """The (rows, k) body of a matrix csv whose header must be `names`, all
+    of it finite numbers.
+
+    numpy's C reader parses the body in one pass and rounds each decimal as
+    float() does.  Only when it fails, or finds rows of another width or a
+    value that is not finite, are the lines walked to name the first bad one."""
+    k = len(names)
+    with open(csv_path) as f:
+        header = f.readline().rstrip("\r\n")
+        if header != ",".join(names):
+            raise MalformedMatrix(f"{csv_path}: line 1: header {header!r}, expected "
+                                  f"{','.join(names)!r}")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file (no replication kept) warns of no data
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise MalformedMatrix(_first_bad_line(csv_path, k, str(exc))) from None
+    if (rows.size and rows.shape[1] != k) or not np.isfinite(rows).all():
+        raise MalformedMatrix(_first_bad_line(csv_path, k, "not a matrix of finite numbers"))
+    return rows.reshape(-1, k)
+
+
+def _first_bad_line(csv_path: Path, k: int, why: str) -> str:
+    """Where the body of a matrix csv first fails to be k finite numbers a
+    line; `why`, the reader's complaint, if no line fails float()."""
+    lines = csv_path.read_text().splitlines()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue  # the reader skips empty lines
+        values = line.split(",")
+        if len(values) != k:
+            return f"{csv_path}: line {lineno}: expected {k} values, got {len(values)}"
+        for value in values:
+            try:
+                finite = math.isfinite(float(value))
+            except ValueError:
+                return f"{csv_path}: line {lineno}: not a number: {value!r}"
+            if not finite:
+                return f"{csv_path}: line {lineno}: not a finite number: {value!r}"
+    return f"{csv_path}: {why}"
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:

@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 ingestion/config error, 3 fit failure,
 4 too few converged replications (in a bootstrap run, or in a cell that
 cierror or overlays analyse) or a degenerate cell (constant column, singular
 covariance) that normality, cierror or overlays analyse, 5 required bootstrap
-matrix missing.
+matrix missing or malformed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import mle
-from .bootstrap import BootstrapMatrix, TooFewConverged, run_bootstrap, true_model_from_losses
+from .bootstrap import (BootstrapMatrix, MalformedMatrix, TooFewConverged, run_bootstrap,
+                        true_model_from_losses)
 from .ci_analysis import ci_error_table, table_csv, table_json
 from .density import overlay
 from .distributions import FAMILIES, PARAM_NAMES, SeverityModel
@@ -254,10 +255,13 @@ def _load_matrices(cfg: StudyConfig) -> list[BootstrapMatrix]:
     for family in cfg.families:
         for n in cfg.sample_sizes:
             base = matrix_path(out, family, n)
-            csv_path = BootstrapMatrix.files(base)[0]
-            if not csv_path.exists():
-                raise ConfigError(f"missing bootstrap matrix {csv_path}")
-            bms.append(BootstrapMatrix.read(base))
+            for path in BootstrapMatrix.files(base):
+                if not path.exists():
+                    raise ConfigError(f"missing bootstrap matrix {path}")
+            try:
+                bms.append(BootstrapMatrix.read(base))
+            except MalformedMatrix as exc:
+                raise ConfigError(str(exc)) from exc
     return bms
 
 

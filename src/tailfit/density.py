@@ -16,6 +16,9 @@ __all__ = ["DensityOverlay", "silverman_bandwidth", "kde", "overlay"]
 
 _GRID_POINTS = 512
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# grid points per kernel chunk: the chunk's buffer of 32 x m doubles is
+# 1.3 MB at m = 5000, within a 2 MB L2 cache
+_KDE_ROWS = 32
 
 
 @dataclass
@@ -57,17 +60,19 @@ def kde(xs, grid) -> np.ndarray:
 def _kde(xs: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
     """Gaussian-kernel density of xs on grid with bandwidth h."""
     out = np.empty(grid.size)
-    # chunk the grid so the (grid, m) kernel matrix stays small, and build
-    # each chunk in one buffer.  -0.5 * z**2 equals (-0.5 * z) * z bit for
-    # bit, since scaling by -0.5 is exact, except where one of them underflows
-    # or overflows; exp then gives 1 or 0 for both.
-    for lo in range(0, grid.size, 64):
-        w = grid[lo:lo + 64, None] - xs
+    # the (grid, m) kernel matrix is built _KDE_ROWS grid points at a time in
+    # one buffer reused by every chunk.  -0.5 * z**2 equals (-0.5 * z) * z bit
+    # for bit, since scaling by -0.5 is exact, except where one of them
+    # underflows or overflows; exp then gives 1 or 0 for both.
+    buf = np.empty((min(_KDE_ROWS, grid.size), xs.size))
+    for lo in range(0, grid.size, _KDE_ROWS):
+        chunk = grid[lo:lo + _KDE_ROWS, None]
+        w = np.subtract(chunk, xs, out=buf[:chunk.shape[0]])
         w /= h
         w *= w
         w *= -0.5
         np.exp(w, out=w)
-        out[lo:lo + 64] = w.sum(axis=1)
+        out[lo:lo + _KDE_ROWS] = w.sum(axis=1)
     return out / (xs.size * h * _SQRT_2PI)
 
 

@@ -118,19 +118,66 @@ class TestRows:
             run_bootstrap(model, 5, 100, seed=4)
 
 
+# doubles whose decimal form a reader can round wrongly: the smallest
+# subnormal, the smallest normal, the largest double, a negative zero, a
+# decimal between two doubles, and 2**53 + 1 (written as 2**53)
+EDGE_VALUES = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -0.0, 1e23, 9007199254740993.0]
+
+
+def _matrix(family, params, rows):
+    rows = np.asarray(rows, dtype=float)
+    return BootstrapMatrix(family, params, T, 40, 100, rows.shape[0], rows, 9)
+
+
+ROUND_TRIP_CASES = {
+    "bootstrap": lambda: run_bootstrap(SeverityModel("loglogistic", (1.0, 84000.0), T),
+                                       40, 100, seed=9),
+    "edge_values": lambda: _matrix("weibull", (0.56, 212303.18),
+                                   np.reshape(EDGE_VALUES, (3, 2))),
+    "one_column": lambda: _matrix("pareto", (1.11,), np.reshape(EDGE_VALUES, (6, 1))),
+    "one_row": lambda: _matrix("gb2", (0.837, 117516.887, 1.184, 1.454),
+                               [[0.837, 117516.887, 1.184, 1.454]]),
+    "no_rows": lambda: _matrix("lognormal", (11.3, 1.8), np.empty((0, 2))),
+}
+
+
 class TestRoundTrip:
     def test_write_read_identity(self, tmp_path):
-        model = SeverityModel("loglogistic", (1.0, 84000.0), T)
-        bm = run_bootstrap(model, 40, 100, seed=9)
-        base = tmp_path / "boot_loglogistic_n40"
+        for case, make in ROUND_TRIP_CASES.items():
+            bm = make()
+            base = tmp_path / f"boot_{case}"
+            bm.write(base)
+            back = BootstrapMatrix.read(base)
+            assert back.rows.shape == bm.rows.shape, case
+            assert back.rows.tobytes() == bm.rows.tobytes(), case
+            assert back.family == bm.family
+            assert back.true_params == bm.true_params
+            assert back.threshold == bm.threshold
+            assert (back.n, back.m_requested, back.m_converged, back.seed) == \
+                (bm.n, bm.m_requested, bm.m_converged, bm.seed)
+
+    @pytest.mark.parametrize("csv_path", sorted(conftest._CACHE_DIR.glob("*.csv")),
+                             ids=lambda p: p.stem)
+    def test_read_matches_float_per_value(self, csv_path):
+        # the oracle: Python's float() on every value of the tracked cache
+        lines = csv_path.read_text().splitlines()[1:]
+        want = np.array([[float(v) for v in line.split(",")] for line in lines])
+        base = csv_path.with_suffix("")
+        assert BootstrapMatrix.read(base).rows.tobytes() == want.tobytes()
+
+    def test_read_rounds_decimals_as_float(self, tmp_path):
+        # decimals no writer emits, among them 2**53 + 1 spelled out: it lies
+        # halfway between two doubles and must round to the even one
+        texts = ["9007199254740993", "9007199254740993.0000000001", "1e23",
+                 "2.4703282292062327e-324", "2.4703282292062328e-324",
+                 "1.7976931348623158e308", "-0", "0.1", "1e-400"]
+        bm = _matrix("pareto", (1.11,), np.zeros((len(texts), 1)))
+        base = tmp_path / "boot"
         bm.write(base)
-        back = BootstrapMatrix.read(base)
-        assert np.array_equal(back.rows, bm.rows)
-        assert back.family == bm.family
-        assert back.true_params == bm.true_params
-        assert back.threshold == bm.threshold
-        assert (back.n, back.m_requested, back.m_converged, back.seed) == \
-            (bm.n, bm.m_requested, bm.m_converged, bm.seed)
+        base.with_name("boot.csv").write_text("shape\n" + "\n".join(texts) + "\n")
+        want = np.array([[float(t)] for t in texts])
+        assert BootstrapMatrix.read(base).rows.tobytes() == want.tobytes()
 
     def test_csv_header(self, tmp_path):
         model = SeverityModel("pareto", (2.0,), T)

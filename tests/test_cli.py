@@ -286,6 +286,50 @@ class TestPipeline:
         assert main(["cierror", "--config", str(cfg)]) == 5
         assert main(["overlays", "--config", str(cfg)]) == 5
 
+    # (defect, csv text of a weibull matrix whose sidecar says 3 rows, the
+    # message after the file name)
+    MALFORMED = {
+        "header": ("scale,shape\n1.0,2.0\n3.0,4.0\n5.0,6.0\n",
+                   "line 1: header 'scale,shape', expected 'shape,scale'"),
+        "ragged_row": ("shape,scale\n1.0,2.0\n3.0\n5.0,6.0\n",
+                       "line 3: expected 2 values, got 1"),
+        "extra_column": ("shape,scale\n1.0,2.0,5.0\n3.0,4.0,5.0\n5.0,6.0,5.0\n",
+                         "line 2: expected 2 values, got 3"),
+        "row_count": ("shape,scale\n1.0,2.0\n3.0,4.0\n",
+                      "2 rows, but boot_weibull_n100.json gives m_converged = 3"),
+        "not_a_number": ("shape,scale\n1.0,2.0\n3.0,4.0\n5.0,six\n",
+                         "line 4: not a number: 'six'"),
+        "not_finite": ("shape,scale\n1.0,2.0\nnan,4.0\n5.0,6.0\n",
+                       "line 3: not a finite number: 'nan'"),
+    }
+
+    @pytest.mark.parametrize("defect", MALFORMED)
+    def test_malformed_matrix_exits_5(self, tmp_path, capsys, defect):
+        text, message = self.MALFORMED[defect]
+        base = tmp_path / "out" / "boot_weibull_n100"
+        base.parent.mkdir()
+        BootstrapMatrix("weibull", (0.56, 212303.18), 1e5, 100, 3, 3,
+                        np.ones((3, 2)), 777).write(base)
+        csv_path = BootstrapMatrix.files(base)[0]
+        csv_path.write_text(text)
+        cfg = write_config(tmp_path, families="weibull")
+        for command in ("normality", "cierror", "overlays"):
+            assert main([command, "--config", str(cfg)]) == 5
+            err = capsys.readouterr().err
+            assert err == f"error: {csv_path}: {message}\n"
+        assert sorted(p.name for p in base.parent.iterdir()) == \
+            ["boot_weibull_n100.csv", "boot_weibull_n100.json"]
+
+    def test_missing_sidecar_exits_5(self, tmp_path, capsys):
+        base = tmp_path / "out" / "boot_pareto_n100"
+        base.parent.mkdir()
+        BootstrapMatrix("pareto", (1.11,), 1e5, 100, 3, 3, np.ones((3, 1)), 777).write(base)
+        json_path = BootstrapMatrix.files(base)[1]
+        json_path.unlink()
+        cfg = write_config(tmp_path, families="pareto")
+        assert main(["normality", "--config", str(cfg)]) == 5
+        assert capsys.readouterr().err == f"error: missing bootstrap matrix {json_path}\n"
+
     def test_in_run_fit_failure_keeps_its_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         write_tail_at_threshold(tmp_path / "losses.csv")

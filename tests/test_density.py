@@ -55,13 +55,16 @@ def reference_kde(xs, grid):
 
 
 class TestKde:
-    def test_bit_identical_to_reference(self):
+    # grid sizes against the 32-point chunks of the kernel buffer: less than
+    # one chunk, an exact multiple, a multiple plus one, a partial last chunk
+    @pytest.mark.parametrize("points", [10, 512, 513, 701])
+    def test_bit_identical_to_reference(self, points):
         rng = np.random.default_rng(403)
         xs = np.concatenate([rng.standard_cauchy(3000), [1e-160]])
         # a point whose z**2 overflows while -0.5 * z * z does not; the grid
         # point 0 puts z**2 below the normal range for the 1e-160 point
         xs = np.append(xs, 1.6e154 * silverman_bandwidth(xs))
-        grid = np.append(np.linspace(-1e3, 1e3, 700), 0.0)
+        grid = np.append(np.linspace(-1e3, 1e3, points - 1), 0.0)
         with np.errstate(over="ignore"):
             assert kde(xs, grid).tobytes() == reference_kde(xs, grid).tobytes()
 

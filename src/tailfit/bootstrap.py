@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mle
-from .distributions import PARAM_NAMES, SeverityModel, in_support, sample
+from .distributions import FAMILIES, PARAM_NAMES, SeverityModel, in_support, sample
 from .mle import FitResult
 
 __all__ = [
@@ -42,7 +42,8 @@ class TooFewConverged(ValueError):
 class MalformedMatrix(ValueError):
     """A bootstrap matrix file that is not the matrix its sidecar describes:
     a wrong header, a row that is not one finite number per parameter, or a
-    row count other than the sidecar's m_converged."""
+    row count other than the sidecar's m_converged; or a sidecar that is not
+    a JSON object with every field and a known family."""
 
 
 @dataclass
@@ -98,11 +99,11 @@ class BootstrapMatrix:
 
     @classmethod
     def read(cls, path_base: Path) -> "BootstrapMatrix":
-        """The matrix at `path_base`; MalformedMatrix, naming the file and
-        line, if the csv is not m_converged rows of finite numbers under the
-        sidecar family's header."""
+        """The matrix at `path_base`; MalformedMatrix, naming the file (and
+        the line of the csv), if the sidecar is malformed or the csv is not
+        m_converged rows of finite numbers under the sidecar family's header."""
         csv_path, json_path = cls.files(path_base)
-        meta = json.loads(json_path.read_text())
+        meta = _read_sidecar(json_path)
         rows = _read_rows(csv_path, PARAM_NAMES[meta["family"]])
         if rows.shape[0] != meta["m_converged"]:
             raise MalformedMatrix(f"{csv_path}: {rows.shape[0]} rows, but {json_path.name} "
@@ -117,6 +118,27 @@ class BootstrapMatrix:
             rows=rows,
             seed=meta["seed"],
         )
+
+
+_SIDECAR_KEYS = ("family", "true_params", "threshold", "n", "m_requested", "m_converged",
+                 "seed")
+
+
+def _read_sidecar(json_path: Path) -> dict:
+    """The `<base>.json` fields; MalformedMatrix, naming the file, unless it
+    is a JSON object with every field that `read` uses and a known family."""
+    try:
+        meta = json.loads(json_path.read_text())
+    except ValueError as exc:
+        raise MalformedMatrix(f"{json_path}: not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise MalformedMatrix(f"{json_path}: not a JSON object")
+    missing = [key for key in _SIDECAR_KEYS if key not in meta]
+    if missing:
+        raise MalformedMatrix(f"{json_path}: no {', '.join(missing)}")
+    if meta["family"] not in FAMILIES:
+        raise MalformedMatrix(f"{json_path}: unknown family {meta['family']!r}")
+    return meta
 
 
 def _read_rows(csv_path: Path, names: tuple[str, ...]) -> np.ndarray:

@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 ingestion/config error, 3 fit failure,
 4 too few converged replications (in a bootstrap run, or in a cell that
 cierror or overlays analyse) or a degenerate cell (constant column, singular
 covariance) that normality, cierror or overlays analyse, 5 required bootstrap
-matrix missing or malformed.
+matrix missing or malformed.  Commands raise; `main` alone prints the one
+`error:` line and picks the code from `EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,28 @@ class ConfigError(Exception):
     pass
 
 
+class FitFailed(Exception):
+    """`fit` could not fit a family to the loss file.  Its own type because a
+    DegenerateSample here is a fit failure, but a degenerate cell in an
+    analysis stage."""
+
+
+class MissingMatrix(Exception):
+    """A bootstrap matrix file that an analysis stage needs does not exist."""
+
+
+# exception type -> exit code; the first type the error is an instance of wins
+EXIT_CODES = {
+    ConfigError: EXIT_INGEST,
+    FitFailed: EXIT_FIT,
+    TooFewConverged: EXIT_CONVERGENCE,
+    SingularCovariance: EXIT_CONVERGENCE,
+    DegenerateSample: EXIT_CONVERGENCE,
+    MissingMatrix: EXIT_MISSING,
+    MalformedMatrix: EXIT_MISSING,
+}
+
+
 @dataclass
 class StudyConfig:
     seed: int = 12345
@@ -55,6 +78,8 @@ class StudyConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if any(f not in FAMILIES for f in self.families):
             raise ConfigError(f"unknown family in {self.families}")
         if not self.sample_sizes or list(self.sample_sizes) != sorted(set(self.sample_sizes)) \
@@ -147,10 +172,11 @@ def _write_meta(cfg: StudyConfig, out: Path, command: str) -> None:
     (out / f"run_meta_{command}.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> int:
+def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> None:
     if profile not in PROFILES:
-        print(f"error: unknown profile {profile!r}; known: {sorted(PROFILES)}", file=sys.stderr)
-        return EXIT_INGEST
+        raise ConfigError(f"unknown profile {profile!r}; known: {sorted(PROFILES)}")
+    if n < 1:
+        raise ConfigError(f"--n must be at least 1, got {n}")
     losses = generate_losses(profile, n, cfg.seed)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,23 +187,15 @@ def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> int:
     print(f"wrote {path} ({n} losses)")
     print(f"  mean {np.mean(losses):.1f}  median {np.median(losses):.1f}  "
           f"max {np.max(losses):.1f}  tail fraction {frac_tail:.3f}")
-    return EXIT_OK
 
 
-def cmd_fit(cfg: StudyConfig) -> int:
+def cmd_fit(cfg: StudyConfig) -> None:
     if not cfg.input:
-        print("error: no input loss file configured", file=sys.stderr)
-        return EXIT_INGEST
-    try:
-        losses = read_losses(Path(cfg.input))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
+        raise ConfigError("no input loss file configured")
+    losses = read_losses(Path(cfg.input))
     tail_count = int(np.sum(losses >= cfg.threshold))
     if tail_count < 10:
-        print(f"error: only {tail_count} tail losses at threshold {cfg.threshold}",
-              file=sys.stderr)
-        return EXIT_INGEST
+        raise ConfigError(f"only {tail_count} tail losses at threshold {cfg.threshold}")
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,8 +204,7 @@ def cmd_fit(cfg: StudyConfig) -> int:
         try:
             tm = true_model_from_losses(family, losses, cfg.threshold)
         except (mle.FitError, mle.InvalidStart) as exc:
-            print(f"error: fit failed for family {family}: {exc}", file=sys.stderr)
-            return EXIT_FIT
+            raise FitFailed(f"fit failed for family {family}: {exc}") from exc
         entries[family] = {
             "params": dict(zip(PARAM_NAMES[family], tm.model.params)),
             "threshold": cfg.threshold,
@@ -201,52 +218,47 @@ def cmd_fit(cfg: StudyConfig) -> int:
     (out / "true_params.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_meta(cfg, out, "fit")
     print(f"wrote {out / 'true_params.json'}")
-    return EXIT_OK
 
 
 def _load_true_models(cfg: StudyConfig) -> dict[str, SeverityModel]:
     path = Path(cfg.out) / "true_params.json"
     if not path.exists():
         raise ConfigError(f"{path} missing and no input losses configured")
-    payload = json.loads(path.read_text())
-    missing = [f for f in cfg.families if f not in payload["families"]]
-    if missing:
-        raise ConfigError(f"{path} has no true parameters for {', '.join(missing)}")
-    models = {}
-    for family, entry in payload["families"].items():
-        params = tuple(entry["params"][name] for name in PARAM_NAMES[family])
-        models[family] = SeverityModel(family, params, entry["threshold"])
-    return models
+    try:
+        entries = json.loads(path.read_text())["families"]
+        missing = [f for f in cfg.families if f not in entries]
+        if missing:
+            raise ConfigError(f"{path} has no true parameters for {', '.join(missing)}")
+        models = {}
+        for family in cfg.families:
+            params = tuple(entries[family]["params"][name] for name in PARAM_NAMES[family])
+            models[family] = SeverityModel(family, params, entries[family]["threshold"])
+        return models
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{path}: no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def matrix_path(out: Path, family: str, n: int) -> Path:
     return out / f"boot_{family}_n{n}"
 
 
-def cmd_bootstrap(cfg: StudyConfig) -> int:
+def cmd_bootstrap(cfg: StudyConfig) -> None:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.input and not (out / "true_params.json").exists():
-        code = cmd_fit(cfg)
-        if code != EXIT_OK:
-            return code
-    try:
-        models = _load_true_models(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
+        cmd_fit(cfg)
+    models = _load_true_models(cfg)
     for family in cfg.families:
-        model = models[family]
         for n in cfg.sample_sizes:
-            try:
-                bm = run_bootstrap(model, n, cfg.replications, cfg.seed, workers=cfg.threads)
-            except TooFewConverged as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONVERGENCE
+            bm = run_bootstrap(models[family], n, cfg.replications, cfg.seed,
+                               workers=cfg.threads)
             bm.write(matrix_path(out, family, n), extra_meta={"config_hash": cfg.config_hash})
             print(f"bootstrap {family} n={n}: {bm.m_converged}/{bm.m_requested} converged")
     _write_meta(cfg, out, "bootstrap")
-    return EXIT_OK
 
 
 def _load_matrices(cfg: StudyConfig) -> list[BootstrapMatrix]:
@@ -257,81 +269,61 @@ def _load_matrices(cfg: StudyConfig) -> list[BootstrapMatrix]:
             base = matrix_path(out, family, n)
             for path in BootstrapMatrix.files(base):
                 if not path.exists():
-                    raise ConfigError(f"missing bootstrap matrix {path}")
-            try:
-                bms.append(BootstrapMatrix.read(base))
-            except MalformedMatrix as exc:
-                raise ConfigError(str(exc)) from exc
+                    raise MissingMatrix(f"missing bootstrap matrix {path}")
+            bms.append(BootstrapMatrix.read(base))
     return bms
 
 
-def cmd_normality(cfg: StudyConfig) -> int:
+def _in_cell(bm: BootstrapMatrix, analyse, *args):
+    """`analyse(bm, *args)`; a degenerate cell's error gains the prefix that
+    names the cell."""
     try:
-        bms = _load_matrices(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    reports = []
-    for bm in bms:
-        try:
-            reports.extend(normality_suite(bm))
-        except (SingularCovariance, DegenerateSample) as exc:
-            print(f"error: {bm.family} at n={bm.n}: {exc}", file=sys.stderr)
-            return EXIT_CONVERGENCE
+        return analyse(bm, *args)
+    except (SingularCovariance, DegenerateSample) as exc:
+        raise type(exc)(f"{bm.family} at n={bm.n}: {exc}") from exc
+
+
+def cmd_normality(cfg: StudyConfig) -> None:
+    reports = [r for bm in _load_matrices(cfg) for r in _in_cell(bm, normality_suite)]
     out = Path(cfg.out)
     (out / "normality.csv").write_text(reports_to_csv(reports))
     _write_meta(cfg, out, "normality")
     print(f"wrote {out / 'normality.csv'} ({len(reports)} reports)")
-    return EXIT_OK
 
 
-def cmd_cierror(cfg: StudyConfig) -> int:
-    try:
-        bms = _load_matrices(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    try:
-        rows = ci_error_table(bms, cfg.level)
-    except (TooFewConverged, DegenerateSample) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+def cmd_cierror(cfg: StudyConfig) -> None:
+    rows = ci_error_table(_load_matrices(cfg), cfg.level)
     out = Path(cfg.out)
     (out / "ci_error.csv").write_text(table_csv(rows))
     (out / "ci_error.json").write_text(table_json(rows))
     _write_meta(cfg, out, "cierror")
     print(f"wrote {out / 'ci_error.csv'} ({len(rows)} rows)")
-    return EXIT_OK
 
 
-def cmd_overlays(cfg: StudyConfig) -> int:
-    try:
-        bms = _load_matrices(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    overlays = []
-    for bm in bms:
-        try:
-            overlays.extend(overlay(bm, j) for j in range(len(bm.param_names)))
-        except TooFewConverged as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONVERGENCE
-        except DegenerateSample as exc:
-            print(f"error: {bm.family} at n={bm.n}: {exc}", file=sys.stderr)
-            return EXIT_CONVERGENCE
+def cmd_overlays(cfg: StudyConfig) -> None:
+    overlays = [_in_cell(bm, overlay, j)
+                for bm in _load_matrices(cfg) for j in range(len(bm.param_names))]
     out = Path(cfg.out)
     for ov in overlays:
         (out / f"overlay_{ov.family}_{ov.param_name}_{ov.n}.csv").write_text(ov.to_csv())
     _write_meta(cfg, out, "overlays")
     print(f"wrote {len(overlays)} overlay files to {out}")
-    return EXIT_OK
+
+
+# the stages that take only the study config; generate also takes --profile and --n
+STAGES = {
+    "fit": cmd_fit,
+    "bootstrap": cmd_bootstrap,
+    "normality": cmd_normality,
+    "cierror": cmd_cierror,
+    "overlays": cmd_overlays,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tailfit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fit", "bootstrap", "normality", "cierror", "overlays", "generate"):
+    for name in (*STAGES, "generate"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path)
         p.add_argument("--seed", type=int)
@@ -347,16 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _study_config(args: argparse.Namespace) -> StudyConfig:
+    """The config file (or the defaults) under the command-line overrides."""
+    cfg = StudyConfig()
     if args.config is not None:
         try:
-            cfg = parse_config(args.config.read_text())
-        except (ConfigError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INGEST
-    else:
-        cfg = StudyConfig()
+            text = args.config.read_text()
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
+        cfg = parse_config(text)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -369,23 +360,22 @@ def main(argv=None) -> int:
     if args.paper_scale:
         overrides["replications"] = 40000
     cfg = replace(cfg, **overrides)
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
+    cfg.validate()
+    return cfg
 
-    if args.command == "generate":
-        return cmd_generate(cfg, args.profile, args.n)
-    if args.command == "fit":
-        return cmd_fit(cfg)
-    if args.command == "bootstrap":
-        return cmd_bootstrap(cfg)
-    if args.command == "normality":
-        return cmd_normality(cfg)
-    if args.command == "cierror":
-        return cmd_cierror(cfg)
-    return cmd_overlays(cfg)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        cfg = _study_config(args)
+        if args.command == "generate":
+            cmd_generate(cfg, args.profile, args.n)
+        else:
+            STAGES[args.command](cfg)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailfit
 from tailfit.bootstrap import BootstrapMatrix
 from tailfit.cli import ConfigError, StudyConfig, main, parse_config, read_losses
 from tailfit.generate import generate_losses
@@ -159,6 +164,13 @@ class TestReadLosses:
 class TestGenerateCommand:
     def test_unknown_profile_exits_2(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path), "--profile", "nope"]) == 2
+
+    @pytest.mark.parametrize("argv", [["--n", "-5"], ["--n", "0"], ["--seed", "-1"]],
+                             ids=["n_negative", "n_zero", "seed_negative"])
+    def test_bad_size_or_seed_exits_2(self, tmp_path, capsys, argv):
+        assert main(["generate", "--out", str(tmp_path / "out"), *argv]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_files(self, tmp_path):
         for sub in ("a", "b"):
@@ -330,6 +342,48 @@ class TestPipeline:
         assert main(["normality", "--config", str(cfg)]) == 5
         assert capsys.readouterr().err == f"error: missing bootstrap matrix {json_path}\n"
 
+    # a sidecar that is not JSON, one without m_converged, one of an unknown family
+    SIDECARS = {
+        "not_json": lambda meta: "{",
+        "no_m_converged": lambda meta: json.dumps({k: v for k, v in meta.items()
+                                                   if k != "m_converged"}),
+        "unknown_family": lambda meta: json.dumps({**meta, "family": "normal"}),
+    }
+
+    @pytest.mark.parametrize("command", ["normality", "cierror", "overlays"])
+    @pytest.mark.parametrize("defect", SIDECARS)
+    def test_malformed_sidecar_exits_5(self, tmp_path, capsys, defect, command):
+        base = tmp_path / "out" / "boot_weibull_n100"
+        base.parent.mkdir()
+        BootstrapMatrix("weibull", (0.56, 212303.18), 1e5, 100, 3, 3,
+                        np.ones((3, 2)), 777).write(base)
+        json_path = BootstrapMatrix.files(base)[1]
+        json_path.write_text(self.SIDECARS[defect](json.loads(json_path.read_text())))
+        cfg = write_config(tmp_path, families="weibull")
+        assert main([command, "--config", str(cfg)]) == 5
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.startswith(f"error: {json_path}: ")
+        assert sorted(p.name for p in base.parent.iterdir()) == \
+            ["boot_weibull_n100.csv", "boot_weibull_n100.json"]
+
+    def test_entry_point_reports_malformed_sidecar(self, tmp_path):
+        base = tmp_path / "out" / "boot_pareto_n100"
+        base.parent.mkdir()
+        BootstrapMatrix("pareto", (1.11,), 1e5, 100, 3, 3, np.ones((3, 1)), 777).write(base)
+        BootstrapMatrix.files(base)[1].write_text("{")
+        cfg = write_config(tmp_path, families="pareto")
+        src = str(Path(tailfit.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "tailfit.cli", "normality",
+                               "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 5
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_in_run_fit_failure_keeps_its_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         write_tail_at_threshold(tmp_path / "losses.csv")
@@ -348,6 +402,33 @@ class TestPipeline:
         assert err.count("error:") == 1
         assert "gb2" in err
         assert not list(out.glob("boot_*"))
+
+    # true_params.json that is not JSON, lacks a parameter, or has a shape <= 0
+    TRUE_PARAMS = {
+        "not_json": "{",
+        "no_param": json.dumps({"families": {"pareto": {"params": {}, "threshold": 1e5}}}),
+        "bad_shape": json.dumps({"families": {"pareto": {"params": {"shape": -1.0},
+                                                         "threshold": 1e5}}}),
+    }
+
+    @pytest.mark.parametrize("defect", TRUE_PARAMS)
+    def test_malformed_true_params_exits_2(self, tmp_path, capsys, defect):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "true_params.json"
+        path.write_text(self.TRUE_PARAMS[defect])
+        cfg = write_config(tmp_path, families="pareto")
+        assert main(["bootstrap", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.startswith(f"error: {path}: ")
+        assert not list(out.glob("boot_*"))
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=-1)
+        assert main(["bootstrap", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_constant_column_exits_4(self, tmp_path, capsys):
         # meanlog fixed at 11.3, which no double represents exactly

@@ -193,6 +193,12 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     )
 
 
+# Sample values (replications x n) sampled and fitted as one batch: n = 100
+# fits 655 replications at once, n = 2500 twenty-six.  Each batch holds its
+# samples and their logs, 1 MiB at the cap.
+BATCH_ELEMENTS = 1 << 16
+
+
 def _kept(outcome):
     """A replication's row: its parameters, or None if its fit raised (a
     FitError or an InvalidStart) or did not converge."""
@@ -203,9 +209,12 @@ def _kept(outcome):
 
 def _run_chunk(args):
     """Replications [lo, hi): each sampled from its own stream, then fitted
-    in batches of at most mle.BLOCK_ELEMENTS sample values."""
+    in batches of at most BATCH_ELEMENTS sample values.  A batch's rows run
+    their Newton iterations in lockstep, so a fuller batch pays the fixed
+    cost of each step for more rows; the likelihood itself is still
+    evaluated in blocks of at most mle.BLOCK_ELEMENTS values."""
     model, n, seed, lo, hi = args
-    per_batch = max(1, mle.BLOCK_ELEMENTS // n)
+    per_batch = max(1, BATCH_ELEMENTS // n)
     rows = []
     for start in range(lo, hi, per_batch):
         reps = range(start, min(start + per_batch, hi))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -78,6 +79,8 @@ class StudyConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
+            raise ConfigError(f"threshold must be finite and positive, got {self.threshold}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if any(f not in FAMILIES for f in self.families):
@@ -270,7 +273,11 @@ def _load_matrices(cfg: StudyConfig) -> list[BootstrapMatrix]:
             for path in BootstrapMatrix.files(base):
                 if not path.exists():
                     raise MissingMatrix(f"missing bootstrap matrix {path}")
-            bms.append(BootstrapMatrix.read(base))
+            bm = BootstrapMatrix.read(base)
+            if (bm.family, bm.n) != (family, n):
+                raise MalformedMatrix(f"{BootstrapMatrix.files(base)[1]}: holds {bm.family} "
+                                      f"at n={bm.n}, not {family} at n={n}")
+            bms.append(bm)
     return bms
 
 

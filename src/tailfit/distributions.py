@@ -18,8 +18,8 @@ import numpy as np
 
 from .special_functions import (
     digamma,
-    inverse_incomplete_beta,
     log_beta,
+    log_inverse_incomplete_beta,
     regularized_incomplete_beta,
     std_normal_cdf,
     std_normal_quantile,
@@ -203,8 +203,17 @@ class _GB2(_Family):
         return np.array([regularized_incomplete_beta(v, p, q) for v in z])
 
     def quantile(self, u, T, a, b, p, q):
-        z = np.array([inverse_incomplete_beta(v, p, q) for v in u.ravel()]).reshape(u.shape)
-        return T + b * (z / (1.0 - z)) ** (1.0 / a)
+        # y = b (z / (1 - z))^(1/a) with I_z(p, q) = u, formed from ln z.
+        # Above z = 1/2, that is above u = I_(1/2)(p, q), z rounds toward 1,
+        # so the upper tail solves for ln(1 - z), from I_(1-z)(q, p) = 1 - u.
+        upper = u > regularized_incomplete_beta(0.5, p, q)
+        s = np.array([log_inverse_incomplete_beta(1.0 - ui, q, p) if up
+                      else log_inverse_incomplete_beta(ui, p, q)
+                      for ui, up in zip(u.ravel().tolist(), upper.ravel().tolist())]
+                     ).reshape(u.shape)
+        ln_ratio = s - np.log1p(-np.exp(s))  # ln(z / (1 - z)), or its negative
+        with np.errstate(over="ignore"):  # a quantile beyond the doubles is inf
+            return T + b * np.exp(np.where(upper, -ln_ratio, ln_ratio) / a)
 
     def sample(self, n, rng, T, a, b, p, q):
         # the Beta-ratio representation: cheaper than inverting I_z in a hot loop

@@ -51,10 +51,10 @@ __all__ = [
     "BLOCK_ELEMENTS",
 ]
 
-# Elements (rows x sample size) per block of likelihood evaluations, and per
-# batch of samples that the bootstrap hands to `fit_rows`.  It bounds the
-# memory a batch adds at any n: n = 100 fits 163 rows at once, n = 2500 six,
-# and a sample larger than the block is fitted on its own.
+# Elements (rows x sample size) per block of likelihood evaluations.  It
+# bounds the temporaries of every block at any n: n = 100 evaluates 163 rows
+# at once, n = 2500 six, and a sample larger than the block on its own.  The
+# Newton line search sizes its halving ladders to fill these blocks.
 BLOCK_ELEMENTS = 1 << 14
 
 WEIBULL_INCONSISTENT = "WeibullInconsistent"
@@ -107,11 +107,16 @@ def _prepared(outcomes: list) -> list[int]:
     return [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
 
 
+def _block_rows(n: int) -> int:
+    """Rows of n values per likelihood block."""
+    return max(1, BLOCK_ELEMENTS // n)
+
+
 def _blocks(fn, rows: np.ndarray, n: int, *cols: np.ndarray):
     """fn(rows, *cols) over consecutive blocks of at most BLOCK_ELEMENTS
     elements (at least one row each), concatenated: an array, or a tuple of
     arrays if fn returns one."""
-    step = max(1, BLOCK_ELEMENTS // n)
+    step = _block_rows(n)
     if rows.size <= step:
         return fn(rows, *cols)
     parts = [fn(rows[i:i + step], *(c[i:i + step] for c in cols))
@@ -186,7 +191,8 @@ def _weibull_roots(c: np.ndarray):
     bracketed = (profile(every, lo)[0] < 0.0) & (profile(every, hi)[0] >= 0.0)
     a = hi.copy()
     rows = np.nonzero(bracketed)[0]
-    a[rows] = np.clip(math.pi / np.sqrt(6.0 * np.mean(c[rows] ** 2, axis=1)), lo[rows], hi[rows])
+    var = _blocks(lambda r: np.mean(c[r] ** 2, axis=1), rows, n)
+    a[rows] = np.clip(math.pi / np.sqrt(6.0 * var), lo[rows], hi[rows])
     for _ in range(100):
         if not rows.size:
             break
@@ -213,22 +219,28 @@ def _weibull_scale(a: np.ndarray, c: np.ndarray, mean_ly: np.ndarray) -> tuple:
     return np.exp(mean_ly + (m + np.log(np.mean(w, axis=1))) / a)
 
 
+def _log_shifted(xs: np.ndarray, ok: list[int], T: float) -> np.ndarray:
+    """ln(x - T) for the rows `ok` of xs, in one new (len(ok), n) array."""
+    ly = xs[ok]
+    ly -= T
+    return np.log(ly, out=ly)
+
+
 def _weibull_rows(xs: np.ndarray, T: float) -> list:
     def prepare(x):
         y = _shifted(x, T)
         if y.size < 2 or np.all(y == y[0]):
             raise DegenerateSample("weibull fit needs n >= 2 distinct observations")
-        return np.log(y)
 
     outcomes = _each(xs, prepare)
     ok = _prepared(outcomes)
     if not ok:
         return outcomes
-    ly = np.array([outcomes[i] for i in ok])
-    mean_ly = np.mean(ly, axis=1)
-    c = ly - mean_ly[:, None]
+    c = _log_shifted(xs, ok, T)
+    mean_ly = np.mean(c, axis=1)
+    c -= mean_ly[:, None]  # centred in place: ln y - mean(ln y)
     shapes, bracketed = _weibull_roots(c)
-    n = ly.shape[1]
+    n = c.shape[1]
     scales = _blocks(lambda r, a: _weibull_scale(a, c[r], mean_ly[r]), np.arange(len(ok)), n,
                      shapes)
     for j, i in enumerate(ok):
@@ -282,16 +294,16 @@ def _newton_family_rows(family: str, min_n: int, init, xs: np.ndarray, T: float)
         x0 = init(y)
         if not all(math.isfinite(v) and v > 0.0 for v in x0):
             raise InvalidStart(f"{family} start point {x0} is unusable")
-        ly = np.log(y)
-        return ly, float(np.sum(ly)), [math.log(v) for v in x0]
+        return [math.log(v) for v in x0]
 
     outcomes = _each(xs, prepare)
     ok = _prepared(outcomes)
     if not ok:
         return outcomes
-    ly = np.array([outcomes[i][0] for i in ok])
-    sly = np.array([outcomes[i][1] for i in ok])
-    res = newton_rows(_newton_objective(family, ly, sly), [outcomes[i][2] for i in ok])
+    ly = _log_shifted(xs, ok, T)
+    sly = np.sum(ly, axis=1)
+    res = newton_rows(_newton_objective(family, ly, sly), [outcomes[i] for i in ok],
+                      block_rows=_block_rows(ly.shape[1]))
     params = np.exp(res.argmin)
     for j, i in enumerate(ok):
         if not res.valid[j]:

@@ -2,9 +2,11 @@
 
 `newton_rows` advances many independent runs in lockstep: each row of `x0` is
 one run with its own iterate, iteration count and convergence flag, and each
-step evaluates the objective once for all the rows that need a point.  Every
-row does exactly the arithmetic a run started alone would do, so a row's
-result does not depend on which rows share its batch.  It needs the
+objective call evaluates every row that needs a point.  A call has a fixed
+cost, so the line search tries several halvings of a pending row's step in
+one call and keeps the first that succeeds.  Every row reaches exactly the
+point a run started alone, with one halving per call, would reach, so a
+row's result does not depend on which rows share its batch.  It needs the
 objective's gradient and Hessian.
 
 `nelder_mead` is derivative-free and runs one start, with the standard
@@ -56,6 +58,7 @@ _MAX_STEP = 2.0  # the longest step in any coordinate
 _MAX_ITERATIONS = 100
 _ARMIJO = 1e-4  # the share of the predicted decrease a Newton step must achieve
 _HALVINGS = 40  # step halvings before a Newton line search gives up
+_LADDER = 4  # the most halvings a line-search call tries per row
 
 
 def _max1(x: np.ndarray) -> np.ndarray:
@@ -149,17 +152,67 @@ def _eigh(hess: np.ndarray) -> tuple:
     return lam, vec
 
 
-def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0) -> RowsResult:
+def _ladder_depth(pending: int, block_rows: int) -> int:
+    """Halvings per pending row in one line-search call: as many as fit in
+    the likelihood blocks of `block_rows` rows that the pending rows occupy
+    anyway, from 1 to _LADDER."""
+    capacity = -(-pending // block_rows) * block_rows
+    return max(1, min(_LADDER, capacity // pending))
+
+
+def _line_search(objective, ids, x, f, grad, hess, step, block_rows: int) -> np.ndarray:
+    """Backtrack along `step` for every run `ids[i]`: try t = 1 for all rows,
+    then, in each further call, a ladder of the next halvings for every row
+    still pending.  A row takes the first t of its sequence 1, 1/2, 1/4, ...
+    at which the objective is finite and meets Armijo; later points of its
+    ladder are discarded.  So a row lands where one halving per call would
+    put it, with the same f, gradient and Hessian.  Updates x and f (by run)
+    and grad and hess (by state row) in place; returns the mask of rows
+    whose _HALVINGS + 1 trial points all failed."""
+    slope = np.sum(grad * step, axis=1)
+    pending = np.arange(ids.size)
+    k, depth = 0, 1  # k: trial points each pending row has had
+    while pending.size and k <= _HALVINGS:
+        rows = np.repeat(pending, depth)
+        t = np.tile(np.ldexp(1.0, -np.arange(k, k + depth)), pending.size)
+        trial = x[ids[rows]] + t[:, None] * step[rows]
+        ft, gt, ht = objective(ids[rows], trial)
+        ok = (_finite(ft, gt, ht)
+              & (ft <= f[ids[rows]] + _ARMIJO * t * slope[rows])).reshape(-1, depth)
+        hit = ok.any(axis=1)
+        pick = (np.arange(pending.size) * depth + np.argmax(ok, axis=1))[hit]
+        took = pending[hit]
+        x[ids[took]], f[ids[took]] = trial[pick], ft[pick]
+        grad[took], hess[took] = gt[pick], ht[pick]
+        pending = pending[~hit]
+        k += depth
+        if pending.size:
+            depth = min(_ladder_depth(pending.size, block_rows), _HALVINGS + 1 - k)
+    failed = np.zeros(ids.size, dtype=bool)
+    failed[pending] = True
+    return failed
+
+
+def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0,
+                block_rows: int = 1) -> RowsResult:
     """Minimize one smooth objective per row of `x0` (shape (R, dim)) by
     modified Newton.
 
     `objective(rows, thetas)` returns (f, gradient, Hessian) of run `rows[i]`
-    at `thetas[i]`, shaped (r,), (r, dim) and (r, dim, dim).  Each iteration
-    takes the Newton step with the Hessian's eigenvalues replaced by their
-    absolute values, floored at 1e-10 of the largest, so the step descends
-    even where the Hessian is not positive definite.  The step is scaled to
-    at most 2 in every coordinate and then halved until f falls by at least
-    1e-4 of the decrease its slope predicts (Armijo).
+    at `thetas[i]`, shaped (r,), (r, dim) and (r, dim, dim); `rows` may
+    repeat a run.  Each iteration takes the Newton step with the Hessian's
+    eigenvalues replaced by their absolute values, floored at 1e-10 of the
+    largest, so the step descends even where the Hessian is not positive
+    definite.  The step is scaled to at most 2 in every coordinate and then
+    halved until f falls by at least 1e-4 of the decrease its slope predicts
+    (Armijo).
+
+    The halvings are batched: after the full step, each call tries up to 4
+    of them per pending row, as many as fit in the objective's blocks.
+    `block_rows` is how many rows the objective evaluates in one block (its
+    fixed cost is per block); at the default of 1, one halving per call.
+    The result does not depend on it, since a row's first acceptable point
+    is the one a halving per call would reach.
 
     A run converges when half its squared Newton decrement, the decrease the
     quadratic model predicts, is at most 1e-12 * max(1, |f|).  A run stops
@@ -198,25 +251,11 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0) -> Row
 
         longest = np.max(np.abs(step), axis=1)
         step *= np.where(longest > _MAX_STEP, _MAX_STEP / longest, 1.0)[:, None]
-        slope = np.sum(grad * step, axis=1)
-        t = np.ones(ids.size)
-        pending = np.ones(ids.size, dtype=bool)
-        for _ in range(_HALVINGS + 1):
-            rows = np.nonzero(pending)[0]
-            trial = x[ids[rows]] + t[rows, None] * step[rows]
-            ft, gt, ht = objective(ids[rows], trial)
-            ok = _finite(ft, gt, ht) & (ft <= f[ids[rows]] + _ARMIJO * t[rows] * slope[rows])
-            took = rows[ok]
-            x[ids[took]], f[ids[took]] = trial[ok], ft[ok]
-            grad[took], hess[took] = gt[ok], ht[ok]
-            pending[took] = False
-            t[rows[~ok]] *= 0.5
-            if not pending.any():
-                break
+        failed = _line_search(objective, ids, x, f, grad, hess, step, block_rows)
         steps += 1
-        iterations[ids[pending]] = steps
-        positive_definite[ids[pending]] = pd[pending]
-        ids, grad, hess, pd = ids[~pending], grad[~pending], hess[~pending], pd[~pending]
+        iterations[ids[failed]] = steps
+        positive_definite[ids[failed]] = pd[failed]
+        ids, grad, hess, pd = ids[~failed], grad[~failed], hess[~failed], pd[~failed]
 
     return RowsResult(argmin=x, fmin=f, converged=converged, iterations=iterations, valid=valid,
                       positive_definite=positive_definite)

@@ -25,6 +25,7 @@ __all__ = [
     "trigamma",
     "regularized_incomplete_beta",
     "inverse_incomplete_beta",
+    "log_inverse_incomplete_beta",
     "regularized_gamma_upper",
     "std_normal_pdf",
     "std_normal_cdf",
@@ -124,45 +125,73 @@ def regularized_incomplete_beta(x: float, p: float, q: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = p * math.log(x) + q * math.log1p(-x) - log_beta(p, q)
+    below, ln_front, cf = _beta_terms(x, math.log(x), p, q)
     front = math.exp(ln_front)
+    return front * cf / p if below else 1.0 - front * cf / q
+
+
+def _beta_terms(x: float, ln_x: float, p: float, q: float) -> tuple:
+    """(below, ln f, cf) with f = x^p (1-x)^q / B(p, q): I_x(p, q) is
+    f cf / p below the switch x < (p+1)/(p+q+2), and 1 - f cf / q above it,
+    where cf is the continued fraction of the complement."""
+    ln_front = p * ln_x + q * math.log1p(-x) - log_beta(p, q)
     if x < (p + 1.0) / (p + q + 2.0):
-        return front * _beta_cf(p, q, x) / p
-    return 1.0 - front * _beta_cf(q, p, 1.0 - x) / q
+        return True, ln_front, _beta_cf(p, q, x)
+    return False, ln_front, _beta_cf(q, p, 1.0 - x)
+
+
+def _ln_incomplete_beta(s: float, p: float, q: float) -> float:
+    """ln I_x(p, q) at x = e^s, s <= 0; finite where x underflows."""
+    below, ln_front, cf = _beta_terms(math.exp(s), s, p, q)
+    if below:
+        return ln_front + math.log(cf / p)
+    tail = math.exp(ln_front) * cf / q
+    return math.log1p(-tail) if tail < 1.0 else -math.inf
+
+
+def log_inverse_incomplete_beta(u: float, p: float, q: float) -> float:
+    """ln x where I_x(p, q) = u, finite even where x underflows.
+
+    Newton on g(s) = ln I_x - ln u in s = ln x, inside a bracket that every
+    evaluation narrows; a step that would leave the bracket bisects it, or,
+    while no point below the root is known, doubles the distance from 0.
+    Where I_x ~ x^p / (p B(p, q)), g is nearly linear in s, so a root far
+    below 1e-16 resolves in a few steps.  Stops when the step or the bracket
+    is at most 1e-15 max(1, |s|)."""
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"inverse_incomplete_beta requires 0 < u < 1, got {u}")
+    ln_u = math.log(u)
+    ln_b = log_beta(p, q)
+    lo, hi = -math.inf, 0.0
+    s = math.log(p / (p + q))  # the mean of Beta(p, q) as a cheap start
+    for _ in range(200):
+        ln_i = _ln_incomplete_beta(s, p, q)
+        g = ln_i - ln_u
+        if g > 0.0:
+            hi = s
+        elif g < 0.0:
+            lo = s
+        else:
+            break
+        # dg/ds = x pdf(x) / I_x
+        x = math.exp(s)
+        s_new = math.nan
+        if x < 1.0 and ln_i > -math.inf:
+            dg = math.exp(p * s + (q - 1.0) * math.log1p(-x) - ln_b - ln_i)
+            if dg > 0.0:
+                s_new = s - g / dg
+        if not lo < s_new < hi:
+            s_new = 0.5 * (lo + hi) if lo > -math.inf else 2.0 * min(s, -1.0)
+        tol = 1e-15 * max(1.0, abs(s))
+        s, step = s_new, abs(s_new - s)
+        if step <= tol or hi - lo <= tol:
+            break
+    return s
 
 
 def inverse_incomplete_beta(u: float, p: float, q: float) -> float:
-    """Solve I_x(p, q) = u for x, safeguarded Newton on [0, 1]."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"inverse_incomplete_beta requires 0 < u < 1, got {u}")
-    lo, hi = 0.0, 1.0
-    x = p / (p + q)  # mean of Beta(p, q) as a cheap start
-    ln_b = log_beta(p, q)
-    for _ in range(200):
-        f = regularized_incomplete_beta(x, p, q) - u
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        if abs(f) < 1e-14:
-            break
-        # pdf of Beta(p, q) at x
-        try:
-            dfdx = math.exp((p - 1.0) * math.log(x) + (q - 1.0) * math.log1p(-x) - ln_b)
-        except ValueError:
-            dfdx = 0.0
-        if dfdx > 0.0:
-            step = f / dfdx
-            x_new = x - step
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-16 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    return x
+    """Solve I_x(p, q) = u for x: e^s of `log_inverse_incomplete_beta`."""
+    return math.exp(log_inverse_incomplete_beta(u, p, q))
 
 
 def regularized_gamma_upper(x: float, k: float) -> float:

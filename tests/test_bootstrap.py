@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tailfit import SeverityModel, run_bootstrap, sample, true_model_from_losses
+from tailfit import SeverityModel, bootstrap, mle, run_bootstrap, sample, true_model_from_losses
 from tailfit.bootstrap import (
     BootstrapMatrix,
     TooFewConverged,
@@ -56,6 +56,38 @@ class TestDeterminism:
             if model.family == "gb2":
                 assert [i for i, row in enumerate(whole) if row is None] == \
                     [1, 5, 6, 7, 11, 12, 14, 19, 22, 25, 30, 35, 37, 45, 50, 53, 55, 56]
+
+    @pytest.mark.parametrize("family", ["gb2", "loglogistic"])
+    @pytest.mark.parametrize("n", [100, 2500])
+    def test_batch_cap_invariance(self, monkeypatch, family, n):
+        # the default cap fits these 30 replications in one batch at n = 100
+        # and in batches of 26 and 4 at n = 2500; a cap of one value fits
+        # each replication alone
+        model = conftest.TRUE_MODELS[family]
+        default = _run_chunk((model, n, STUDY_SEED, 0, 30))
+        monkeypatch.setattr(bootstrap, "BATCH_ELEMENTS", 1)
+        assert _run_chunk((model, n, STUDY_SEED, 0, 30)) == default
+        if family == "gb2" and n == 100:
+            assert None in default
+
+    def test_gb2_objective_calls(self, monkeypatch):
+        # the GB2 n = 100, m = 100 cell at the study seed costs 789 objective
+        # calls at one line-search halving per call, and 294 with the
+        # halvings batched; a count, so it repeats exactly
+        calls = []
+        make_objective = mle._newton_objective
+
+        def counted(*args):
+            objective = make_objective(*args)
+
+            def wrapped(rows, thetas):
+                calls.append(len(rows))
+                return objective(rows, thetas)
+            return wrapped
+
+        monkeypatch.setattr(mle, "_newton_objective", counted)
+        _run_chunk((conftest.TRUE_MODELS["gb2"], 100, STUDY_SEED, 0, 100))
+        assert len(calls) <= 300
 
     def test_seed_changes_rows(self):
         model = SeverityModel("pareto", (1.11,), T)

@@ -84,6 +84,9 @@ class TestParseConfig:
             parse_config("level = 1.5\n")
         with pytest.raises(ConfigError):
             parse_config("families = pareto, gaussian\n")
+        for threshold in ("-5", "0", "nan", "inf"):
+            with pytest.raises(ConfigError):
+                parse_config(f"threshold = {threshold}\n")
 
     def test_config_hash_ignores_out_and_threads(self):
         a = StudyConfig(seed=1, out="x", threads=1)
@@ -234,6 +237,13 @@ class TestFitCommand:
         assert not (tmp_path / "out" / "true_params.json").exists()
 
 
+    def test_negative_threshold_exits_2(self, tmp_path, losses_file, capsys):
+        cfg = write_config(tmp_path, threshold=-5)
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: threshold must be finite and positive, got -5.0\n"
+        assert not (tmp_path / "out" / "true_params.json").exists()
+
     def test_loglogistic_without_start_exits_3(self, tmp_path, capsys):
         # twelve equal tail losses: the maximum equals the median
         cfg = write_config(tmp_path, families="loglogistic")
@@ -331,6 +341,27 @@ class TestPipeline:
             assert err == f"error: {csv_path}: {message}\n"
         assert sorted(p.name for p in base.parent.iterdir()) == \
             ["boot_weibull_n100.csv", "boot_weibull_n100.json"]
+
+    def test_matrix_of_another_cell_exits_5(self, tmp_path, capsys):
+        # boot_pareto_n100.* copied over boot_weibull_n100.*: the file name
+        # says weibull, the sidecar and rows say pareto
+        out = tmp_path / "out"
+        out.mkdir()
+        rng = np.random.default_rng(5)
+        BootstrapMatrix("pareto", (1.11,), 1e5, 100, 120, 120,
+                        rng.normal(1.11, 0.1, (120, 1)), 777).write(out / "boot_pareto_n100")
+        BootstrapMatrix("weibull", (0.56, 212303.18), 1e5, 100, 120, 120,
+                        rng.normal([0.56, 212303.18], [0.05, 2e4], (120, 2)),
+                        777).write(out / "boot_weibull_n100")
+        for suffix in (".csv", ".json"):
+            (out / f"boot_weibull_n100{suffix}").write_bytes(
+                (out / f"boot_pareto_n100{suffix}").read_bytes())
+        cfg = write_config(tmp_path, families="pareto,weibull")
+        assert main(["normality", "--config", str(cfg)]) == 5
+        assert capsys.readouterr().err == (
+            f"error: {out / 'boot_weibull_n100.json'}: holds pareto at n=100, "
+            f"not weibull at n=100\n")
+        assert not (out / "normality.csv").exists()
 
     def test_missing_sidecar_exits_5(self, tmp_path, capsys):
         base = tmp_path / "out" / "boot_pareto_n100"

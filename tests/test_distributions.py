@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -31,6 +32,31 @@ def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
     fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))
+
+
+def mp_gb2_log_quantile(u, a, b, p, q):
+    """ln of the GB2 quantile above T, b (z / (1 - z))^(1/a) with
+    I_z(p, q) = u, by bisection at 40 digits on t = ln(z / (1 - z)).  Each
+    side of z = 1/2 is solved in the tail that is small there, so z and
+    1 - z keep their digits however far they lie below 1."""
+    with mp.workdps(40):
+        u = mp.mpf(u)
+        if u <= mp.betainc(p, q, 0, mp.mpf(0.5), regularized=True):
+            excess = lambda t: mp.betainc(p, q, 0, 1 / (1 + mp.exp(-t)), regularized=True) - u
+        else:
+            excess = lambda t: 1 - u - mp.betainc(q, p, 0, 1 / (1 + mp.exp(t)), regularized=True)
+        lo, hi = mp.mpf(-1), mp.mpf(1)
+        while excess(lo) > 0:
+            lo *= 2
+        while excess(hi) < 0:
+            hi *= 2
+        while hi - lo > mp.mpf(10) ** -18 * max(1, abs(lo)):
+            mid = (lo + hi) / 2
+            if excess(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return float(mp.log(b) + (lo + hi) / (2 * a))
 
 
 class TestModelValidation:
@@ -132,6 +158,33 @@ class TestQuantile:
         for u in (0.1, 0.5, 0.93):
             expected = T + 7e4 * (u / (1.0 - u)) ** (1.0 / 0.8)
             assert quantile(g, u) == pytest.approx(expected, rel=1e-9)
+
+    def test_gb2_far_tail_of_a_bootstrap_row(self):
+        # a GB2 n = 100 study row whose z = I^-1(0.999; p, q) rounds to 1,
+        # and whose 1 - z is about 5e-23
+        m = SeverityModel("gb2", (6.303, 57220.0, 0.131, 0.122), T)
+        y = quantile(m, np.array([0.001, 0.999])) - T
+        for got, u in zip(y, (0.001, 0.999)):
+            assert abs(math.log(got) - mp_gb2_log_quantile(u, *m.params)) < 1e-10
+        assert 1.99e8 < y[1] < 2.0e8
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.131, 20.0])
+    @pytest.mark.parametrize("q", [1e-6, 1e-3, 0.122, 20.0])
+    def test_gb2_against_mpmath(self, p, q):
+        # far below 1e-16 in z or 1 - z, down to shapes whose quantiles
+        # leave the doubles; ln y is conditioned like 1 / (a min(p, q))
+        tol = 1e-10 if min(p, q) >= 1e-3 else 1e-8
+        us = [1e-6, 0.001, 0.3, 0.5, 0.999, 1.0 - 1e-6]
+        for a in (1.5, 1.3e6):
+            m = SeverityModel("gb2", (a, 1e5, p, q), 0.0)
+            for got, u in zip(quantile(m, np.array(us)), us):
+                want = mp_gb2_log_quantile(u, a, 1e5, p, q)
+                if want > math.log(np.finfo(float).max):
+                    assert got == math.inf, (a, u)
+                elif want < math.log(5e-324):
+                    assert got == 0.0, (a, u)
+                else:
+                    assert abs(math.log(got) - want) <= tol, (a, u, got, math.exp(want))
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from tailfit import optimizer
+from tailfit import optimizer, sample
+from tailfit.bootstrap import replication_rng
+from tailfit.mle import _newton_objective, gb2_init
 from tailfit.optimizer import InvalidStart, nelder_mead, newton_rows
+
+from conftest import STUDY_SEED, TRUE_MODELS
 
 
 def quad(x):
@@ -226,6 +230,79 @@ def newton_objective(runs):
     return objective
 
 
+def reference_newton_rows(objective, x0):
+    """`newton_rows` with one halving per objective call, kept as the oracle
+    of its batched line search."""
+    x = np.array(x0, dtype=float, ndmin=2)
+    n_rows = x.shape[0]
+    f, grad, hess = objective(np.arange(n_rows), x)
+    f = np.array(f, dtype=float)
+    valid = optimizer._finite(f, grad, hess)
+    converged = np.zeros(n_rows, dtype=bool)
+    iterations = np.zeros(n_rows, dtype=int)
+    positive_definite = np.zeros(n_rows, dtype=bool)
+    ids = np.nonzero(valid)[0]
+    grad, hess = grad[ids], hess[ids]
+    steps = 0
+    while ids.size:
+        lam, vec = optimizer._eigh(hess)
+        pd = np.min(lam, axis=1) > 0.0
+        lam = np.abs(lam)
+        lam = np.maximum(lam, np.maximum(1e-10 * np.max(lam, axis=1, keepdims=True),
+                                         optimizer._TINY))
+        vg = np.sum(vec * grad[:, :, None], axis=1)
+        step = -np.sum(vec * (vg / lam)[:, None, :], axis=2)
+        done = 0.5 * np.sum(vg * vg / lam, axis=1) <= optimizer._RTOL * optimizer._max1(
+            np.abs(f[ids]))
+        converged[ids[done]] = True
+        stop = done | (steps >= optimizer._MAX_ITERATIONS)
+        iterations[ids[stop]] = steps
+        positive_definite[ids[stop]] = pd[stop]
+        ids, grad, hess, step, pd = ids[~stop], grad[~stop], hess[~stop], step[~stop], pd[~stop]
+        if not ids.size:
+            break
+        longest = np.max(np.abs(step), axis=1)
+        step *= np.where(longest > optimizer._MAX_STEP, optimizer._MAX_STEP / longest,
+                         1.0)[:, None]
+        slope = np.sum(grad * step, axis=1)
+        t = np.ones(ids.size)
+        pending = np.ones(ids.size, dtype=bool)
+        for _ in range(optimizer._HALVINGS + 1):
+            rows = np.nonzero(pending)[0]
+            trial = x[ids[rows]] + t[rows, None] * step[rows]
+            ft, gt, ht = objective(ids[rows], trial)
+            ok = optimizer._finite(ft, gt, ht) & (
+                ft <= f[ids[rows]] + optimizer._ARMIJO * t[rows] * slope[rows])
+            took = rows[ok]
+            x[ids[took]], f[ids[took]] = trial[ok], ft[ok]
+            grad[took], hess[took] = gt[ok], ht[ok]
+            pending[took] = False
+            t[rows[~ok]] *= 0.5
+            if not pending.any():
+                break
+        steps += 1
+        iterations[ids[pending]] = steps
+        positive_definite[ids[pending]] = pd[pending]
+        ids, grad, hess, pd = ids[~pending], grad[~pending], hess[~pending], pd[~pending]
+    return optimizer.RowsResult(argmin=x, fmin=f, converged=converged, iterations=iterations,
+                                valid=valid, positive_definite=positive_definite)
+
+
+def counting(objective):
+    """`objective` with a list of the rows of each call: (wrapped, calls)."""
+    calls = []
+
+    def wrapped(rows, thetas):
+        calls.append(len(rows))
+        return objective(rows, thetas)
+    return wrapped, calls
+
+
+def assert_same_result(got, want):
+    for name in ("argmin", "fmin", "converged", "iterations", "valid", "positive_definite"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
 class TestNewtonRows:
     RUNS = [("quad", 0.5), ("rosenbrock", None), ("double_well", None), ("nan", None),
             ("quad", -40.0), ("saddle", None)]
@@ -300,3 +377,53 @@ class TestNewtonRows:
         assert np.max(np.max(np.abs(rebuilt - h), axis=(1, 2)) / scale) < 4e-15
         lapack = np.linalg.eigh(h)[0]
         assert np.max(np.max(np.abs(np.sort(lam, axis=1) - lapack), axis=1) / scale) < 4e-15
+
+
+class TestLineSearchLadder:
+    """The batched line search against the one-halving-per-call oracle."""
+
+    # a steep valley: the full step from the start overshoots by far, so
+    # every iteration halves many times
+    RUNS = TestNewtonRows.RUNS + [("rosenbrock", None)]
+    STARTS = TestNewtonRows.STARTS + [[-30.0, 30.0]]
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4, 163])
+    def test_objectives_equal_oracle(self, block_rows):
+        ref_objective, ref_calls = counting(newton_objective(self.RUNS))
+        want = reference_newton_rows(ref_objective, self.STARTS)
+        objective, calls = counting(newton_objective(self.RUNS))
+        got = newton_rows(objective, self.STARTS, block_rows=block_rows)
+        assert_same_result(got, want)
+        # the nan row is invalid, and the step-cap row converges
+        assert not got.valid[3] and got.converged[4]
+        assert (len(calls) < len(ref_calls)) == (block_rows > 1)
+
+    def test_halving_cap_counts_points(self):
+        # f rises along every direction but the gradient says it falls: no
+        # point is ever accepted, and each run gives up after 41 points
+        def objective(rows, thetas):
+            n = len(rows)
+            return (np.sum(thetas**2, axis=1), np.tile([-1.0, -1.0], (n, 1)),
+                    np.tile(np.eye(2), (n, 1, 1)))
+
+        wrapped, calls = counting(objective)
+        got = newton_rows(wrapped, [[0.0, 0.0], [1.0, 0.0]], block_rows=163)
+        assert_same_result(got, reference_newton_rows(objective, [[0.0, 0.0], [1.0, 0.0]]))
+        assert list(got.iterations) == [1, 1] and not got.converged.any()
+        # t = 1 for both, then ten ladders of 4 halvings
+        assert calls == [2, 2] + [8] * 10
+
+    def test_gb2_study_rows_equal_oracle(self):
+        # the GB2 rows of the first 100 study replications at n = 100, ridge
+        # rows that run to the step cap among them
+        model = TRUE_MODELS["gb2"]
+        ly = np.log(np.array([sample(model, 100, replication_rng(STUDY_SEED, rep))
+                              for rep in range(100)]) - model.threshold)
+        x0 = np.log([gb2_init(np.exp(row)) for row in ly])
+        objective = _newton_objective("gb2", ly, np.sum(ly, axis=1))
+        want = reference_newton_rows(objective, x0)
+        got = newton_rows(objective, x0, block_rows=163)
+        assert_same_result(got, want)
+        capped = got.iterations == optimizer._MAX_ITERATIONS
+        assert capped.sum() >= 5 and not got.converged[capped].any()
+        assert got.converged.sum() >= 50

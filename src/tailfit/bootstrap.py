@@ -22,6 +22,7 @@ import numpy as np
 from . import mle
 from .distributions import FAMILIES, PARAM_NAMES, SeverityModel, in_support, sample
 from .mle import FitResult
+from .textio import format_rows
 
 __all__ = [
     "TooFewConverged",
@@ -80,10 +81,7 @@ class BootstrapMatrix:
         """`<base>.csv` (header = param names, one row per converged
         replication) plus a `<base>.json` sidecar."""
         csv_path, json_path = self.files(path_base)
-        lines = [",".join(self.param_names)]
-        for row in self.rows:
-            lines.append(",".join(map(repr, row.tolist())))
-        csv_path.write_text("\n".join(lines) + "\n")
+        csv_path.write_text(",".join(self.param_names) + "\n" + format_rows(self.rows))
         meta = {
             "family": self.family,
             "true_params": list(self.true_params),
@@ -199,6 +197,10 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
 BATCH_ELEMENTS = 1 << 16
 
 
+def _batch_rows(n: int) -> int:
+    return max(1, BATCH_ELEMENTS // n)
+
+
 def _kept(outcome):
     """A replication's row: its parameters, or None if its fit raised (a
     FitError or an InvalidStart) or did not converge."""
@@ -214,7 +216,7 @@ def _run_chunk(args):
     cost of each step for more rows; the likelihood itself is still
     evaluated in blocks of at most mle.BLOCK_ELEMENTS values."""
     model, n, seed, lo, hi = args
-    per_batch = max(1, BATCH_ELEMENTS // n)
+    per_batch = _batch_rows(n)
     rows = []
     for start in range(lo, hi, per_batch):
         reps = range(start, min(start + per_batch, hi))
@@ -223,6 +225,16 @@ def _run_chunk(args):
             xs[i] = sample(model, n, replication_rng(seed, rep))
         rows.extend(_kept(o) for o in mle.fit_rows(model.family, xs, model.threshold))
     return rows
+
+
+def _chunks(n: int, m: int, workers: int) -> list[tuple[int, int]]:
+    """The replication ranges [lo, hi) that `workers` processes share: up to
+    4 per worker, but no more than whole batches need, and at least one per
+    worker.  GB2 at n = 2500, m = 100 on 2 workers runs 4 chunks of 25 rows,
+    each one batch."""
+    count = max(workers, min(4 * workers, -(-m // _batch_rows(n))))
+    bounds = np.linspace(0, m, count + 1, dtype=int).tolist()
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
 def _fit_replication(model: SeverityModel, n: int, seed: int, rep: int):
@@ -241,9 +253,7 @@ def run_bootstrap(
     if workers <= 1:
         outcomes = _run_chunk((model, n, seed, 0, m))
     else:
-        bounds = np.linspace(0, m, 4 * workers + 1, dtype=int)
-        tasks = [(model, n, seed, int(lo), int(hi))
-                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        tasks = [(model, n, seed, lo, hi) for lo, hi in _chunks(n, m, workers)]
         outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_chunk, tasks):

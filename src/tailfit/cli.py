@@ -30,6 +30,7 @@ from .distributions import FAMILIES, PARAM_NAMES, SeverityModel
 from .generate import PROFILES, generate_losses
 from .mle import DegenerateSample
 from .normality import SingularCovariance, normality_suite, reports_to_csv
+from .textio import format_rows
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -184,7 +185,7 @@ def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> None:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "losses.csv"
-    path.write_text("loss\n" + "\n".join(map(repr, losses.tolist())) + "\n")
+    path.write_text("loss\n" + format_rows(losses))
     _write_meta(cfg, out, "generate")
     frac_tail = float(np.mean(losses >= PROFILES[profile].threshold))
     print(f"wrote {path} ({n} losses)")

@@ -11,6 +11,7 @@ import numpy as np
 from .bootstrap import BootstrapMatrix
 from .fisher import asymptotic_covariance
 from .mle import DegenerateSample
+from .textio import format_rows
 
 __all__ = ["DensityOverlay", "silverman_bandwidth", "kde", "overlay"]
 
@@ -32,10 +33,8 @@ class DensityOverlay:
     bandwidth: float
 
     def to_csv(self) -> str:
-        lines = ["grid,kde,normal_pdf"]
-        for row in zip(self.grid.tolist(), self.kde.tolist(), self.normal_pdf.tolist()):
-            lines.append(",".join(map(repr, row)))
-        return "\n".join(lines) + "\n"
+        return "grid,kde,normal_pdf\n" + format_rows(
+            np.column_stack([self.grid, self.kde, self.normal_pdf]))
 
 
 def silverman_bandwidth(xs: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import (
+    beta_polygamma_rows,
     digamma,
     log_beta,
     log_inverse_incomplete_beta,
@@ -199,8 +200,15 @@ class _GB2(_Family):
                 - log_beta(p, q) - (p + q) * np.logaddexp(0.0, t))
 
     def cdf(self, x, T, a, b, p, q):
-        z = 1.0 / (1.0 + np.exp(-a * (np.log(x - T) - math.log(b))))
-        return np.array([regularized_incomplete_beta(v, p, q) for v in z])
+        # I_z(p, q), z = 1 / (1 + e^-t).  Above z = 1/2 z rounds toward 1, so
+        # the upper tail is 1 - I_(1-z)(q, p), 1 - z = 1 / (1 + e^t): on both
+        # sides the argument w = s / (1 + s), s = e^-|t|, keeps its digits.
+        t = a * (np.log(x - T) - math.log(b))
+        s = np.exp(-np.abs(t))
+        w = s / (1.0 + s)
+        return np.array([1.0 - regularized_incomplete_beta(v, q, p) if up
+                         else regularized_incomplete_beta(v, p, q)
+                         for v, up in zip(w.tolist(), (t > 0.0).tolist())])
 
     def quantile(self, u, T, a, b, p, q):
         # y = b (z / (1 - z))^(1/a) with I_z(p, q) = u, formed from ln z.
@@ -265,10 +273,7 @@ class _GB2(_Family):
         n = ly.shape[1]
         a, p, q = np.exp(lt[:, 0]), np.exp(lt[:, 2]), np.exp(lt[:, 3])
         st, ssp, sw, swt, sv, svt, svtt = _logistic_sums(a, lt[:, 1:2], ly)
-        lbeta, dp, dq, dpq, tp, tq, tpq = np.array([
-            (log_beta(u, z), digamma(u), digamma(z), digamma(u + z),
-             trigamma(u), trigamma(z), trigamma(u + z))
-            for u, z in zip(p.tolist(), q.tolist())]).reshape(-1, 7).T
+        lbeta, dp, dq, dpq, tp, tq, tpq = beta_polygamma_rows(p, q)
         pq = p + q
         ll = n * lt[:, 0] + p * st - sly - n * lbeta - pq * ssp
         g_p = p * (st - ssp - n * (dp - dpq))

@@ -1,7 +1,8 @@
 """Self-contained special functions.
 
 Every function here is pure.  The normal pdf, cdf and quantile take a float
-or an array of any shape and return the same; the others take scalar floats.
+or an array of any shape and return the same; beta_polygamma_rows takes 1-D
+arrays; the others take scalar floats.
 Accuracy targets: log-gamma (math.lgamma, called directly) 1e-12 absolute for
 moderate arguments, digamma/trigamma 1e-10, regularized incomplete beta /
 gamma 1e-10, normal cdf 1e-12 and quantile inverse-consistent to 1e-9.
@@ -23,6 +24,7 @@ __all__ = [
     "log_beta",
     "digamma",
     "trigamma",
+    "beta_polygamma_rows",
     "regularized_incomplete_beta",
     "inverse_incomplete_beta",
     "log_inverse_incomplete_beta",
@@ -57,11 +59,14 @@ def digamma(x: float) -> float:
     while x < 6.0:
         result -= 1.0 / x
         x += 1.0
-    w = 1.0 / (x * x)
-    # Bernoulli-number series: psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n)
-    series = w * (1.0 / 12.0 - w * (1.0 / 120.0 - w * (1.0 / 252.0 - w * (
+    return result + math.log(x) - 0.5 / x - _digamma_series(1.0 / (x * x))
+
+
+def _digamma_series(w):
+    """Bernoulli-number series: psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n),
+    the sum in w = 1 / x^2; a float or an array."""
+    return w * (1.0 / 12.0 - w * (1.0 / 120.0 - w * (1.0 / 252.0 - w * (
         1.0 / 240.0 - w * (1.0 / 132.0 - w * (691.0 / 32760.0 - w / 12.0))))))
-    return result + math.log(x) - 0.5 / x - series
 
 
 def trigamma(x: float) -> float:
@@ -73,9 +78,40 @@ def trigamma(x: float) -> float:
         result += 1.0 / (x * x)
         x += 1.0
     w = 1.0 / (x * x)
-    series = (1.0 / 6.0 - w * (1.0 / 30.0 - w * (1.0 / 42.0 - w * (
+    return result + 1.0 / x + 0.5 * w + _trigamma_series(w) / (x * x * x)
+
+
+def _trigamma_series(w):
+    """The series of psi'(x) ~ 1/x + 1/(2x^2) + series / x^3 in w = 1 / x^2;
+    a float or an array."""
+    return (1.0 / 6.0 - w * (1.0 / 30.0 - w * (1.0 / 42.0 - w * (
         1.0 / 30.0 - w * (5.0 / 66.0 - w * (691.0 / 2730.0 - w * 7.0 / 6.0))))))
-    return result + 1.0 / x + 0.5 * w + series / (x * x * x)
+
+
+def beta_polygamma_rows(p, q):
+    """(ln B(p, q), psi(p), psi(q), psi(p + q), psi'(p), psi'(q), psi'(p + q))
+    for arrays p, q > 0, each bit for bit what log_beta, digamma and trigamma
+    give per element: one masked upward recurrence over p, q and p + q
+    together, then the series, with log and lgamma applied through `math`."""
+    v = np.concatenate([p, q, p + q])
+    if not (v > 0.0).all():
+        raise ValueError("beta_polygamma_rows requires p, q > 0")
+    # where x >= 6 a step adds 0.0, which leaves every value's bits alone
+    x = v.copy()
+    psi = np.zeros(v.size)
+    tri = np.zeros(v.size)
+    low = x < 6.0
+    while low.any():
+        psi -= low / x
+        tri += low / (x * x)
+        x += low
+        low = x < 6.0
+    w = 1.0 / (x * x)
+    log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    psi = psi + log_x - 0.5 / x - _digamma_series(w)
+    tri = tri + 1.0 / x + 0.5 * w + _trigamma_series(w) / (x * x * x)
+    lg = np.fromiter(map(math.lgamma, v.tolist()), float, v.size).reshape(3, -1)
+    return (lg[0] + lg[1] - lg[2], *psi.reshape(3, -1), *tri.reshape(3, -1))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -7,6 +7,7 @@ from tailfit import SeverityModel, bootstrap, mle, run_bootstrap, sample, true_m
 from tailfit.bootstrap import (
     BootstrapMatrix,
     TooFewConverged,
+    _chunks,
     _fit_replication,
     _run_chunk,
     replication_rng,
@@ -37,12 +38,20 @@ class TestDeterminism:
     ]
 
     def test_worker_count_invariance(self):
-        for model, n, m, seed in self.INVARIANCE_CELLS:
+        # the GB2 n = 2500 cell runs as 4 whole-batch chunks on 2 and 3 workers
+        gb2_2500 = (self.INVARIANCE_CELLS[1][0], 2500, 100, STUDY_SEED)
+        for model, n, m, seed in [*self.INVARIANCE_CELLS, gb2_2500]:
             serial = run_bootstrap(model, n, m, seed=seed, workers=1)
             for workers in (2, 3):
                 parallel = run_bootstrap(model, n, m, seed=seed, workers=workers)
                 assert np.array_equal(serial.rows, parallel.rows)
-            assert serial.m_converged == (42 if model.family == "gb2" else m)
+            assert serial.m_converged == (42 if (model.family, n) == ("gb2", 100) else m)
+
+    def test_chunks_fill_whole_batches(self):
+        assert _chunks(2500, 100, 2) == [(0, 25), (25, 50), (50, 75), (75, 100)]
+        assert len(_chunks(2500, 100, 8)) == 8
+        assert len(_chunks(100, 2000, 2)) == 4
+        assert len(_chunks(100, 100, 2)) == 2
 
     def test_chunk_split_invariance(self):
         # a chunk fits its replications as one batch; splitting it, or fitting
@@ -197,6 +206,17 @@ class TestRoundTrip:
         want = np.array([[float(v) for v in line.split(",")] for line in lines])
         base = csv_path.with_suffix("")
         assert BootstrapMatrix.read(base).rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("csv_path", sorted(conftest._CACHE_DIR.glob("*.csv")),
+                             ids=lambda p: p.stem)
+    def test_cache_write_read_is_exact(self, tmp_path, csv_path):
+        # writing a cached matrix again gives its file byte for byte, and
+        # reading that back gives its rows bit for bit
+        bm = BootstrapMatrix.read(csv_path.with_suffix(""))
+        base = tmp_path / "boot"
+        bm.write(base)
+        assert base.with_name("boot.csv").read_bytes() == csv_path.read_bytes()
+        assert BootstrapMatrix.read(base).rows.tobytes() == bm.rows.tobytes()
 
     def test_read_rounds_decimals_as_float(self, tmp_path):
         # decimals no writer emits, among them 2**53 + 1 spelled out: it lies

@@ -188,6 +188,12 @@ class TestGenerateCommand:
         want = generate_losses("uom1", 3000, seed=5)
         assert read_losses(tmp_path / "losses.csv").tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_size_file_round_trips(self, tmp_path, seed):
+        assert main(["generate", "--out", str(tmp_path), "--seed", str(seed)]) == 0
+        want = generate_losses("uom1", 50000, seed=seed)
+        assert read_losses(tmp_path / "losses.csv").tobytes() == want.tobytes()
+
     def test_meta_written(self, tmp_path):
         main(["generate", "--out", str(tmp_path), "--seed", "5", "--n", "1000"])
         meta = json.loads((tmp_path / "run_meta_generate.json").read_text())

@@ -137,6 +137,20 @@ class TestCdf:
         x = T + rng.uniform(1.0, 1e7, 100)
         assert np.allclose(cdf(g, x), cdf(l, x), atol=1e-10)
 
+    def test_gb2_upper_tail_against_mpmath(self):
+        # the study row of test_gb2_far_tail_of_a_bootstrap_row: at its 0.999
+        # quantile z = 1 / (1 + e^-t) rounds to 1
+        a, b, p, q = params = (6.303, 57220.0, 0.131, 0.122)
+        m = SeverityModel("gb2", params, T)
+        x = np.concatenate([quantile(m, np.array([0.001, 0.5, 0.999])),
+                            T + b * np.array([1e-3, 1.0, 1e3, 1e6])])
+        with mp.workdps(40):
+            for got, xi in zip(cdf(m, x), x.tolist()):
+                t = a * (mp.log(mp.mpf(xi) - T) - mp.log(b))
+                want = 1 - mp.betainc(q, p, 0, 1 / (1 + mp.exp(t)), regularized=True)
+                assert abs(got - want) < 1e-10, xi
+        assert cdf(m, quantile(m, 0.999)) == pytest.approx(0.999, abs=1e-10)
+
     @pytest.mark.parametrize("family", list(UOM1))
     def test_monotone_on_grid(self, family):
         m = UOM1[family]

@@ -70,6 +70,24 @@ class TestDigammaTrigamma:
         assert sf.trigamma(x + 1.0) - sf.trigamma(x) == pytest.approx(-1.0 / x**2, abs=1e-9)
 
 
+class TestBetaPolygammaRows:
+    def test_bit_identical_to_the_scalar_functions(self):
+        # the scalar functions are the oracle, p and q from 1e-7 to 1e4
+        rng = np.random.default_rng(5)
+        p, q = np.exp(rng.uniform(math.log(1e-7), math.log(1e4), (2, 5000)))
+        p[:4], q[:4] = (1e-7, 6.0, 5.999999999999999, 1e4), (1e4, 6.0, 1.0, 1e-7)
+        got = sf.beta_polygamma_rows(p, q)
+        want = np.array([(sf.log_beta(u, z), sf.digamma(u), sf.digamma(z), sf.digamma(u + z),
+                          sf.trigamma(u), sf.trigamma(z), sf.trigamma(u + z))
+                         for u, z in zip(p.tolist(), q.tolist())]).T
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            sf.beta_polygamma_rows(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
+
 class TestIncompleteBeta:
     def test_boundaries(self):
         assert sf.regularized_incomplete_beta(0.0, 2.5, 0.3) == 0.0

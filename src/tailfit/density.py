@@ -72,7 +72,11 @@ def _kde(xs: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
         w *= -0.5
         np.exp(w, out=w)
         out[lo:lo + _KDE_ROWS] = w.sum(axis=1)
-    return out / (xs.size * h * _SQRT_2PI)
+    # scaled in place: an array allocated now would sit above the buffer in
+    # the heap, and the next call's buffer could then grow the heap by its
+    # size (study-analysis peak RSS read 1.2 MB higher in some runs)
+    out /= xs.size * h * _SQRT_2PI
+    return out
 
 
 def overlay(bm: BootstrapMatrix, j: int) -> DensityOverlay:

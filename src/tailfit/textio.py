@@ -61,9 +61,8 @@ _TINY = 2.0 ** -1022
 _MARGIN = 1e-6  # units of the 17th digit; the arithmetic errs by < 1e-13
 
 
-# The tables below are built on first use.  Built at import, they sat under
-# the analysis stages' arrays in the heap and raised the study-analysis
-# benchmark's peak RSS by 0.3-1.6 MB.
+# The tables below are built on first use: a process that writes no array
+# of SMALL_ELEMENTS values or more never holds them.
 @functools.cache
 def _pow10_table():
     """(hi, hi_hi, hi_lo, lo, b) for k in [_K_MIN, _K_MAX]: 10^k = (hi + lo) 2^b

@@ -11,8 +11,6 @@ and counted, never imputed.
 from __future__ import annotations
 
 import json
-import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +20,7 @@ import numpy as np
 from . import mle
 from .distributions import FAMILIES, PARAM_NAMES, SeverityModel, in_support, sample
 from .mle import FitResult
-from .textio import format_rows
+from .textio import format_rows, read_rows
 
 __all__ = [
     "TooFewConverged",
@@ -102,7 +100,11 @@ class BootstrapMatrix:
         m_converged rows of finite numbers under the sidecar family's header."""
         csv_path, json_path = cls.files(path_base)
         meta = _read_sidecar(json_path)
-        rows = _read_rows(csv_path, PARAM_NAMES[meta["family"]])
+        try:
+            rows = read_rows(csv_path, PARAM_NAMES[meta["family"]], np.isfinite,
+                             "not a finite number: {!r}")
+        except ValueError as exc:
+            raise MalformedMatrix(str(exc)) from None
         if rows.shape[0] != meta["m_converged"]:
             raise MalformedMatrix(f"{csv_path}: {rows.shape[0]} rows, but {json_path.name} "
                                   f"gives m_converged = {meta['m_converged']}")
@@ -137,51 +139,6 @@ def _read_sidecar(json_path: Path) -> dict:
     if meta["family"] not in FAMILIES:
         raise MalformedMatrix(f"{json_path}: unknown family {meta['family']!r}")
     return meta
-
-
-def _read_rows(csv_path: Path, names: tuple[str, ...]) -> np.ndarray:
-    """The (rows, k) body of a matrix csv whose header must be `names`, all
-    of it finite numbers.
-
-    numpy's C reader parses the body in one pass and rounds each decimal as
-    float() does.  Only when it fails, or finds rows of another width or a
-    value that is not finite, are the lines walked to name the first bad one."""
-    k = len(names)
-    with open(csv_path) as f:
-        header = f.readline().rstrip("\r\n")
-        if header != ",".join(names):
-            raise MalformedMatrix(f"{csv_path}: line 1: header {header!r}, expected "
-                                  f"{','.join(names)!r}")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file (no replication kept) warns of no data
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:
-            raise MalformedMatrix(_first_bad_line(csv_path, k, str(exc))) from None
-    if (rows.size and rows.shape[1] != k) or not np.isfinite(rows).all():
-        raise MalformedMatrix(_first_bad_line(csv_path, k, "not a matrix of finite numbers"))
-    return rows.reshape(-1, k)
-
-
-def _first_bad_line(csv_path: Path, k: int, why: str) -> str:
-    """Where the body of a matrix csv first fails to be k finite numbers a
-    line; `why`, the reader's complaint, if no line fails float()."""
-    lines = csv_path.read_text().splitlines()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue  # the reader skips empty lines
-        values = line.split(",")
-        if len(values) != k:
-            return f"{csv_path}: line {lineno}: expected {k} values, got {len(values)}"
-        for value in values:
-            try:
-                finite = math.isfinite(float(value))
-            except ValueError:
-                return f"{csv_path}: line {lineno}: not a number: {value!r}"
-            if not finite:
-                return f"{csv_path}: line {lineno}: not a finite number: {value!r}"
-    return f"{csv_path}: {why}"
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:

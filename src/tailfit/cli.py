@@ -30,7 +30,7 @@ from .distributions import FAMILIES, PARAM_NAMES, SeverityModel
 from .generate import PROFILES, generate_losses
 from .mle import DegenerateSample
 from .normality import SingularCovariance, normality_suite, reports_to_csv
-from .textio import format_rows
+from .textio import format_rows, read_rows
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -67,6 +67,27 @@ EXIT_CODES = {
 }
 
 
+def _names(value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+def _ints(value: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in value.split(",") if v.strip())
+
+
+# config file key -> parser of its value; config_hash covers every key but out
+_KEYS = {
+    "seed": int,
+    "threshold": float,
+    "families": _names,
+    "sample_sizes": _ints,
+    "replications": int,
+    "level": float,
+    "input": str,
+    "out": str,
+}
+
+
 @dataclass
 class StudyConfig:
     seed: int = 12345
@@ -95,15 +116,8 @@ class StudyConfig:
             raise ConfigError("level must lie strictly between 0 and 1")
 
     def canonical(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "families": list(self.families),
-            "sample_sizes": list(self.sample_sizes),
-            "replications": self.replications,
-            "level": self.level,
-            "input": self.input,
-        }, sort_keys=True)
+        return json.dumps({key: getattr(self, key) for key in _KEYS if key != "out"},
+                          sort_keys=True)
 
     @property
     def config_hash(self) -> str:
@@ -121,21 +135,10 @@ def parse_config(text: str) -> StudyConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "seed":
-                kwargs[key] = int(value)
-            elif key in ("threshold", "level"):
-                kwargs[key] = float(value)
-            elif key == "families":
-                kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key == "sample_sizes":
-                kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key == "replications":
-                kwargs[key] = int(value)
-            elif key in ("input", "out"):
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            kwargs[key] = _KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     cfg = StudyConfig(**kwargs)
@@ -144,31 +147,15 @@ def parse_config(text: str) -> StudyConfig:
 
 
 def read_losses(path: Path) -> np.ndarray:
-    """CSV with a single ``loss`` header and one positive decimal per line."""
+    """CSV with a single ``loss`` header and one positive number per line."""
     try:
-        lines = path.read_text().splitlines()
+        rows = read_rows(path, ("loss",), lambda a: (a > 0.0) & np.isfinite(a),
+                         "losses must be positive, got {!r}")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0].strip() != "loss":
-        raise ConfigError(f"{path}: first line must be the header 'loss'")
-    try:
-        values = np.fromiter(map(float, filter(str.strip, lines[1:])), float)
-    except ValueError:
-        pass
-    else:
-        if np.all(values > 0.0) and np.all(np.isfinite(values)):
-            return values
-    # some line is bad: name the first one
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            v = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {lineno}: not a number: {raw!r}") from exc
-        if v <= 0.0 or not np.isfinite(v):
-            raise ConfigError(f"{path}: line {lineno}: losses must be positive, got {raw!r}")
-    raise AssertionError("a loss file that failed parsing has no bad line")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return rows.ravel()
 
 
 def _write_meta(cfg: StudyConfig, out: Path, command: str) -> None:
@@ -356,18 +343,9 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
         except OSError as exc:
             raise ConfigError(str(exc)) from exc
         cfg = parse_config(text)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.paper_scale:
-        overrides["replications"] = 40000
-    cfg = replace(cfg, **overrides)
+    flags = vars(args) | ({"replications": 40000} if args.paper_scale else {})
+    cfg = replace(cfg, **{key: flags[key] for key in ("seed", "out", "replications", "threads")
+                          if flags.get(key) is not None})
     cfg.validate()
     return cfg
 

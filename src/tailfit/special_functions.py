@@ -26,7 +26,6 @@ __all__ = [
     "trigamma",
     "beta_polygamma_rows",
     "regularized_incomplete_beta",
-    "inverse_incomplete_beta",
     "log_inverse_incomplete_beta",
     "regularized_gamma_upper",
     "std_normal_pdf",
@@ -195,7 +194,7 @@ def log_inverse_incomplete_beta(u: float, p: float, q: float) -> float:
     below 1e-16 resolves in a few steps.  Stops when the step or the bracket
     is at most 1e-15 max(1, |s|)."""
     if not 0.0 < u < 1.0:
-        raise ValueError(f"inverse_incomplete_beta requires 0 < u < 1, got {u}")
+        raise ValueError(f"log_inverse_incomplete_beta requires 0 < u < 1, got {u}")
     ln_u = math.log(u)
     ln_b = log_beta(p, q)
     lo, hi = -math.inf, 0.0
@@ -223,11 +222,6 @@ def log_inverse_incomplete_beta(u: float, p: float, q: float) -> float:
         if step <= tol or hi - lo <= tol:
             break
     return s
-
-
-def inverse_incomplete_beta(u: float, p: float, q: float) -> float:
-    """Solve I_x(p, q) = u for x: e^s of `log_inverse_incomplete_beta`."""
-    return math.exp(log_inverse_incomplete_beta(u, p, q))
 
 
 def regularized_gamma_upper(x: float, k: float) -> float:

@@ -1,6 +1,15 @@
-"""CSV text of float arrays: Python's repr of every value, vectorized.
+"""CSV text of float arrays, both ways: a header line over rows of numbers.
 
-`format_rows(a)` returns exactly
+Reading.  `read_rows(path, names, valid, invalid)` checks the header, then
+parses the body with numpy's C reader, which rounds each decimal as float()
+does, and checks its width and the caller's `valid` predicate on the array.
+Only when one of these fails are the lines walked with float(), the rule
+the file format keeps: blank and whitespace-only lines are skipped, and a
+value is what float() reads from its field, so "1_000" and " 1.5 " are
+numbers.  The walk names the first bad line, or, if every line passes,
+returns what it read.
+
+Writing.  `format_rows(a)` returns exactly
 
     "".join(",".join(map(repr, row)) + "\\n" for row in a.tolist())
 
@@ -42,10 +51,11 @@ loop itself.
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 
-__all__ = ["CHUNK_ELEMENTS", "SMALL_ELEMENTS", "format_rows"]
+__all__ = ["CHUNK_ELEMENTS", "SMALL_ELEMENTS", "format_rows", "read_rows"]
 
 # Values formatted per chunk.  A chunk's temporaries peak at about 0.9 MB,
 # less than the strings a repr loop builds for a 5,000 x 4 matrix; 2^14
@@ -270,3 +280,51 @@ def format_rows(a) -> str:
     last = np.tile(np.arange(cols) == cols - 1, min(per, rows))
     chunks = (a[lo:lo + per].ravel() for lo in range(0, rows, per))
     return b"".join(_format_chunk(x, last[:x.size]) for x in chunks).decode("ascii")
+
+
+def read_rows(path, names, valid, invalid: str) -> np.ndarray:
+    """The (rows, len(names)) body of the CSV at `path`, under the header
+    `names`; each value must satisfy the vectorized predicate `valid`.
+    ValueError, naming the file and its first bad line, otherwise: a wrong
+    header, a row of another width, a field float() cannot read, or a value
+    that fails `valid`, whose message is `invalid.format(field)`."""
+    k = len(names)
+    with open(path) as f:
+        header = f.readline().strip()
+        if header != ",".join(names):
+            raise ValueError(f"{path}: line 1: header {header!r}, expected {','.join(names)!r}")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file warns of no data
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            rows = None
+    if rows is not None and (rows.shape[1] == k or not rows.size) and valid(rows).all():
+        return rows.reshape(-1, k)
+    return _walk(path, k, valid, invalid)
+
+
+def _walk(path, k: int, valid, invalid: str) -> np.ndarray:
+    """`read_rows`' body read line by line with float(), or the ValueError
+    that names its first bad line."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != k:
+            raise ValueError(f"{path}: line {lineno}: expected {k} values, got {len(fields)}")
+        row = []
+        for field in fields:
+            try:
+                value = float(field)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: not a number: {field!r}") from None
+            if not valid(value):
+                raise ValueError(f"{path}: line {lineno}: {invalid.format(field)}")
+            row.append(value)
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, k)

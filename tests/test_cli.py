@@ -9,7 +9,8 @@ import pytest
 
 import tailfit
 from tailfit.bootstrap import BootstrapMatrix
-from tailfit.cli import ConfigError, StudyConfig, main, parse_config, read_losses
+from tailfit.cli import (ConfigError, StudyConfig, _study_config, build_parser, main,
+                         parse_config, read_losses)
 from tailfit.generate import generate_losses
 
 
@@ -94,6 +95,13 @@ class TestParseConfig:
         assert a.config_hash == b.config_hash
         assert a.config_hash != StudyConfig(seed=2).config_hash
 
+    def test_config_hash_pinned(self):
+        # every boot_*.json, run_meta_*.json and true_params.json carries it
+        assert StudyConfig().config_hash == "c2926361423e0b19"
+        cfg = parse_config("seed = 20260823\nfamilies = pareto, gb2\n"
+                           "sample_sizes = 100, 2500\nreplications = 100\ninput = x.csv\n")
+        assert cfg.config_hash == "24d5e0dfa60a69fd"
+
 
 class TestReadLosses:
     def test_valid(self, tmp_path):
@@ -162,6 +170,18 @@ class TestReadLosses:
         path.write_text("loss\n\n")
         got = read_losses(path)
         assert got.dtype == np.float64 and got.shape == (0,)
+
+    # the matrix reader's messages, since both read through textio.read_rows
+    @pytest.mark.parametrize("text,want", [
+        ("loss\n1.0,2.0\n", "line 2: expected 1 values, got 2"),
+        ("", "line 1: header '', expected 'loss'"),
+    ])
+    def test_width_and_empty_file(self, tmp_path, text, want):
+        path = tmp_path / "l.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            read_losses(path)
+        assert str(exc.value) == f"{path}: {want}"
 
 
 class TestGenerateCommand:
@@ -507,6 +527,19 @@ class TestPipeline:
 
 
 class TestParser:
+    def test_flags_override_config(self, tmp_path):
+        cfg = write_config(tmp_path)
+        args = build_parser().parse_args(["bootstrap", "--config", str(cfg), "--seed", "5",
+                                          "--threads", "2", "--replications", "300"])
+        got = _study_config(args)
+        assert (got.seed, got.threads, got.replications, got.out) == \
+            (5, 2, 300, str(tmp_path / "out"))
+        # --paper-scale wins over --replications; fit has no --threads
+        args = build_parser().parse_args(["fit", "--config", str(cfg), "--replications", "300",
+                                          "--paper-scale", "--out", "elsewhere"])
+        got = _study_config(args)
+        assert (got.seed, got.threads, got.replications, got.out) == (777, 1, 40000, "elsewhere")
+
     def test_threads_only_on_bootstrap(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for command in ("fit", "normality", "cierror", "overlays", "generate"):

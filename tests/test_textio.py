@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tailfit.bootstrap import BootstrapMatrix
+from tailfit.cli import read_losses
 from tailfit.generate import generate_losses
-from tailfit.textio import CHUNK_ELEMENTS, SMALL_ELEMENTS, _shortest, format_rows
+from tailfit.textio import CHUNK_ELEMENTS, SMALL_ELEMENTS, _shortest, format_rows, read_rows
 
 
 # The three writers that format_rows replaced, kept as its oracles: the text
@@ -110,3 +112,53 @@ class TestFormatRows:
         assert "loss\n" + format_rows(losses) == generate_oracle(losses)
         assert fallback_share(CASES["log_uniform"]) < 0.03  # its subnormals
         assert fallback_share(CASES["random_bits"]) < 0.01
+
+
+# finite doubles of both signs in both of repr's forms: subnormals, zeros,
+# exact powers of two, the ends of the range and random magnitudes
+FINITE = np.concatenate([
+    CASES["subnormals"][:500],
+    [0.0, -0.0, 5e-324, -5e-324, 1e-5, -3.2e-12, 1e22, -1e23],
+    both_signs(np.ldexp(1.0, np.arange(-1074, 1024, 7))),
+    neighbours(np.array([1e308, 1e-308, np.finfo(float).tiny])),
+    both_signs(np.array([np.finfo(float).max, np.nextafter(np.finfo(float).max, 0.0)])),
+    CASES["log_uniform"][:3000],
+])
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_round_trip(self, tmp_path, k):
+        a = FINITE[:FINITE.size // k * k].reshape(-1, k)
+        names = tuple(f"c{j}" for j in range(k))
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(names) + "\n" + format_rows(a))
+        got = read_rows(path, names, np.isfinite, "not a finite number: {!r}")
+        assert got.shape == a.shape
+        assert got.tobytes() == a.tobytes()  # bit for bit, -0.0 included
+
+    def test_loss_round_trip(self, tmp_path):
+        losses = np.concatenate([generate_losses("uom1", 20_000, 1),
+                                 np.abs(FINITE[FINITE != 0.0])])
+        path = tmp_path / "losses.csv"
+        path.write_text("loss\n" + format_rows(losses))
+        assert read_losses(path).tobytes() == losses.tobytes()
+
+    # loss and matrix files read by one rule: blank and whitespace-only lines
+    # skipped, CRLF endings, and what float() reads, where numpy's reader
+    # refuses some of it
+    @pytest.mark.parametrize("body,want", [
+        ("2.5\n \t \n1.5\n", [2.5, 1.5]),
+        ("2.5\r\n1.5\r\n", [2.5, 1.5]),
+        ("2.5\n1_000\n", [2.5, 1000.0]),
+        ("2.5\r\n\r\n 1_000 \r\n  \r\n", [2.5, 1000.0]),
+    ])
+    def test_one_rule(self, tmp_path, body, want):
+        loss_path = tmp_path / "losses.csv"
+        loss_path.write_bytes(("loss\r\n" + body).encode())
+        base = tmp_path / "boot_pareto_n100"
+        BootstrapMatrix("pareto", (1.1,), 1e5, 100, len(want), len(want),
+                        np.ones((len(want), 1)), 7).write(base)
+        BootstrapMatrix.files(base)[0].write_bytes(("shape\r\n" + body).encode())
+        assert read_losses(loss_path).tolist() == want
+        assert BootstrapMatrix.read(base).rows[:, 0].tolist() == want

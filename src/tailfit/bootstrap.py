@@ -45,6 +45,12 @@ class MalformedMatrix(ValueError):
     a JSON object with every field and a known family."""
 
 
+# Every field of a BootstrapMatrix but its rows, in the `<base>.json` sidecar
+# (a tuple is written as a JSON list)
+_SIDECAR_KEYS = ("family", "true_params", "threshold", "n", "m_requested", "m_converged",
+                 "seed")
+
+
 @dataclass
 class BootstrapMatrix:
     family: str
@@ -80,15 +86,7 @@ class BootstrapMatrix:
         replication) plus a `<base>.json` sidecar."""
         csv_path, json_path = self.files(path_base)
         csv_path.write_text(",".join(self.param_names) + "\n" + format_rows(self.rows))
-        meta = {
-            "family": self.family,
-            "true_params": list(self.true_params),
-            "threshold": self.threshold,
-            "n": self.n,
-            "m_requested": self.m_requested,
-            "m_converged": self.m_converged,
-            "seed": self.seed,
-        }
+        meta = {key: getattr(self, key) for key in _SIDECAR_KEYS}
         if extra_meta:
             meta.update(extra_meta)
         json_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -108,20 +106,9 @@ class BootstrapMatrix:
         if rows.shape[0] != meta["m_converged"]:
             raise MalformedMatrix(f"{csv_path}: {rows.shape[0]} rows, but {json_path.name} "
                                   f"gives m_converged = {meta['m_converged']}")
-        return cls(
-            family=meta["family"],
-            true_params=tuple(meta["true_params"]),
-            threshold=meta["threshold"],
-            n=meta["n"],
-            m_requested=meta["m_requested"],
-            m_converged=meta["m_converged"],
-            rows=rows,
-            seed=meta["seed"],
-        )
-
-
-_SIDECAR_KEYS = ("family", "true_params", "threshold", "n", "m_requested", "m_converged",
-                 "seed")
+        fields = {key: meta[key] for key in _SIDECAR_KEYS}
+        fields["true_params"] = tuple(fields["true_params"])
+        return cls(rows=rows, **fields)
 
 
 def _read_sidecar(json_path: Path) -> dict:

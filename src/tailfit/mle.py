@@ -15,10 +15,15 @@ iteration:
   run whose Hessian is not negative definite there carries
   LOCAL_MINIMUM_RISK.
 
-`fit_rows` fits many samples of one size at once.  The iterations of all rows
-advance in lockstep, and the likelihood is evaluated for a block of rows at a
-time, its sums taken row-wise along each sample.  Every row gets exactly the
-result a fit of that sample alone gets; `fit` is the one-row case.
+`fit_rows` fits many samples of one size at once, for every family the same
+way.  It checks each row once, from the row's minimum and maximum: too few
+values, or a value that is not finite or lies outside the family's support,
+makes the row DegenerateSample.  The rows that pass go to the family's solver
+as one array.  The closed forms are computed over all rows at once; the
+iterations of all rows advance in lockstep, and the likelihood is evaluated
+for a block of rows at a time, its sums taken row-wise along each sample.
+Every row gets exactly the result a fit of that sample alone gets; `fit` is
+the one-row case.
 """
 
 from __future__ import annotations
@@ -41,11 +46,6 @@ __all__ = [
     "FitResult",
     "WEIBULL_INCONSISTENT",
     "LOCAL_MINIMUM_RISK",
-    "fit_pareto",
-    "fit_lognormal",
-    "fit_weibull",
-    "fit_loglogistic",
-    "fit_gb2",
     "fit",
     "fit_rows",
     "BLOCK_ELEMENTS",
@@ -82,31 +82,6 @@ class FitResult:
     warnings: set = field(default_factory=set)
 
 
-def _shifted(xs, T: float) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    y = xs - T
-    if xs.size == 0 or not np.all(np.isfinite(y) & (y > 0.0)):
-        raise DegenerateSample(f"need finite data strictly above T={T}")
-    return y
-
-
-def _each(xs: np.ndarray, fn) -> list:
-    """fn(row) for every row; a row whose fn raises FitError or InvalidStart
-    gets that exception as its outcome."""
-    outcomes = []
-    for x in xs:
-        try:
-            outcomes.append(fn(x))
-        except (FitError, InvalidStart) as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
-def _prepared(outcomes: list) -> list[int]:
-    """The rows whose preparation did not raise."""
-    return [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
-
-
 def _block_rows(n: int) -> int:
     """Rows of n values per likelihood block."""
     return max(1, BLOCK_ELEMENTS // n)
@@ -126,38 +101,34 @@ def _blocks(fn, rows: np.ndarray, n: int, *cols: np.ndarray):
     return np.concatenate(parts)
 
 
-def _fit_pareto_one(xs, T: float) -> FitResult:
-    if xs.size == 0 or not np.all(in_support("pareto", xs, T) & np.isfinite(xs)):
-        raise DegenerateSample(f"pareto needs finite data >= T={T}")
-    n = xs.size
-    s = float(np.sum(np.log(xs / T)))
-    if s <= 0.0:
-        raise DegenerateSample("all observations at the threshold; shape is infinite")
-    alpha = n / s
-    model = SeverityModel("pareto", (alpha,), T)
-    return FitResult(model, -log_likelihood(model, xs), True, n)
-
-
-def _fit_lognormal_one(xs, T: float) -> FitResult:
-    y = _shifted(xs, T)
-    if y.size < 2:
-        raise DegenerateSample("lognormal fit needs n >= 2")
-    ly = np.log(y)
-    # exact: the rounded mean leaves a constant sample a spread of ~1e-15
-    if np.ptp(ly) == 0.0:
-        raise DegenerateSample("zero variance in log data")
-    mu = float(np.mean(ly))
-    sigma = float(np.sqrt(np.mean((ly - mu) ** 2)))  # divisor n: the MLE, not n-1
-    model = SeverityModel("lognormal", (mu, sigma), T)
-    return FitResult(model, -log_likelihood(model, xs), True, y.size)
+def _closed_form(model: SeverityModel, x: np.ndarray) -> FitResult:
+    return FitResult(model, -log_likelihood(model, x), True, x.size)
 
 
 def _pareto_rows(xs: np.ndarray, T: float) -> list:
-    return _each(xs, lambda x: _fit_pareto_one(x, T))
+    """alpha = n / sum ln(x / T) per row."""
+    s = xs / T
+    np.log(s, out=s)
+    n = xs.shape[1]
+    return [_closed_form(SeverityModel("pareto", (n / s_i,), T), x) if s_i > 0.0
+            else DegenerateSample("all observations at the threshold; shape is infinite")
+            for x, s_i in zip(xs, np.sum(s, axis=1).tolist())]
 
 
 def _lognormal_rows(xs: np.ndarray, T: float) -> list:
-    return _each(xs, lambda x: _fit_lognormal_one(x, T))
+    """mu and sigma from the means of ln(x - T) and its squared deviations
+    per row (divisor n: the MLE, not n-1)."""
+    ly = xs - T
+    np.log(ly, out=ly)
+    # exact: the rounded mean leaves a constant sample a spread of ~1e-15
+    constant = (np.ptp(ly, axis=1) == 0.0).tolist()
+    mu = np.mean(ly, axis=1)
+    ly -= mu[:, None]
+    ly *= ly
+    sigma = np.sqrt(np.mean(ly, axis=1))
+    return [DegenerateSample("zero variance in log data") if c
+            else _closed_form(SeverityModel("lognormal", (m, s), T), x)
+            for x, c, m, s in zip(xs, constant, mu.tolist(), sigma.tolist())]
 
 
 def _weibull_profile(a: np.ndarray, c: np.ndarray) -> tuple:
@@ -219,37 +190,26 @@ def _weibull_scale(a: np.ndarray, c: np.ndarray, mean_ly: np.ndarray) -> tuple:
     return np.exp(mean_ly + (m + np.log(np.mean(w, axis=1))) / a)
 
 
-def _log_shifted(xs: np.ndarray, ok: list[int], T: float) -> np.ndarray:
-    """ln(x - T) for the rows `ok` of xs, in one new (len(ok), n) array."""
-    ly = xs[ok]
-    ly -= T
-    return np.log(ly, out=ly)
-
-
 def _weibull_rows(xs: np.ndarray, T: float) -> list:
-    def prepare(x):
-        y = _shifted(x, T)
-        if y.size < 2 or np.all(y == y[0]):
-            raise DegenerateSample("weibull fit needs n >= 2 distinct observations")
-
-    outcomes = _each(xs, prepare)
-    ok = _prepared(outcomes)
-    if not ok:
-        return outcomes
-    c = _log_shifted(xs, ok, T)
+    c = xs - T
+    constant = (np.ptp(c, axis=1) == 0.0).tolist()
+    np.log(c, out=c)
     mean_ly = np.mean(c, axis=1)
     c -= mean_ly[:, None]  # centred in place: ln y - mean(ln y)
     shapes, bracketed = _weibull_roots(c)
     n = c.shape[1]
-    scales = _blocks(lambda r, a: _weibull_scale(a, c[r], mean_ly[r]), np.arange(len(ok)), n,
+    scales = _blocks(lambda r, a: _weibull_scale(a, c[r], mean_ly[r]), np.arange(len(c)), n,
                      shapes)
-    for j, i in enumerate(ok):
-        if not bracketed[j]:
-            outcomes[i] = NoConvergence("weibull profile root not bracketed in [1e-3, 1e3]")
-            continue
-        model = SeverityModel("weibull", (shapes[j], scales[j]), T)
-        warnings = {WEIBULL_INCONSISTENT} if shapes[j] <= 1.0 else set()
-        outcomes[i] = FitResult(model, -log_likelihood(model, xs[i]), True, n, warnings)
+    outcomes = []
+    for x, flat, found, a, b in zip(xs, constant, bracketed, shapes, scales):
+        if flat:
+            outcomes.append(DegenerateSample("weibull fit needs 2 distinct observations"))
+        elif not found:
+            outcomes.append(NoConvergence("weibull profile root not bracketed in [1e-3, 1e3]"))
+        else:
+            model = SeverityModel("weibull", (a, b), T)
+            warnings = {WEIBULL_INCONSISTENT} if a <= 1.0 else set()
+            outcomes.append(FitResult(model, -log_likelihood(model, x), True, n, warnings))
     return outcomes
 
 
@@ -284,26 +244,32 @@ def gb2_init(y: np.ndarray) -> np.ndarray:
     return np.array([a0, s0, 1.0, 1.0])
 
 
-def _newton_family_rows(family: str, min_n: int, init, xs: np.ndarray, T: float) -> list:
-    """Fit a family that `newton_rows` fits in log-parameters, from `init(y)`,
-    to samples of at least `min_n` values."""
-    def prepare(x):
-        y = _shifted(x, T)
-        if y.size < min_n:
-            raise DegenerateSample(f"{family} fit needs n >= {min_n}")
-        x0 = init(y)
-        if not all(math.isfinite(v) and v > 0.0 for v in x0):
-            raise InvalidStart(f"{family} start point {x0} is unusable")
-        return [math.log(v) for v in x0]
+def _log_start(family: str, init, y: np.ndarray) -> list[float]:
+    x0 = init(y)
+    if not all(math.isfinite(v) and v > 0.0 for v in x0):
+        raise InvalidStart(f"{family} start point {x0} is unusable")
+    return [math.log(v) for v in x0]
 
-    outcomes = _each(xs, prepare)
-    ok = _prepared(outcomes)
+
+def _newton_family_rows(family: str, init, xs: np.ndarray, T: float) -> list:
+    """Fit a family that `newton_rows` fits in log-parameters, from `init(y)`."""
+    ly = xs - T
+    outcomes, starts = [], []
+    for y in ly:
+        try:
+            starts.append(_log_start(family, init, y))
+            outcomes.append(None)
+        except InvalidStart as exc:
+            outcomes.append(exc)
+    ok = [i for i, o in enumerate(outcomes) if o is None]
     if not ok:
         return outcomes
-    ly = _log_shifted(xs, ok, T)
-    sly = np.sum(ly, axis=1)
-    res = newton_rows(_newton_objective(family, ly, sly), [outcomes[i] for i in ok],
-                      block_rows=_block_rows(ly.shape[1]))
+    np.log(ly, out=ly)
+    if len(ok) < len(ly):
+        ly = ly[ok]
+    n = ly.shape[1]
+    res = newton_rows(_newton_objective(family, ly, np.sum(ly, axis=1)), starts,
+                      block_rows=_block_rows(n))
     params = np.exp(res.argmin)
     for j, i in enumerate(ok):
         if not res.valid[j]:
@@ -317,26 +283,43 @@ def _newton_family_rows(family: str, min_n: int, init, xs: np.ndarray, T: float)
         else:
             model = SeverityModel(family, tuple(params[j]), T)
             warnings = set() if res.positive_definite[j] else {LOCAL_MINIMUM_RISK}
-            outcomes[i] = FitResult(model, float(res.fmin[j]), True, ly.shape[1], warnings)
+            outcomes[i] = FitResult(model, float(res.fmin[j]), True, n, warnings)
     return outcomes
 
 
+# family -> (the fewest values a sample needs, the solver of rows that passed
+# `fit_rows`' check: an (R, n) array in, one outcome per row out)
 _FITTERS = {
-    "pareto": _pareto_rows,
-    "weibull": _weibull_rows,
-    "lognormal": _lognormal_rows,
-    "loglogistic": partial(_newton_family_rows, "loglogistic", 3, loglogistic_init),
-    "gb2": partial(_newton_family_rows, "gb2", 8, gb2_init),
+    "pareto": (1, _pareto_rows),
+    "weibull": (2, _weibull_rows),
+    "lognormal": (2, _lognormal_rows),
+    "loglogistic": (3, partial(_newton_family_rows, "loglogistic", loglogistic_init)),
+    "gb2": (8, partial(_newton_family_rows, "gb2", gb2_init)),
 }
 
 
 def fit_rows(family: str, xs, T: float) -> list:
     """Fit `family` above T to every row of `xs` (shape (R, n)).  Entry i is
     row i's FitResult, or the FitError or InvalidStart its fit raised: exactly
-    what `fit` of that row alone returns or raises."""
+    what `fit` of that row alone returns or raises.
+
+    A row is DegenerateSample unless it has at least the family's fewest
+    values, all finite and inside its support; only the rows that pass reach
+    the family's solver."""
     if family not in _FITTERS:
         raise ValueError(f"unknown family {family!r}")
-    return _FITTERS[family](np.asarray(xs, dtype=float), T)
+    min_n, solve = _FITTERS[family]
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape[1] < min_n:
+        ok = np.zeros(len(xs), dtype=bool)
+    else:
+        # a NaN is the min and max of its row, and fails both checks
+        ok = in_support(family, np.min(xs, axis=1), T) & np.isfinite(np.max(xs, axis=1))
+    if ok.size and ok.all():
+        return solve(xs, T)  # the rows themselves: no copy
+    solved = iter(solve(xs[ok], T) if ok.any() else [])
+    failed = f"{family} fit needs at least {min_n} finite values in its support above T={T}"
+    return [next(solved) if passed else DegenerateSample(failed) for passed in ok.tolist()]
 
 
 def fit(family: str, xs, T: float) -> FitResult:
@@ -345,23 +328,3 @@ def fit(family: str, xs, T: float) -> FitResult:
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def fit_pareto(xs, T: float) -> FitResult:
-    return fit("pareto", xs, T)
-
-
-def fit_weibull(xs, T: float) -> FitResult:
-    return fit("weibull", xs, T)
-
-
-def fit_lognormal(xs, T: float) -> FitResult:
-    return fit("lognormal", xs, T)
-
-
-def fit_loglogistic(xs, T: float) -> FitResult:
-    return fit("loglogistic", xs, T)
-
-
-def fit_gb2(xs, T: float) -> FitResult:
-    return fit("gb2", xs, T)

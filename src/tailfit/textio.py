@@ -287,28 +287,34 @@ def read_rows(path, names, valid, invalid: str) -> np.ndarray:
     `names`; each value must satisfy the vectorized predicate `valid`.
     ValueError, naming the file and its first bad line, otherwise: a wrong
     header, a row of another width, a field float() cannot read, or a value
-    that fails `valid`, whose message is `invalid.format(field)`."""
+    that fails `valid`, whose message is `invalid.format(field)`, or text
+    that is not UTF-8."""
     k = len(names)
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != ",".join(names):
-            raise ValueError(f"{path}: line 1: header {header!r}, expected {','.join(names)!r}")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file warns of no data
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            rows = None
-    if rows is not None and (rows.shape[1] == k or not rows.size) and valid(rows).all():
-        return rows.reshape(-1, k)
-    return _walk(path, k, valid, invalid)
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
+            if header != ",".join(names):
+                raise ValueError(f"{path}: line 1: header {header!r}, "
+                                 f"expected {','.join(names)!r}")
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file warns of no data
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                rows = None
+        if rows is not None and (rows.shape[1] == k or not rows.size) and valid(rows).all():
+            return rows.reshape(-1, k)
+        return _walk(path, k, valid, invalid)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: "
+                         f"{exc.reason})") from None
 
 
 def _walk(path, k: int, valid, invalid: str) -> np.ndarray:
     """`read_rows`' body read line by line with float(), or the ValueError
     that names its first bad line."""
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):

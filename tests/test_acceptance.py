@@ -31,7 +31,7 @@ from tailfit import (
     sample,
 )
 from tailfit.cli import main
-from tailfit.mle import WEIBULL_INCONSISTENT, fit_lognormal, fit_pareto, fit_weibull
+from tailfit.mle import WEIBULL_INCONSISTENT, fit
 from tailfit.normality import mardia_moments
 from tailfit.optimizer import nelder_mead
 from test_normality import brute_force_mardia
@@ -69,7 +69,7 @@ def test_criterion_2_closed_form_vs_nelder_mead():
     worst = 0.0
     for i in range(50):
         xs = sample(SeverityModel("pareto", (1.11,), T), 200, np.random.default_rng(9200 + i))
-        closed = fit_pareto(xs, T)
+        closed = fit("pareto", xs, T)
 
         def nll_p(theta, xs=xs, m=closed.model):
             return 1e10 if theta[0] <= 0 else -log_likelihood(m.replace_params(theta), xs)
@@ -79,7 +79,7 @@ def test_criterion_2_closed_form_vs_nelder_mead():
     for i in range(50):
         xs = sample(SeverityModel("lognormal", (11.3, 1.8), T), 200,
                     np.random.default_rng(9250 + i))
-        closed = fit_lognormal(xs, T)
+        closed = fit("lognormal", xs, T)
 
         def nll_l(theta, xs=xs, m=closed.model):
             return 1e10 if theta[1] <= 0 else -log_likelihood(m.replace_params(theta), xs)
@@ -147,7 +147,7 @@ def test_criterion_5_weibull_pathology(study_matrices):
     missing_warnings = 0
     for rep in range(200):
         xs = sample(truth, 100, np.random.default_rng((95, rep)))
-        res = fit_weibull(xs, T)
+        res = fit("weibull", xs, T)
         if WEIBULL_INCONSISTENT not in res.warnings:
             missing_warnings += 1
     print(f"criterion 5: replications missing WeibullInconsistent: {missing_warnings}/200")

@@ -13,7 +13,7 @@ from tailfit.bootstrap import (
     replication_rng,
 )
 from tailfit.generate import generate_losses
-from tailfit.mle import fit_pareto, fit_rows
+from tailfit.mle import fit, fit_rows
 from tailfit.optimizer import InvalidStart
 
 import conftest
@@ -119,7 +119,7 @@ class TestRows:
         assert bm.m_converged == 200
         for rep in range(10):
             xs = sample(model, 100, replication_rng(31, rep))
-            assert bm.rows[rep, 0] == fit_pareto(xs, T).model.params[0]
+            assert bm.rows[rep, 0] == fit("pareto", xs, T).model.params[0]
 
     def test_pareto_mean_bias_factor(self, study_matrices):
         # E[alpha_hat] = alpha n/(n-1) since sum log(x/T) ~ Gamma(n, 1/alpha)
@@ -210,12 +210,14 @@ class TestRoundTrip:
     @pytest.mark.parametrize("csv_path", sorted(conftest._CACHE_DIR.glob("*.csv")),
                              ids=lambda p: p.stem)
     def test_cache_write_read_is_exact(self, tmp_path, csv_path):
-        # writing a cached matrix again gives its file byte for byte, and
+        # writing a cached matrix again gives its files byte for byte, and
         # reading that back gives its rows bit for bit
         bm = BootstrapMatrix.read(csv_path.with_suffix(""))
         base = tmp_path / "boot"
         bm.write(base)
         assert base.with_name("boot.csv").read_bytes() == csv_path.read_bytes()
+        assert base.with_name("boot.json").read_bytes() == \
+            csv_path.with_suffix(".json").read_bytes()
         assert BootstrapMatrix.read(base).rows.tobytes() == bm.rows.tobytes()
 
     def test_read_rounds_decimals_as_float(self, tmp_path):

@@ -245,6 +245,14 @@ class TestFitCommand:
         assert main(["fit", "--config", str(cfg)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_utf8_loss_file_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "losses.csv"
+        bad.write_bytes(b"loss\n\xff\xfe1.0\n")
+        cfg = write_config(tmp_path)
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
     def test_missing_input_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, input=str(tmp_path / "absent.csv"))
         assert main(["fit", "--config", str(cfg)]) == 2
@@ -367,6 +375,18 @@ class TestPipeline:
             assert err == f"error: {csv_path}: {message}\n"
         assert sorted(p.name for p in base.parent.iterdir()) == \
             ["boot_weibull_n100.csv", "boot_weibull_n100.json"]
+
+    def test_non_utf8_matrix_names_the_file(self, tmp_path, capsys):
+        base = tmp_path / "out" / "boot_weibull_n100"
+        base.parent.mkdir()
+        BootstrapMatrix("weibull", (0.56, 212303.18), 1e5, 100, 3, 3,
+                        np.ones((3, 2)), 777).write(base)
+        csv_path = BootstrapMatrix.files(base)[0]
+        csv_path.write_bytes(b"shape,scale\n1.0,2.0\n3.0,4.0\n5.0,\xff6.0\n")
+        cfg = write_config(tmp_path, families="weibull")
+        assert main(["normality", "--config", str(cfg)]) == 5
+        assert capsys.readouterr().err == \
+            f"error: {csv_path}: not UTF-8 text (byte 0xff: invalid start byte)\n"
 
     def test_matrix_of_another_cell_exits_5(self, tmp_path, capsys):
         # boot_pareto_n100.* copied over boot_weibull_n100.*: the file name

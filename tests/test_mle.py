@@ -14,12 +14,7 @@ from tailfit.mle import (
     NoConvergence,
     _newton_objective,
     fit,
-    fit_gb2,
-    fit_loglogistic,
-    fit_lognormal,
-    fit_pareto,
     fit_rows,
-    fit_weibull,
     gb2_init,
     loglogistic_init,
 )
@@ -32,60 +27,60 @@ T = 1e5
 
 class TestFitPareto:
     def test_all_at_t_times_e(self):
-        res = fit_pareto([T * math.e] * 3, T)
+        res = fit("pareto", [T * math.e] * 3, T)
         assert res.model.params[0] == pytest.approx(1.0, rel=1e-12)
         assert res.converged
 
     def test_half(self):
-        res = fit_pareto([T * math.e**2] * 2, T)
+        res = fit("pareto", [T * math.e**2] * 2, T)
         assert res.model.params[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_scale_equivariance(self):
         xs = np.array([1.3e5, 2.0e5, 9.9e5, 1.07e6])
-        a = fit_pareto(xs, T).model.params[0]
-        b = fit_pareto(7.0 * xs, 7.0 * T).model.params[0]
+        a = fit("pareto", xs, T).model.params[0]
+        b = fit("pareto", 7.0 * xs, 7.0 * T).model.params[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_degenerate_all_at_threshold(self):
         with pytest.raises(DegenerateSample):
-            fit_pareto([T, T, T], T)
+            fit("pareto", [T, T, T], T)
 
     def test_below_threshold_rejected(self):
         with pytest.raises(DegenerateSample):
-            fit_pareto([T / 2.0, 2.0 * T], T)
+            fit("pareto", [T / 2.0, 2.0 * T], T)
 
 
 class TestFitLognormal:
     def test_two_points(self):
-        res = fit_lognormal([math.e, math.e**3], 0.0)
+        res = fit("lognormal", [math.e, math.e**3], 0.0)
         mu, sigma = res.model.params
         assert mu == pytest.approx(2.0, abs=1e-12)
         assert sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_removal(self):
-        res = fit_lognormal([T + math.e, T + math.e**3], T)
+        res = fit("lognormal", [T + math.e, T + math.e**3], T)
         assert res.model.params == pytest.approx((2.0, 1.0), abs=1e-9)
 
     def test_divisor_is_n(self):
         xs = np.exp([1.0, 2.0, 4.0])
-        sigma = fit_lognormal(xs, 0.0).model.params[1]
+        sigma = fit("lognormal", xs, 0.0).model.params[1]
         ly = np.log(xs)
         assert sigma == pytest.approx(float(np.std(ly, ddof=0)), rel=1e-12)
         assert sigma != pytest.approx(float(np.std(ly, ddof=1)), rel=1e-6)
 
     def test_all_equal_degenerate(self):
         with pytest.raises(DegenerateSample):
-            fit_lognormal([5.0, 5.0, 5.0], 0.0)
+            fit("lognormal", [5.0, 5.0, 5.0], 0.0)
         # the rounded mean of ln 5 leaves this sample a spread of ~1e-15
         with pytest.raises(DegenerateSample):
-            fit_lognormal([T + 5.0] * 100, T)
+            fit("lognormal", [T + 5.0] * 100, T)
 
 
 class TestFitWeibull:
     def test_self_consistency_at_056(self):
         truth = SeverityModel("weibull", (0.56, 212303.18), 0.0)
         xs = sample(truth, 10_000, np.random.default_rng(101))
-        res = fit_weibull(xs, 0.0)
+        res = fit("weibull", xs, 0.0)
         a, b = res.model.params
         assert abs(reference_weibull_profile(xs)(a)) < 1e-8
         se = math.sqrt(asymptotic_covariance(truth, 10_000)[0, 0])
@@ -93,7 +88,7 @@ class TestFitWeibull:
         assert WEIBULL_INCONSISTENT in res.warnings
 
     def test_two_point_grid_oracle(self):
-        res = fit_weibull([1.0, math.e], 0.0)
+        res = fit("weibull", [1.0, math.e], 0.0)
         a_hat, b_hat = res.model.params
         # brute-force maximization of the log-likelihood over a 2000x2000 grid
         a_grid = np.linspace(1.5, 3.5, 2000)
@@ -111,7 +106,7 @@ class TestFitWeibull:
     def test_stationarity(self):
         truth = SeverityModel("weibull", (2.0, 2e5), T)
         xs = sample(truth, 5000, np.random.default_rng(55))
-        res = fit_weibull(xs, T)
+        res = fit("weibull", xs, T)
         theta = np.asarray(res.model.params)
         grad = np.empty(2)
         for j in range(2):
@@ -127,13 +122,13 @@ class TestFitWeibull:
     def test_no_warning_above_one(self):
         truth = SeverityModel("weibull", (2.0, 2e5), 0.0)
         xs = sample(truth, 2000, np.random.default_rng(9))
-        res = fit_weibull(xs, 0.0)
+        res = fit("weibull", xs, 0.0)
         assert res.model.params[0] > 1.0
         assert WEIBULL_INCONSISTENT not in res.warnings
 
     def test_all_equal_degenerate(self):
         with pytest.raises(DegenerateSample):
-            fit_weibull([2.0, 2.0], 0.0)
+            fit("weibull", [2.0, 2.0], 0.0)
 
 
 class TestFitLogLogistic:
@@ -145,7 +140,7 @@ class TestFitLogLogistic:
     def test_mc_recovery(self):
         truth = SeverityModel("loglogistic", (1.0, 84000.0), 0.0)
         xs = sample(truth, 10_000, np.random.default_rng(77))
-        res = fit_loglogistic(xs, 0.0)
+        res = fit("loglogistic", xs, 0.0)
         cov = asymptotic_covariance(truth, 10_000)
         for j, true_val in enumerate(truth.params):
             assert abs(res.model.params[j] - true_val) < 3.0 * math.sqrt(cov[j, j])
@@ -153,7 +148,7 @@ class TestFitLogLogistic:
     def test_nll_beats_init(self):
         truth = SeverityModel("loglogistic", (1.7, 5e4), T)
         xs = sample(truth, 500, np.random.default_rng(5))
-        res = fit_loglogistic(xs, T)
+        res = fit("loglogistic", xs, T)
         y = np.asarray(xs) - T
         init_model = SeverityModel("loglogistic", loglogistic_init(y), T)
         assert res.nll <= -log_likelihood(init_model, xs)
@@ -165,7 +160,7 @@ class TestFitGb2:
     def test_beats_every_start(self):
         # the start, and the starts of the data rescaled by +-5%
         xs = sample(self.TRUTH, 2500, np.random.default_rng(13))
-        res = fit_gb2(xs, T)
+        res = fit("gb2", xs, T)
         assert res.warnings == set()
         y = np.asarray(xs) - T
         for scale in (1.0, 1.05, 0.95):
@@ -175,8 +170,8 @@ class TestFitGb2:
     def test_beats_nested_loglogistic(self):
         nested = SeverityModel("gb2", (1.2, 6e4, 1.0, 1.0), T)
         xs = sample(nested, 2000, np.random.default_rng(14))
-        gb2 = fit_gb2(xs, T)
-        ll = fit_loglogistic(xs, T)
+        gb2 = fit("gb2", xs, T)
+        ll = fit("loglogistic", xs, T)
         a, s = ll.model.params
         competitor = SeverityModel("gb2", (a, s, 1.0, 1.0), T)
         assert gb2.nll <= -log_likelihood(competitor, xs) + 1e-6
@@ -190,15 +185,11 @@ class TestFitGb2:
 
     def test_warning_set_type(self):
         xs = sample(self.TRUTH, 300, np.random.default_rng(16))
-        res = fit_gb2(xs, T)
+        res = fit("gb2", xs, T)
         assert res.warnings <= {LOCAL_MINIMUM_RISK}
 
 
 class TestDispatch:
-    def test_dispatch_matches_pareto(self):
-        xs = [1.2e5, 3.3e5, 8.8e5]
-        assert fit("pareto", xs, T).model == fit_pareto(xs, T).model
-
     def test_empty(self):
         for family in ("pareto", "weibull", "lognormal", "loglogistic", "gb2"):
             with pytest.raises(DegenerateSample):
@@ -330,6 +321,26 @@ class TestFitRows:
         assert all(isinstance(o, DegenerateSample) for o in outcomes[:3])
         assert not isinstance(outcomes[3], DegenerateSample)
 
+    # the fewest values each family fits
+    MIN_N = {"pareto": 1, "weibull": 2, "lognormal": 2, "loglogistic": 3, "gb2": 8}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["too_few", "fewest", "at_threshold"])
+    @pytest.mark.parametrize("family", list(TRUE_MODELS))
+    def test_row_check_edges(self, family, case):
+        # too few values, the fewest distinct ones inside the support, and
+        # those plus T, which only Pareto's closed support holds
+        distinct = T + 1e4 * np.arange(1.0, self.MIN_N[family] + 1.0)
+        row = {"too_few": distinct[1:], "fewest": distinct,
+               "at_threshold": np.append(T, distinct)}[case]
+        # beside a row of NaN, which fails the check at any length
+        outcomes = fit_rows(family, np.array([row, np.full_like(row, np.nan), row]), T)
+        degenerate = case == "too_few" or (case == "at_threshold" and family != "pareto")
+        for outcome in outcomes[::2]:
+            assert isinstance(outcome, DegenerateSample) == degenerate
+            assert_same_outcome(outcome, family, row)
+        assert isinstance(outcomes[1], DegenerateSample)
+
 
 def loglik_one(family, lt, y):
     """`loglik_rows` of one sample y at log-parameters lt."""
@@ -413,7 +424,7 @@ class TestGb2Likelihood:
         model = TRUE_MODELS["gb2"]
         x = sample(model, 100, replication_rng(STUDY_SEED, 50))
         with pytest.raises(NoConvergence):
-            fit_gb2(x, T)
+            fit("gb2", x, T)
 
         def nll(theta):
             if np.any(theta <= 0.0):
@@ -445,7 +456,7 @@ class TestClosedFormIsGlobalOptimum:
         truth = SeverityModel("pareto", (1.11,), T)
         for seed in range(5):
             xs = sample(truth, 200, np.random.default_rng(1000 + seed))
-            closed = fit_pareto(xs, T)
+            closed = fit("pareto", xs, T)
 
             def nll(theta):
                 if theta[0] <= 0.0:
@@ -459,7 +470,7 @@ class TestClosedFormIsGlobalOptimum:
         truth = SeverityModel("lognormal", (11.3, 1.8), T)
         for seed in range(5):
             xs = sample(truth, 200, np.random.default_rng(2000 + seed))
-            closed = fit_lognormal(xs, T)
+            closed = fit("lognormal", xs, T)
 
             def nll(theta):
                 if theta[1] <= 0.0:

@@ -4,8 +4,9 @@ Each replication draws from its own counter-based Philox stream keyed by
 (seed, replication index), and the replications of a chunk are fitted
 together by `mle.fit_rows`, which gives every row the fit its sample alone
 would get.  So results are bit-identical for any worker count and any
-chunking of the replication range.  Non-convergent replications are dropped
-and counted, never imputed.
+chunking of the replication range.  A replication without an interior
+estimate is dropped, never imputed, and counted under its `mle.OUTCOMES`
+class in the matrix's `outcomes`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class BootstrapMatrix:
     m_converged: int
     rows: np.ndarray  # (m_converged, k), replication order preserved
     seed: int
+    # replications per `mle.OUTCOMES` class, or None for a matrix read from a
+    # sidecar without them
+    outcomes: dict[str, int] | None = None
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -87,6 +91,8 @@ class BootstrapMatrix:
         csv_path, json_path = self.files(path_base)
         csv_path.write_text(",".join(self.param_names) + "\n" + format_rows(self.rows))
         meta = {key: getattr(self, key) for key in _SIDECAR_KEYS}
+        if self.outcomes is not None:
+            meta["outcomes"] = self.outcomes
         if extra_meta:
             meta.update(extra_meta)
         json_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -108,7 +114,7 @@ class BootstrapMatrix:
                                   f"gives m_converged = {meta['m_converged']}")
         fields = {key: meta[key] for key in _SIDECAR_KEYS}
         fields["true_params"] = tuple(fields["true_params"])
-        return cls(rows=rows, **fields)
+        return cls(rows=rows, outcomes=meta.get("outcomes"), **fields)
 
 
 def _read_sidecar(json_path: Path) -> dict:
@@ -125,6 +131,14 @@ def _read_sidecar(json_path: Path) -> dict:
         raise MalformedMatrix(f"{json_path}: no {', '.join(missing)}")
     if meta["family"] not in FAMILIES:
         raise MalformedMatrix(f"{json_path}: unknown family {meta['family']!r}")
+    outcomes = meta.get("outcomes")
+    if outcomes is not None and not (
+            isinstance(outcomes, dict) and set(outcomes) == set(mle.OUTCOMES)
+            and all(type(c) is int and c >= 0 for c in outcomes.values())
+            and sum(outcomes.values()) == meta["m_requested"]
+            and outcomes["interior"] == meta["m_converged"]):
+        raise MalformedMatrix(f"{json_path}: outcomes is not a count per class summing to "
+                              f"m_requested, with m_converged interior")
     return meta
 
 
@@ -154,11 +168,12 @@ def _kept(outcome):
 
 
 def _run_chunk(args):
-    """Replications [lo, hi): each sampled from its own stream, then fitted
-    in batches of at most BATCH_ELEMENTS sample values.  A batch's rows run
-    their Newton iterations in lockstep, so a fuller batch pays the fixed
-    cost of each step for more rows; the likelihood itself is still
-    evaluated in blocks of at most mle.BLOCK_ELEMENTS values."""
+    """Replications [lo, hi), each as (its `mle.OUTCOMES` class, its row or
+    None): each sampled from its own stream, then fitted in batches of at
+    most BATCH_ELEMENTS sample values.  A batch's rows run their Newton
+    iterations in lockstep, so a fuller batch pays the fixed cost of each
+    step for more rows; the likelihood itself is still evaluated in blocks
+    of at most mle.BLOCK_ELEMENTS values."""
     model, n, seed, lo, hi = args
     per_batch = _batch_rows(n)
     rows = []
@@ -167,7 +182,8 @@ def _run_chunk(args):
         xs = np.empty((len(reps), n))
         for i, rep in enumerate(reps):
             xs[i] = sample(model, n, replication_rng(seed, rep))
-        rows.extend(_kept(o) for o in mle.fit_rows(model.family, xs, model.threshold))
+        rows.extend((mle.outcome_class(o), _kept(o))
+                    for o in mle.fit_rows(model.family, xs, model.threshold))
     return rows
 
 
@@ -182,7 +198,8 @@ def _chunks(n: int, m: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _fit_replication(model: SeverityModel, n: int, seed: int, rep: int):
-    """Replication `rep` alone: its parameters, or None if it is dropped."""
+    """Replication `rep` alone: its class, and its parameters or None if it
+    is dropped."""
     return _run_chunk((model, n, seed, rep, rep + 1))[0]
 
 
@@ -203,7 +220,10 @@ def run_bootstrap(
             for chunk in pool.map(_run_chunk, tasks):
                 outcomes.extend(chunk)
 
-    rows = [params for params in outcomes if params is not None]
+    rows = [params for _, params in outcomes if params is not None]
+    counts = dict.fromkeys(mle.OUTCOMES, 0)
+    for kind, _ in outcomes:
+        counts[kind] += 1
     k = len(PARAM_NAMES[model.family])
     matrix = np.array(rows, dtype=float).reshape(len(rows), k)
     bm = BootstrapMatrix(
@@ -215,6 +235,7 @@ def run_bootstrap(
         m_converged=len(rows),
         rows=matrix,
         seed=seed,
+        outcomes=counts,
     )
     if bm.m_converged < 0.5 * m:
         raise TooFewConverged(

@@ -49,11 +49,19 @@ class _Family:
     """A FAMILY_TABLE entry.  Formulas take x inside the support or u in
     (0, 1), then T and the parameters; T never enters the information `info`.
     A family that `mle` fits by Newton also defines `loglik_rows`: the
-    log-likelihood with its score and Hessian in log-parameters, per row."""
+    log-likelihood with its score and Hessian in log-parameters, per row.  A
+    family whose likelihood can rise toward a nested limit also names those
+    `limits` and gives Newton an `escape_test`."""
 
     names: tuple[str, ...]
     positive: tuple[str, ...]  # parameters that must be > 0
     closed = False  # support (T, inf) of the shifted X = T + Y
+    limits: tuple[str, ...] = ()
+
+    def escape_test(self, x0):
+        """The test that stops Newton runs from the log-parameters x0 once
+        they escape toward one of `limits`, or None."""
+        return None
 
     def sample(self, n: int, rng: np.random.Generator, T: float, *theta) -> np.ndarray:
         """Draw by inversion."""
@@ -190,9 +198,75 @@ def _logistic_sums(a, lb, ly):
     return st, softplus, sw, swt, sv, svt, np.sum(v, axis=1)
 
 
+class _GB2Escape:
+    """The escape test of GB2 Newton runs, called after every step with the
+    runs that took it and their new iterates in (ln a, ln b, ln p, ln q).
+
+    It measures each iterate in z = (ln a, ln(b / b0), ln p, ln q), where b0
+    is the run's start scale (`mle.gb2_init` starts at the sample median),
+    and keeps each run's last _WINDOW + 1 points, its start included, in an
+    array indexed by run: a run's verdict depends only on its own iterates.
+    Points not yet taken are NaN, which fails every comparison.
+
+    A run escapes when its radius max|z| exceeds ln 1e3 and has grown at
+    each of the last _WINDOW steps.  Its direction of escape is the change
+    dz of z over those steps.  The limit is the one whose direction in
+    (ln a, ln p, ln q) is nearest to dz's in angle, where b must move as the
+    limit says:
+      boundary_gg              q -> inf, with b -> inf         (0, 0, 1)
+      boundary_igg             p -> inf, with b -> 0           (0, 1, 0)
+      boundary_lognormal       a -> 0 with a^2 p, a^2 q fixed  (-1, 2, 2)
+      boundary_double_pareto   a -> inf with a p, a q fixed    (1, -1, -1)
+    Since 1/Y ~ GB2(a, 1/b, q, p), the two gamma limits are one rule applied
+    to ln y and to -ln y.  Returns, per run, the code of its limit (1 + its
+    index in `_GB2.limits`; 0 if the run is not escaping toward one) and
+    whether to stop it now: it escapes, and its radius grew by more than
+    _GROWTH over the window.  A slower escape keeps iterating, since a run
+    can pass far out before it converges.
+
+    The test compares floats and booleans only: an int64 comparison would
+    page in ~128 KB more of numpy's loops than the fit itself uses."""
+
+    _WINDOW = 5
+    _RADIUS = math.log(1e3)
+    _GROWTH = 2.0
+    # the limits' directions in (ln a, ln p, ln q), unit length, in `_GB2.limits` order
+    _DIRECTIONS = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 2.0, 2.0],
+                            [1.0, -1.0, -1.0]])
+    _DIRECTIONS /= np.sqrt(np.sum(_DIRECTIONS**2, axis=1, keepdims=True))
+    _SCALE_SIGN = np.array([1.0, -1.0, 0.0, 0.0])  # the sign d ln b must have, 0 for any
+
+    def __init__(self, x0) -> None:
+        x0 = np.array(x0, dtype=float, ndmin=2)
+        self.scale0 = x0[:, 1].copy()
+        self.trail = np.full((x0.shape[0], self._WINDOW + 1, x0.shape[1]), np.nan)
+        self.trail[:, -1] = x0
+        self.trail[:, -1, 1] = 0.0
+
+    def __call__(self, rows: np.ndarray, x: np.ndarray) -> tuple:
+        z = x.copy()
+        z[:, 1] -= self.scale0[rows]
+        window = np.concatenate([self.trail[rows, 1:], z[:, None]], axis=1)  # oldest first
+        self.trail[rows] = window
+        radius = np.max(np.abs(window), axis=2)
+        escaping = ((radius[:, -1] > self._RADIUS)
+                    & np.all(radius[:, 1:] > radius[:, :-1], axis=1))
+        dz = window[:, -1] - window[:, 0]
+        d = self._DIRECTIONS
+        cosine = dz[:, 0:1] * d[:, 0] + dz[:, 2:3] * d[:, 1] + dz[:, 3:4] * d[:, 2]
+        limit = np.argmax(cosine, axis=1)
+        sign = self._SCALE_SIGN[limit]
+        hit = escaping & ((sign == 0.0) | (sign * dz[:, 1] > 0.0))
+        return np.where(hit, limit + 1, 0), hit & (radius[:, -1] - radius[:, 0] > self._GROWTH)
+
+
 class _GB2(_Family):
     names = ("shape1", "scale", "shape2", "shape3")
     positive = names
+    limits = ("boundary_gg", "boundary_igg", "boundary_lognormal", "boundary_double_pareto")
+
+    def escape_test(self, x0):
+        return _GB2Escape(x0)
 
     def log_pdf(self, x, T, a, b, p, q):
         t = a * (np.log(x - T) - math.log(b))

@@ -8,12 +8,16 @@ iteration:
 - Log-logistic and GB2: modified Newton (`optimizer.newton_rows`) on the
   log-likelihood in log-parameters, (ln a, ln s) and (ln a, ln b, ln p, ln q),
   with the score and Hessian from the family's `FAMILY_TABLE` entry, from one
-  start.  Only a converged run is an estimate; a run that reaches the
-  iteration cap or fails its line search raises NoConvergence.  For GB2 at
-  small n these are mostly samples whose likelihood keeps rising toward a
-  nested limit of the family, so no interior maximum exists.  A converged
-  run whose Hessian is not negative definite there carries
-  LOCAL_MINIMUM_RISK.
+  start.  Only a converged run is an estimate.  For GB2 at small n many
+  samples have no interior maximum: the likelihood keeps rising toward a
+  nested limit of the family.  GB2's escape test names the limit a run
+  escapes toward, from its direction in the log-parameters, and stops a
+  run that escapes fast; a run that ends escaping raises NestedLimit, which
+  carries the limit.  A run that ends unconverged otherwise, at the
+  iteration cap or on a failed line search, raises NoConvergence.  A
+  converged run whose Hessian is not negative definite there carries
+  LOCAL_MINIMUM_RISK.  `outcome_class` names the OUTCOMES class of every
+  outcome.
 
 `fit_rows` fits many samples of one size at once, for every family the same
 way.  It checks each row once, from the row's minimum and maximum: too few
@@ -43,7 +47,10 @@ __all__ = [
     "FitError",
     "DegenerateSample",
     "NoConvergence",
+    "NestedLimit",
     "FitResult",
+    "OUTCOMES",
+    "outcome_class",
     "WEIBULL_INCONSISTENT",
     "LOCAL_MINIMUM_RISK",
     "fit",
@@ -73,6 +80,17 @@ class NoConvergence(FitError):
     """All numerical attempts failed; the caller discards the estimate."""
 
 
+class NestedLimit(NoConvergence):
+    """The run escaped toward a nested limit of the family, along which the
+    likelihood kept rising, so it gives no interior estimate: `limit` names
+    the outcome class, such as "boundary_gg"; `params` and `nll` are where
+    the run stopped."""
+
+    def __init__(self, limit: str, params: tuple, nll: float, message: str) -> None:
+        super().__init__(message)
+        self.limit, self.params, self.nll = limit, params, nll
+
+
 @dataclass
 class FitResult:
     model: SeverityModel
@@ -80,6 +98,26 @@ class FitResult:
     converged: bool
     n: int
     warnings: set = field(default_factory=set)
+
+
+# Every class of a fit's outcome: an estimate, a run that escaped toward a
+# nested limit, a run that stopped unconverged otherwise, a sample that admits
+# no estimate, and a start where the likelihood is not finite
+OUTCOMES = ("interior", *FAMILY_TABLE["gb2"].limits, "not_converged", "degenerate",
+            "invalid_start")
+
+
+def outcome_class(outcome) -> str:
+    """The OUTCOMES class of one entry of `fit_rows`."""
+    if isinstance(outcome, FitResult):
+        return "interior" if outcome.converged else "not_converged"
+    if isinstance(outcome, NestedLimit):
+        return outcome.limit
+    if isinstance(outcome, DegenerateSample):
+        return "degenerate"
+    if isinstance(outcome, InvalidStart):
+        return "invalid_start"
+    return "not_converged"
 
 
 def _block_rows(n: int) -> int:
@@ -268,13 +306,19 @@ def _newton_family_rows(family: str, init, xs: np.ndarray, T: float) -> list:
     if len(ok) < len(ly):
         ly = ly[ok]
     n = ly.shape[1]
+    entry = FAMILY_TABLE[family]
     res = newton_rows(_newton_objective(family, ly, np.sum(ly, axis=1)), starts,
-                      block_rows=_block_rows(n))
+                      block_rows=_block_rows(n), escape=entry.escape_test(starts))
     params = np.exp(res.argmin)
     for j, i in enumerate(ok):
         if not res.valid[j]:
             outcomes[i] = InvalidStart(f"log-likelihood is {-res.fmin[j]} at start point "
                                        f"{params[j]}")
+        elif res.escaped[j]:
+            limit = entry.limits[res.escaped[j] - 1]
+            outcomes[i] = NestedLimit(limit, tuple(params[j].tolist()), float(res.fmin[j]),
+                                      f"{family} Newton escaped toward {limit} after "
+                                      f"{res.iterations[j]} steps at {params[j]}")
         elif not res.converged[j]:
             outcomes[i] = NoConvergence(f"{family} Newton stopped unconverged after "
                                         f"{res.iterations[j]} steps at {params[j]}")

@@ -2,12 +2,13 @@
 
 `newton_rows` advances many independent runs in lockstep: each row of `x0` is
 one run with its own iterate, iteration count and convergence flag, and each
-objective call evaluates every row that needs a point.  A call has a fixed
-cost, so the line search tries several halvings of a pending row's step in
-one call and keeps the first that succeeds.  Every row reaches exactly the
-point a run started alone, with one halving per call, would reach, so a
-row's result does not depend on which rows share its batch.  It needs the
-objective's gradient and Hessian.
+objective call evaluates every row that needs a point.  An optional escape
+test stops runs that head off toward a limit with no minimum.  A call has a
+fixed cost, so the line search tries several halvings of a pending row's
+step in one call and keeps the first that succeeds.  Every row reaches
+exactly the point a run started alone, with one halving per call, would
+reach, so a row's result does not depend on which rows share its batch.  It
+needs the objective's gradient and Hessian.
 
 `nelder_mead` is derivative-free and runs one start, with the standard
 coefficients (reflection 1, expansion 2, contraction 0.5, shrink 0.5) and an
@@ -42,7 +43,9 @@ class OptimResult:
 class RowsResult:
     """Per-row outcomes of `newton_rows`.  A row whose start is not finite
     (`valid` False) keeps its start as `argmin` and its objective value there
-    as `fmin`, with 0 iterations."""
+    as `fmin`, with 0 iterations.  `escaped` is the escape test's code at
+    the row's last point: nonzero only for a run that did not converge and
+    was escaping when it stopped, early or at a cap."""
 
     argmin: np.ndarray             # (R, dim)
     fmin: np.ndarray               # (R,)
@@ -50,6 +53,7 @@ class RowsResult:
     iterations: np.ndarray         # (R,) int
     valid: np.ndarray              # (R,) bool: the objective was finite at the start
     positive_definite: np.ndarray  # (R,) bool: the Hessian at argmin is positive definite
+    escaped: np.ndarray            # (R,) int: the escape test's code at argmin, 0 if none
 
 
 _TINY = np.finfo(float).tiny
@@ -194,7 +198,7 @@ def _line_search(objective, ids, x, f, grad, hess, step, block_rows: int) -> np.
 
 
 def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0,
-                block_rows: int = 1) -> RowsResult:
+                block_rows: int = 1, escape=None) -> RowsResult:
     """Minimize one smooth objective per row of `x0` (shape (R, dim)) by
     modified Newton.
 
@@ -219,7 +223,15 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0,
     unconverged after 100 steps, or when 40 halvings find no such decrease.
     Each run reports whether the Hessian at its last point is positive
     definite.  Runs whose start is not finite are reported invalid and never
-    evaluated again; the others proceed."""
+    evaluated again; the others proceed.
+
+    `escape(runs, thetas)`, if given, is called after every step with the
+    runs that took it and their new points.  It returns per run an int code,
+    nonzero while the run escapes toward a limit where no minimum lies, and
+    whether to stop it now; a stopped run ends unconverged.  Each run keeps
+    the code of its last point in `escaped`, 0 once it converges.  The test
+    must judge a run by its own points only, so that a row's result still
+    does not depend on its batch."""
     x = np.array(x0, dtype=float, ndmin=2)
     n_rows = x.shape[0]
     f, grad, hess = objective(np.arange(n_rows), x)
@@ -228,6 +240,7 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0,
     converged = np.zeros(n_rows, dtype=bool)
     iterations = np.zeros(n_rows, dtype=int)
     positive_definite = np.zeros(n_rows, dtype=bool)
+    escaped = np.zeros(n_rows, dtype=int)
 
     # the runs still going: `ids` maps a state row to its run
     ids = np.nonzero(valid)[0]
@@ -242,6 +255,7 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0,
         step = -np.sum(vec * (vg / lam)[:, None, :], axis=2)
         done = 0.5 * np.sum(vg * vg / lam, axis=1) <= _RTOL * _max1(np.abs(f[ids]))
         converged[ids[done]] = True
+        escaped[ids[done]] = 0
         stop = done | (steps >= _MAX_ITERATIONS)
         iterations[ids[stop]] = steps
         positive_definite[ids[stop]] = pd[stop]
@@ -251,11 +265,14 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0,
 
         longest = np.max(np.abs(step), axis=1)
         step *= np.where(longest > _MAX_STEP, _MAX_STEP / longest, 1.0)[:, None]
-        failed = _line_search(objective, ids, x, f, grad, hess, step, block_rows)
+        stop = _line_search(objective, ids, x, f, grad, hess, step, block_rows)  # failed
         steps += 1
-        iterations[ids[failed]] = steps
-        positive_definite[ids[failed]] = pd[failed]
-        ids, grad, hess, pd = ids[~failed], grad[~failed], hess[~failed], pd[~failed]
+        if escape is not None:
+            moved = ~stop
+            escaped[ids[moved]], stop[moved] = escape(ids[moved], x[ids[moved]])
+        iterations[ids[stop]] = steps
+        positive_definite[ids[stop]] = pd[stop]
+        ids, grad, hess, pd = ids[~stop], grad[~stop], hess[~stop], pd[~stop]
 
     return RowsResult(argmin=x, fmin=f, converged=converged, iterations=iterations, valid=valid,
-                      positive_definite=positive_definite)
+                      positive_definite=positive_definite, escaped=escaped)

@@ -57,7 +57,7 @@ def behaviour_fingerprint(model: SeverityModel, n: int) -> str:
     the bootstrap keeps from the first replications of `model` at size n:
     it changes with any fitted bit, drop or sampled value among them, and
     not with an edit that changes none."""
-    rows = _run_chunk((model, n, STUDY_SEED, 0, _PROBE_REPS))
+    rows = [params for _, params in _run_chunk((model, n, STUDY_SEED, 0, _PROBE_REPS))]
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
@@ -78,7 +78,7 @@ def _spot_check(bm: BootstrapMatrix, model: SeverityModel, base: Path) -> None:
     fresh = []
     rep = 0
     while len(fresh) < want and rep < bm.m_requested:
-        params = _fit_replication(model, bm.n, bm.seed, rep)
+        _, params = _fit_replication(model, bm.n, bm.seed, rep)
         if params is not None:
             fresh.append(params)
         rep += 1

@@ -12,6 +12,7 @@ from tailfit.bootstrap import BootstrapMatrix
 from tailfit.cli import (ConfigError, StudyConfig, _study_config, build_parser, main,
                          parse_config, read_losses)
 from tailfit.generate import generate_losses
+from tailfit.mle import OUTCOMES
 
 
 def write_config(tmp_path, **overrides):
@@ -305,6 +306,8 @@ class TestPipeline:
             meta = json.loads((out / f"boot_{family}_n100.json").read_text())
             assert meta["m_converged"] <= meta["m_requested"] == 120
             assert meta["config_hash"]
+            assert meta["outcomes"] == {**dict.fromkeys(OUTCOMES, 0),
+                                        "interior": meta["m_converged"]}
 
     def test_bootstrap_deterministic_across_threads(self, tmp_path, ran_bootstrap):
         out = tmp_path / "out"
@@ -419,12 +422,15 @@ class TestPipeline:
         assert main(["normality", "--config", str(cfg)]) == 5
         assert capsys.readouterr().err == f"error: missing bootstrap matrix {json_path}\n"
 
-    # a sidecar that is not JSON, one without m_converged, one of an unknown family
+    # a sidecar that is not JSON, one without m_converged, one of an unknown
+    # family, one whose class counts do not add up to m_requested
     SIDECARS = {
         "not_json": lambda meta: "{",
         "no_m_converged": lambda meta: json.dumps({k: v for k, v in meta.items()
                                                    if k != "m_converged"}),
         "unknown_family": lambda meta: json.dumps({**meta, "family": "normal"}),
+        "short_outcomes": lambda meta: json.dumps(
+            {**meta, "outcomes": {**dict.fromkeys(OUTCOMES, 0), "interior": 2}}),
     }
 
     @pytest.mark.parametrize("command", ["normality", "cierror", "overlays"])

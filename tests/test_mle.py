@@ -11,12 +11,14 @@ from tailfit.mle import (
     WEIBULL_INCONSISTENT,
     DegenerateSample,
     FitError,
+    NestedLimit,
     NoConvergence,
     _newton_objective,
     fit,
     fit_rows,
     gb2_init,
     loglogistic_init,
+    outcome_class,
 )
 from tailfit.optimizer import InvalidStart, nelder_mead, newton_rows
 
@@ -447,6 +449,129 @@ class TestGb2Likelihood:
         b, p = np.array(path)[:, 1], np.array(path)[:, 2]
         assert np.all(np.diff(b) < 0.0) and np.all(np.diff(p) > 0.0)
         assert b[-1] < 1e-10 * b[0] and p[-1] > 1e3 * p[0]
+
+
+def prentice_nll(theta, y):
+    """The negative log-likelihood of Prentice's (1974) generalized gamma at
+    (mu, ln sigma, Q) for y > 0: with w = (ln y - mu) / sigma,
+        ln f(y) = -ln(sigma y) + ln|Q| (1 - 2/Q^2) + (Q w - e^(Q w)) / Q^2 - lgamma(1/Q^2).
+    Q > 0 is Stacy's generalized gamma, Q < 0 the inverse one (-ln y has -Q)
+    and Q -> 0 the lognormal."""
+    mu, log_sigma, q = theta
+    if q == 0.0:
+        return math.inf
+    ly = np.log(y)
+    qw = q * (ly - mu) / math.exp(log_sigma)
+    nll = -np.sum(-log_sigma - ly + math.log(abs(q)) * (1.0 - 2.0 / q**2)
+                  + (qw - np.exp(qw)) / q**2 - math.lgamma(q**-2))
+    return nll if np.isfinite(nll) else math.inf
+
+
+def prentice_start(limit, a, b, p, q):
+    """The generalized gamma a GB2 point approaches as q -> inf (gamma) or
+    p -> inf (inverse gamma): location ln b + (ln p - ln q) / a, scale
+    1 / (a sqrt(k)) and Q = +-1 / sqrt(k), k the shape that stays finite."""
+    k, sign = (p, 1.0) if limit == "boundary_gg" else (q, -1.0)
+    return np.array([math.log(b) + (math.log(p) - math.log(q)) / a,
+                     -math.log(a * math.sqrt(k)), sign / math.sqrt(k)])
+
+
+def lognormal_nll(y):
+    ly = np.log(y)
+    mu = np.mean(ly)
+    sigma = math.sqrt(np.mean((ly - mu) ** 2))
+    return float(np.sum(ly + math.log(sigma) + 0.5 * math.log(2.0 * math.pi)
+                        + 0.5 * ((ly - mu) / sigma) ** 2))
+
+
+def double_pareto_nll(log_b, y):
+    """The double Pareto (Reed 2003), GB2's limit as a -> inf with a p = beta
+    and a q = alpha fixed: f(y) = alpha beta / (alpha + beta) / y * (y/b)^beta
+    below b and (y/b)^-alpha above.  Profiled over alpha and beta, which
+    have closed forms at fixed b."""
+    lr = np.log(y) - log_b
+    s1, s2 = -np.sum(lr[lr < 0.0]), np.sum(lr[lr >= 0.0])
+    if s1 <= 0.0 or s2 <= 0.0:
+        return math.inf
+    r = math.sqrt(s2 / s1)
+    alpha = y.size * r / (s2 * (1.0 + r))
+    beta = alpha * r
+    return -(y.size * math.log(alpha * beta / (alpha + beta)) - np.sum(np.log(y))
+             - beta * s1 - alpha * s2)
+
+
+class TestNestedLimits:
+    """GB2 runs that escape toward a nested limit, against the limit itself."""
+
+    # one replication of the study's GB2 n = 100 cell per limit
+    ROWS = {1: "boundary_gg", 12: "boundary_igg", 45: "boundary_lognormal",
+            89: "boundary_double_pareto"}
+
+    def test_limit_family_bounds_the_stop(self):
+        # where the run stopped, the limit family fits at least as well: the
+        # likelihood was still rising toward it
+        model = TRUE_MODELS["gb2"]
+        xs = np.array([sample(model, 100, replication_rng(STUDY_SEED, rep)) for rep in self.ROWS])
+        for (rep, limit), x, outcome in zip(self.ROWS.items(), xs, fit_rows("gb2", xs, T)):
+            assert isinstance(outcome, NestedLimit) and outcome_class(outcome) == limit, rep
+            y = x - T
+            a, b, p, q = outcome.params
+            if limit == "boundary_double_pareto":
+                best = nelder_mead(lambda t: double_pareto_nll(t[0], y), np.array([math.log(b)]))
+                assert a > 1e3 and p < 1e-3 and q < 1e-3
+            elif limit == "boundary_lognormal":
+                # the corner a -> 0, p, q -> inf: the run has passed the plain
+                # lognormal, and the generalized gamma, which holds it at
+                # Q = 0, still bounds the stop at a Q near 0
+                ln_gap = outcome.nll - lognormal_nll(y)
+                print(f"{limit} rep {rep}: lognormal gap {ln_gap:.4g}")
+                assert abs(ln_gap) < 1e-4 * outcome.nll
+                ly = np.log(y)
+                best = nelder_mead(lambda t: prentice_nll(t, y),
+                                   np.array([np.mean(ly), math.log(np.std(ly)), 0.05]))
+                assert abs(best.argmin[2]) < 0.1
+            else:
+                best = nelder_mead(lambda t: prentice_nll(t, y),
+                                   prentice_start(limit, a, b, p, q))
+                assert (best.argmin[2] > 0.0) == (limit == "boundary_gg")
+            gap = outcome.nll - best.fmin
+            print(f"{limit} rep {rep}: GB2 nll at the stop {outcome.nll:.6f}, "
+                  f"limit {best.fmin:.6f}, gap {gap:.4g}")
+            assert best.converged and 0.0 <= gap < 1e-4 * outcome.nll
+
+    @pytest.mark.parametrize("direction,code", [
+        ((0.0, 1.0, 0.0, 0.5), 1),     # q up with b up: generalized gamma
+        ((0.0, -1.0, 0.5, 0.0), 2),    # p up with b down: inverse generalized gamma
+        ((-0.3, 0.0, 0.6, 0.6), 3),    # a down, p and q up: lognormal
+        ((0.7, 0.0, -0.7, -0.7), 4),   # a up, p and q down: double Pareto
+        ((0.0, -1.0, 0.0, 0.5), 0),    # q up with b down: no limit
+    ])
+    def test_escape_direction(self, direction, code):
+        # a run moving steadily along `direction` from z = (0, 0, 0, 0)
+        # escapes once its radius passes ln 1e3 after 5 growing steps
+        test = FAMILY_TABLE["gb2"].escape_test(np.array([[0.0, 5.0, 0.0, 0.0]]))
+        step = 1.5 * np.array(direction) / np.max(np.abs(direction))
+        rows = np.array([0])
+        for k in range(1, 9):
+            got, stop = test(rows, np.array([[0.0, 5.0, 0.0, 0.0]]) + k * step)
+            escaping = k >= 5 and 1.5 * k > math.log(1e3)
+            assert got[0] == (code if escaping else 0), k
+            assert stop[0] == (code > 0 and escaping), k
+
+    def test_slow_runs_go_on_and_a_step_back_clears_the_escape(self):
+        # both start at radius 7 in ln q and move along (0, 1, 0, 1): the
+        # first grows 1.5 per 5 steps, the second steps back once, at step 9
+        test = FAMILY_TABLE["gb2"].escape_test(np.array([[0.0, 0.0, 0.0, 7.0]] * 2))
+        rows = np.arange(2)
+        for k in range(1, 16):
+            slow = 0.3 * k
+            wavering = k + (2.5 if k == 8 else 0.0)
+            codes, stop = test(rows, np.array([[0.0, slow, 0.0, 7.0 + slow],
+                                               [0.0, wavering, 0.0, 7.0 + wavering]]))
+            assert not stop[0] and codes[0] == (1 if k >= 5 else 0), k
+            back = 9 <= k <= 13  # windows that hold the step back
+            assert codes[1] == (0 if back or k < 5 else 1), k
+            assert stop[1] == (codes[1] == 1), k
 
 
 class TestClosedFormIsGlobalOptimum:

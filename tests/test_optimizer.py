@@ -3,6 +3,7 @@ import pytest
 
 from tailfit import optimizer, sample
 from tailfit.bootstrap import replication_rng
+from tailfit.distributions import FAMILY_TABLE
 from tailfit.mle import _newton_objective, gb2_init
 from tailfit.optimizer import InvalidStart, nelder_mead, newton_rows
 
@@ -285,7 +286,8 @@ def reference_newton_rows(objective, x0):
         positive_definite[ids[pending]] = pd[pending]
         ids, grad, hess, pd = ids[~pending], grad[~pending], hess[~pending], pd[~pending]
     return optimizer.RowsResult(argmin=x, fmin=f, converged=converged, iterations=iterations,
-                                valid=valid, positive_definite=positive_definite)
+                                valid=valid, positive_definite=positive_definite,
+                                escaped=np.zeros(n_rows, dtype=int))
 
 
 def counting(objective):
@@ -299,7 +301,8 @@ def counting(objective):
 
 
 def assert_same_result(got, want):
-    for name in ("argmin", "fmin", "converged", "iterations", "valid", "positive_definite"):
+    for name in ("argmin", "fmin", "converged", "iterations", "valid", "positive_definite",
+                 "escaped"):
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
 
@@ -427,3 +430,27 @@ class TestLineSearchLadder:
         capped = got.iterations == optimizer._MAX_ITERATIONS
         assert capped.sum() >= 5 and not got.converged[capped].any()
         assert got.converged.sum() >= 50
+
+    def test_escape_test_stops_only_escaping_runs(self):
+        # the same 100 runs with GB2's escape test: 27 of the 33 that do not
+        # converge stop early, higher up the slope they were descending, and
+        # every other run ends bit for bit as without the test
+        model = TRUE_MODELS["gb2"]
+        y = np.array([sample(model, 100, replication_rng(STUDY_SEED, rep))
+                      for rep in range(100)]) - model.threshold
+        x0 = np.log([gb2_init(row) for row in y])
+        ly = np.log(y)
+        objective = _newton_objective("gb2", ly, np.sum(ly, axis=1))
+        free = newton_rows(objective, x0, block_rows=163)
+        got = newton_rows(objective, x0, block_rows=163,
+                          escape=FAMILY_TABLE["gb2"].escape_test(x0))
+        stopped = got.escaped > 0
+        early = stopped & (got.iterations < free.iterations)
+        assert not (stopped & got.converged).any()
+        assert early.sum() == 27 and stopped.sum() == 32
+        assert not free.converged[stopped].any()
+        assert np.all(got.fmin[early] > free.fmin[early])
+        for name in ("argmin", "fmin", "converged", "iterations"):
+            assert np.array_equal(getattr(got, name)[~early], getattr(free, name)[~early]), name
+        capped = got.iterations == optimizer._MAX_ITERATIONS
+        assert (~got.converged).sum() == 33 and (capped & ~stopped).sum() == 1

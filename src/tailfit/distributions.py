@@ -253,8 +253,9 @@ class _GB2Escape:
                     & np.all(radius[:, 1:] > radius[:, :-1], axis=1))
         dz = window[:, -1] - window[:, 0]
         d = self._DIRECTIONS
-        cosine = dz[:, 0:1] * d[:, 0] + dz[:, 2:3] * d[:, 1] + dz[:, 3:4] * d[:, 2]
-        limit = np.argmax(cosine, axis=1)
+        # dz's projection on each unit direction, largest for the nearest in angle
+        projection = dz[:, 0:1] * d[:, 0] + dz[:, 2:3] * d[:, 1] + dz[:, 3:4] * d[:, 2]
+        limit = np.argmax(projection, axis=1)
         sign = self._SCALE_SIGN[limit]
         hit = escaping & ((sign == 0.0) | (sign * dz[:, 1] > 0.0))
         return np.where(hit, limit + 1, 0), hit & (radius[:, -1] - radius[:, 0] > self._GROWTH)

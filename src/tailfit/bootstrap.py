@@ -1,7 +1,11 @@
 """Parametric bootstrap engine: sample n points from theta*, refit, repeat.
 
-Each replication draws from its own counter-based Philox stream keyed by
-(seed, replication index), and the replications of a chunk are fitted
+Each replication draws from its own counter-based Philox stream, keyed by
+(seed, replication index) through numpy's SeedSequence: `replication_rng`
+builds it for one replication.  A chunk derives the keys of all its
+replications in one vectorized pass and re-keys one generator per
+replication, which then draws exactly that stream (Philox's output depends
+on its key and counter alone).  The replications of a batch are fitted
 together by `mle.fit_rows`, which gives every row the fit its sample alone
 would get.  So results are bit-identical for any worker count and any
 chunking of the replication range.  A replication without an interior
@@ -149,6 +153,60 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     )
 
 
+# numpy's SeedSequence hash constants (its pool holds 4 uint32 words)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_U32 = 0xFFFFFFFF
+
+
+def _hashed(words: np.ndarray, const: int) -> tuple:
+    """SeedSequence's hashmix of uint32 `words` at hash constant `const`:
+    the hashed words and the next constant."""
+    h = words ^ np.uint32(const)
+    const = const * _MULT_A & _U32
+    h *= np.uint32(const)
+    h ^= h >> np.uint32(16)
+    return h, const
+
+
+def _replication_keys(seed: int, reps: np.ndarray) -> np.ndarray:
+    """The Philox key (2 uint64 per row) of each replication in `reps`:
+    SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(2, uint64),
+    vectorized over reps.  The seed's words fill the pool first, mixed as in
+    SeedSequence(seed) (zero-padded to 4 words, which hash as a missing word
+    does), then each pool word is mixed with the hashed spawn word.  A rep
+    of 2**32 or more is two spawn words; those rows take numpy's own path."""
+    reps = np.asarray(reps, dtype=np.int64)
+    keys = np.empty((reps.size, 2), dtype=np.uint64)
+    wide = reps > _U32
+    for i in np.flatnonzero(wide).tolist():
+        keys[i] = np.random.SeedSequence(entropy=seed, spawn_key=(int(reps[i]),)
+                                         ).generate_state(2, np.uint64)
+    words = max(1, -(-int(seed).bit_length() // 32))
+    # hashmix calls so far: 4 to fill the pool, 12 to cross-mix it, 4 per
+    # word past the fourth
+    const = _INIT_A * pow(_MULT_A, 4 * max(words, 4), 1 << 32) & _U32
+    rep = reps[~wide].astype(np.uint32)
+    pool = []
+    for word in np.random.SeedSequence(seed).pool.tolist():
+        h, const = _hashed(rep, const)
+        mixed = np.uint32(_MIX_L * word & _U32) - np.uint32(_MIX_R) * h
+        mixed ^= mixed >> np.uint32(16)
+        pool.append(mixed)
+    # generate_state: each pool word hashed in turn, pairs read as little-endian uint64
+    const, state = _INIT_B, []
+    for word in pool:
+        word ^= np.uint32(const)
+        const = const * _MULT_B & _U32
+        word *= np.uint32(const)
+        word ^= word >> np.uint32(16)
+        state.append(word.astype(np.uint64))
+    keys[~wide, 0] = state[0] | state[1] << np.uint64(32)
+    keys[~wide, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
+
+
 # Sample values (replications x n) sampled and fitted as one batch: n = 100
 # fits 655 replications at once, n = 2500 twenty-six.  Each batch holds its
 # samples and their logs, 1 MiB at the cap.
@@ -160,8 +218,8 @@ def _batch_rows(n: int) -> int:
 
 
 def _kept(outcome):
-    """A replication's row: its parameters, or None if its fit raised (a
-    FitError or an InvalidStart) or did not converge."""
+    """A replication's row: its parameters, or None if its fit raised a
+    FitError or did not converge."""
     if isinstance(outcome, Exception):
         return None
     return outcome.model.params if outcome.converged else None
@@ -170,18 +228,24 @@ def _kept(outcome):
 def _run_chunk(args):
     """Replications [lo, hi), each as (its `mle.OUTCOMES` class, its row or
     None): each sampled from its own stream, then fitted in batches of at
-    most BATCH_ELEMENTS sample values.  A batch's rows run their Newton
-    iterations in lockstep, so a fuller batch pays the fixed cost of each
-    step for more rows; the likelihood itself is still evaluated in blocks
-    of at most mle.BLOCK_ELEMENTS values."""
+    most BATCH_ELEMENTS sample values.  The chunk's keys come from one
+    vectorized pass, and one generator is re-keyed per replication.  A
+    batch's rows run their Newton iterations in lockstep, so a fuller batch
+    pays the fixed cost of each step for more rows; the passes over the data
+    run in blocks of at most mle.BLOCK_ELEMENTS values."""
     model, n, seed, lo, hi = args
     per_batch = _batch_rows(n)
+    keys = _replication_keys(seed, np.arange(lo, hi))
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0, empty buffer; each replication sets its key
     rows = []
     for start in range(lo, hi, per_batch):
-        reps = range(start, min(start + per_batch, hi))
-        xs = np.empty((len(reps), n))
-        for i, rep in enumerate(reps):
-            xs[i] = sample(model, n, replication_rng(seed, rep))
+        xs = np.empty((min(per_batch, hi - start), n))
+        for i, key in enumerate(keys[start - lo:start - lo + len(xs)]):
+            fresh["state"]["key"] = key
+            bitgen.state = fresh
+            xs[i] = sample(model, n, rng)
         rows.extend((mle.outcome_class(o), _kept(o))
                     for o in mle.fit_rows(model.family, xs, model.threshold))
     return rows

@@ -194,7 +194,7 @@ def cmd_fit(cfg: StudyConfig) -> None:
     for family in cfg.families:
         try:
             tm = true_model_from_losses(family, losses, cfg.threshold)
-        except (mle.FitError, mle.InvalidStart) as exc:
+        except mle.FitError as exc:
             raise FitFailed(f"fit failed for family {family}: {exc}") from exc
         entries[family] = {
             "params": dict(zip(PARAM_NAMES[family], tm.model.params)),

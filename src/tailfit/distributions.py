@@ -19,6 +19,7 @@ import numpy as np
 from .special_functions import (
     beta_polygamma_rows,
     digamma,
+    libm_log,
     log_beta,
     log_inverse_incomplete_beta,
     regularized_incomplete_beta,
@@ -39,6 +40,7 @@ __all__ = [
     "quantile",
     "sample",
     "log_likelihood",
+    "logistic_sums",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -48,8 +50,11 @@ _EULER_GAMMA = 0.5772156649015329
 class _Family:
     """A FAMILY_TABLE entry.  Formulas take x inside the support or u in
     (0, 1), then T and the parameters; T never enters the information `info`.
-    A family that `mle` fits by Newton also defines `loglik_rows`: the
-    log-likelihood with its score and Hessian in log-parameters, per row.  A
+    The log-densities of the families that `mle` fits in closed form or by
+    Weibull's profile also take parameters as columns, one row each, with
+    their logs through libm per element.  A family that `mle` fits by Newton
+    also defines `loglik_rows`: the log-likelihood with its score and Hessian
+    in log-parameters, per row, from the row sums of `logistic_sums`.  A
     family whose likelihood can rise toward a nested limit also names those
     `limits` and gives Newton an `escape_test`."""
 
@@ -74,7 +79,7 @@ class _Pareto(_Family):
     closed = True  # support [T, inf) with T as the scale, so T must be > 0
 
     def log_pdf(self, x, T, alpha):
-        return math.log(alpha) + alpha * math.log(T) - (alpha + 1.0) * np.log(x)
+        return libm_log(alpha) + alpha * math.log(T) - (alpha + 1.0) * np.log(x)
 
     def cdf(self, x, T, alpha):
         return -np.expm1(alpha * np.log(T / x))
@@ -91,8 +96,9 @@ class _Weibull(_Family):
     positive = names
 
     def log_pdf(self, x, T, a, b):
-        t = a * (np.log(x - T) - math.log(b))
-        return math.log(a) - math.log(b) + (a - 1.0) / a * t - np.exp(t)
+        lb = libm_log(b)
+        t = a * (np.log(x - T) - lb)
+        return libm_log(a) - lb + (a - 1.0) / a * t - np.exp(t)
 
     def cdf(self, x, T, a, b):
         return -np.expm1(-(((x - T) / b) ** a))
@@ -117,7 +123,7 @@ class _Lognormal(_Family):
     def log_pdf(self, x, T, mu, sigma):
         ly = np.log(x - T)
         z = (ly - mu) / sigma
-        return -ly - math.log(sigma) - _LOG_SQRT_2PI - 0.5 * z * z
+        return -ly - libm_log(sigma) - _LOG_SQRT_2PI - 0.5 * z * z
 
     def cdf(self, x, T, mu, sigma):
         z = (np.log(x - T) - mu) / sigma
@@ -152,19 +158,19 @@ class _LogLogistic(_Family):
     def info(self, a, s):
         return np.diag([(3.0 + math.pi**2) / (9.0 * a**2), (a / s) ** 2 / 3.0])
 
-    def loglik_rows(self, lt, ly, sly):
+    def loglik_rows(self, lt, sums, n, sly):
         """The log-likelihood, its score and its Hessian in (ln a, ln s) for
-        every row: lt (r, 2) log-parameters, ly (r, n) the logs of the
-        shifted samples y = x - T, sly (r,) their row sums.
+        every row: lt (r, 2) log-parameters, sums the seven row sums of
+        `logistic_sums(lt, ly)` over ly (r, n), the logs of the shifted
+        samples y = x - T, and sly (r,) the row sums of ly.
 
         With t = a (ln y - ln s), w = 1 / (1 + e^-t) and v = w (1 - w):
           l     = n ln a + sum t - sum ln y - 2 sum softplus(t)
           dl/d ln a = n + sum t - 2 sum w t,   dl/d ln s = a (2 sum w - n)
         and the Hessian follows from d t / d ln a = t, d t / d ln s = -a and
         dw/dt = v.  This is GB2's `loglik_rows` at p = q = 1."""
-        n = ly.shape[1]
         a = np.exp(lt[:, 0])
-        st, ssp, sw, swt, sv, svt, svtt = _logistic_sums(a, lt[:, 1:], ly)
+        st, ssp, sw, swt, sv, svt, svtt = sums
         ll = n * lt[:, 0] + st - sly - 2.0 * ssp
         score = np.stack([n + st - 2.0 * swt, a * (2.0 * sw - n)], axis=1)
         h_aa = st - 2.0 * swt - 2.0 * svtt
@@ -174,28 +180,32 @@ class _LogLogistic(_Family):
         return ll, score, hess
 
 
-def _logistic_sums(a, lb, ly):
+def logistic_sums(lt, ly):
     """The row sums of t, softplus(t), w, w t, v, v t and v t^2, where
-    t = a (ln y - ln b), w = 1 / (1 + e^-t) and v = w (1 - w): a (r,) and
-    lb (r, 1) per row, ly (r, n).  One pass over the data, in the SIMD forms
-    softplus(t) = max(t, 0) + log1p(e^-|t|) and w from e^-|t|, with the
-    products in place to hold few arrays at a time.  Sums run along each row,
-    so a row's values do not depend on the other rows."""
-    t = ly - lb
-    t *= a[:, None]
+    t = a (ln y - ln b), w = 1 / (1 + e^-t) and v = w (1 - w): lt (r, k) the
+    log-parameters (ln a, ln b, ...) per row, ly (r, n).  The one pass over
+    the data of the Newton families' likelihoods, in the SIMD forms
+    softplus(t) = max(t, 0) + log1p(e^-|t|) and w = max(e^-|t|, [t >= 0]) r,
+    r = 1 / (1 + e^-|t|) (exact, as e^-|t| <= 1), with the products in place
+    to hold few arrays at a time.  Sums run along each row, so a row's
+    values do not depend on the other rows."""
+    sum_rows = np.add.reduce
+    t = ly - lt[:, 1:2]
+    t *= np.exp(lt[:, 0])[:, None]
     e = np.exp(-np.abs(t))
-    softplus = np.sum(np.maximum(t, 0.0) + np.log1p(e), axis=1)
+    softplus = sum_rows(np.maximum(t, 0.0) + np.log1p(e), axis=1)
     r = 1.0 / (1.0 + e)
-    w = np.where(t >= 0.0, r, e * r)
+    w = np.maximum(e, t >= 0.0)
+    w *= r
     v = e
     v *= r
     v *= r
-    st, sw, sv = np.sum(t, axis=1), np.sum(w, axis=1), np.sum(v, axis=1)
+    st, sw, sv = sum_rows(t, axis=1), sum_rows(w, axis=1), sum_rows(v, axis=1)
     w *= t
     v *= t
-    swt, svt = np.sum(w, axis=1), np.sum(v, axis=1)
+    swt, svt = sum_rows(w, axis=1), sum_rows(v, axis=1)
     v *= t
-    return st, softplus, sw, swt, sv, svt, np.sum(v, axis=1)
+    return st, softplus, sw, swt, sv, svt, sum_rows(v, axis=1)
 
 
 class _GB2Escape:
@@ -203,7 +213,7 @@ class _GB2Escape:
     runs that took it and their new iterates in (ln a, ln b, ln p, ln q).
 
     It measures each iterate in z = (ln a, ln(b / b0), ln p, ln q), where b0
-    is the run's start scale (`mle.gb2_init` starts at the sample median),
+    is the run's start scale (`mle` starts at the sample median),
     and keeps each run's last _WINDOW + 1 points, its start included, in an
     array indexed by run: a run's verdict depends only on its own iterates.
     Points not yet taken are NaN, which fails every comparison.
@@ -250,7 +260,7 @@ class _GB2Escape:
         self.trail[rows] = window
         radius = np.max(np.abs(window), axis=2)
         escaping = ((radius[:, -1] > self._RADIUS)
-                    & np.all(radius[:, 1:] > radius[:, :-1], axis=1))
+                    & (radius[:, 1:] > radius[:, :-1]).all(axis=1))
         dz = window[:, -1] - window[:, 0]
         d = self._DIRECTIONS
         # dz's projection on each unit direction, largest for the nearest in angle
@@ -331,11 +341,12 @@ class _GB2(_Family):
             [i14, i24, i34, i44],
         ])
 
-    def loglik_rows(self, lt, ly, sly):
+    def loglik_rows(self, lt, sums, n, sly):
         """The log-likelihood, its score and its Hessian in
         (ln a, ln b, ln p, ln q) for every row: lt (r, 4) log-parameters,
-        ly (r, n) the logs of the shifted samples y = x - T, sly (r,) their
-        row sums.
+        sums the seven row sums of `logistic_sums(lt, ly)` over ly (r, n),
+        the logs of the shifted samples y = x - T, and sly (r,) the row sums
+        of ly.
 
         With t = a (ln y - ln b), w = 1 / (1 + e^-t) and v = w (1 - w):
           l = n ln a + p sum t - sum ln y - n ln B(p, q) - (p + q) sum softplus(t)
@@ -345,9 +356,8 @@ class _GB2(_Family):
           dl/d ln q = q (-sum softplus(t) - n (psi(q) - psi(p + q)))
         and the Hessian follows from d t / d ln a = t, d t / d ln b = -a and
         dw/dt = v.  ln B, psi and psi' are evaluated once per row."""
-        n = ly.shape[1]
         a, p, q = np.exp(lt[:, 0]), np.exp(lt[:, 2]), np.exp(lt[:, 3])
-        st, ssp, sw, swt, sv, svt, svtt = _logistic_sums(a, lt[:, 1:2], ly)
+        st, ssp, sw, swt, sv, svt, svtt = sums
         lbeta, dp, dq, dpq, tp, tq, tpq = beta_polygamma_rows(p, q)
         pq = p + q
         ll = n * lt[:, 0] + p * st - sly - n * lbeta - pq * ssp

@@ -23,11 +23,16 @@ iteration:
 way.  It checks each row once, from the row's minimum and maximum: too few
 values, or a value that is not finite or lies outside the family's support,
 makes the row DegenerateSample.  The rows that pass go to the family's solver
-as one array.  The closed forms are computed over all rows at once; the
-iterations of all rows advance in lockstep, and the likelihood is evaluated
-for a block of rows at a time, its sums taken row-wise along each sample.
-Every row gets exactly the result a fit of that sample alone gets; `fit` is
-the one-row case.
+as one array, and everything per row is computed for all rows at once:
+- per batch: the closed forms, the Weibull roots and the Newton starts, and
+  each fit's nll, from the family's log-density with one parameter column
+  per row, summed along the rows;
+- per Newton objective call: the likelihood algebra of every row the call
+  evaluates (ln B, psi, psi', the score and the Hessian);
+- per block of at most BLOCK_ELEMENTS values: the passes over the data.
+The iterations of all rows advance in lockstep.  Sums run along each row and
+logs of per-row values go through libm, so every row gets exactly the result
+a fit of that sample alone gets; `fit` is the one-row case.
 """
 
 from __future__ import annotations
@@ -38,13 +43,15 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import FAMILY_TABLE, SeverityModel, in_support, log_likelihood
+from .distributions import FAMILY_TABLE, SeverityModel, in_support, logistic_sums
 # `nelder_mead` (the one-run optimizer) is not called here; the benchmark's
 # tracer (bench/tracer.py) looks it up under this name.
-from .optimizer import InvalidStart, nelder_mead, newton_rows  # noqa: F401
+from .optimizer import FitError, InvalidStart, nelder_mead, newton_rows  # noqa: F401
+from .special_functions import libm_log
 
 __all__ = [
     "FitError",
+    "InvalidStart",
     "DegenerateSample",
     "NoConvergence",
     "NestedLimit",
@@ -66,10 +73,6 @@ BLOCK_ELEMENTS = 1 << 14
 
 WEIBULL_INCONSISTENT = "WeibullInconsistent"
 LOCAL_MINIMUM_RISK = "LocalMinimumRisk"
-
-
-class FitError(Exception):
-    pass
 
 
 class DegenerateSample(FitError, ValueError):
@@ -139,18 +142,40 @@ def _blocks(fn, rows: np.ndarray, n: int, *cols: np.ndarray):
     return np.concatenate(parts)
 
 
-def _closed_form(model: SeverityModel, x: np.ndarray) -> FitResult:
-    return FitResult(model, -log_likelihood(model, x), True, x.size)
+def _nll_rows(family: str, params: np.ndarray, xs: np.ndarray, T: float) -> list:
+    """-log_likelihood of each row xs[i] at params[i]: the family's log_pdf
+    with one parameter column per row, summed along the rows."""
+    log_pdf = FAMILY_TABLE[family].log_pdf
+    return _blocks(lambda r, x, p: -np.sum(log_pdf(x, T, *p.T[:, :, None]), axis=1),
+                   np.arange(len(xs)), xs.shape[1], xs, params).tolist()
+
+
+def _estimates(family: str, params: np.ndarray, xs: np.ndarray, T: float, failed: list,
+               warnings=None) -> list:
+    """Per row: failed[i], the exception that ends the row's fit, or if that
+    is None a converged FitResult at params[i], with warnings[i] if given."""
+    keep = [i for i, f in enumerate(failed) if f is None]
+    models = [SeverityModel(family, tuple(params[i].tolist()), T) for i in keep]
+    if len(keep) < len(xs):
+        params, xs = params[keep], xs[keep]
+    outcomes = list(failed)
+    for i, model, nll in zip(keep, models, _nll_rows(family, params, xs, T)):
+        outcomes[i] = FitResult(model, nll, True, xs.shape[1],
+                                set() if warnings is None else warnings[i])
+    return outcomes
 
 
 def _pareto_rows(xs: np.ndarray, T: float) -> list:
     """alpha = n / sum ln(x / T) per row."""
     s = xs / T
     np.log(s, out=s)
-    n = xs.shape[1]
-    return [_closed_form(SeverityModel("pareto", (n / s_i,), T), x) if s_i > 0.0
-            else DegenerateSample("all observations at the threshold; shape is infinite")
-            for x, s_i in zip(xs, np.sum(s, axis=1).tolist())]
+    sums = np.sum(s, axis=1)
+    with np.errstate(divide="ignore"):  # a sum of 0 is a failed row
+        alpha = xs.shape[1] / sums
+    return _estimates("pareto", alpha[:, None], xs, T, [
+        None if s_i > 0.0
+        else DegenerateSample("all observations at the threshold; shape is infinite")
+        for s_i in sums.tolist()])
 
 
 def _lognormal_rows(xs: np.ndarray, T: float) -> list:
@@ -164,9 +189,9 @@ def _lognormal_rows(xs: np.ndarray, T: float) -> list:
     ly -= mu[:, None]
     ly *= ly
     sigma = np.sqrt(np.mean(ly, axis=1))
-    return [DegenerateSample("zero variance in log data") if c
-            else _closed_form(SeverityModel("lognormal", (m, s), T), x)
-            for x, c, m, s in zip(xs, constant, mu.tolist(), sigma.tolist())]
+    return _estimates("lognormal", np.stack([mu, sigma], axis=1), xs, T,
+                      [DegenerateSample("zero variance in log data") if c else None
+                       for c in constant])
 
 
 def _weibull_profile(a: np.ndarray, c: np.ndarray) -> tuple:
@@ -235,70 +260,60 @@ def _weibull_rows(xs: np.ndarray, T: float) -> list:
     mean_ly = np.mean(c, axis=1)
     c -= mean_ly[:, None]  # centred in place: ln y - mean(ln y)
     shapes, bracketed = _weibull_roots(c)
-    n = c.shape[1]
-    scales = _blocks(lambda r, a: _weibull_scale(a, c[r], mean_ly[r]), np.arange(len(c)), n,
-                     shapes)
-    outcomes = []
-    for x, flat, found, a, b in zip(xs, constant, bracketed, shapes, scales):
-        if flat:
-            outcomes.append(DegenerateSample("weibull fit needs 2 distinct observations"))
-        elif not found:
-            outcomes.append(NoConvergence("weibull profile root not bracketed in [1e-3, 1e3]"))
-        else:
-            model = SeverityModel("weibull", (a, b), T)
-            warnings = {WEIBULL_INCONSISTENT} if a <= 1.0 else set()
-            outcomes.append(FitResult(model, -log_likelihood(model, x), True, n, warnings))
-    return outcomes
+    scales = _blocks(lambda r, a: _weibull_scale(a, c[r], mean_ly[r]), np.arange(len(c)),
+                     c.shape[1], shapes)
+    failed = [DegenerateSample("weibull fit needs 2 distinct observations") if flat
+              else None if found
+              else NoConvergence("weibull profile root not bracketed in [1e-3, 1e3]")
+              for flat, found in zip(constant, bracketed.tolist())]
+    warnings = [{WEIBULL_INCONSISTENT} if a <= 1.0 else set() for a in shapes.tolist()]
+    return _estimates("weibull", np.stack([shapes, scales], axis=1), xs, T, failed, warnings)
 
 
 def _newton_objective(family: str, ly: np.ndarray, sly: np.ndarray):
     """The negative log-likelihood of data row `rows[i]` at log-parameters
-    `lt[i]`, with its gradient and Hessian, from the family's `loglik_rows`."""
+    `lt[i]`, with its gradient and Hessian, from the family's `loglik_rows`:
+    the pass over the data runs per block of rows, the algebra once per call."""
     loglik = FAMILY_TABLE[family].loglik_rows
     n = ly.shape[1]
 
     def objective(rows, lt):
-        ll, score, hess = _blocks(lambda r, t: loglik(t, ly[r], sly[r]), rows, n, lt)
+        sums = _blocks(lambda r, t: logistic_sums(t, ly[r]), rows, n, lt)
+        ll, score, hess = loglik(lt, sums, n, sly[rows])
         return -ll, -score, -hess
 
     return objective
 
 
-def loglogistic_init(y: np.ndarray) -> tuple[float, float]:
-    """s from the sample median, a from the top order statistic."""
-    s0 = float(np.median(y))
-    n = y.size
-    ratio = float(np.max(y)) / s0
-    if ratio <= 1.0:
-        raise InvalidStart("max(y) must exceed median(y)")
-    a0 = math.log(n - 1) / math.log(ratio)
-    return a0, s0
+def _log_starts(family: str, y: np.ndarray) -> tuple:
+    """Newton's start for every row of y = x - T in log-parameters, and per
+    row None or the InvalidStart that rules the row out.  The start is the
+    log-logistic's, s0 the sample median and a0 = ln(n - 1) / ln(max(y) / s0)
+    from the top order statistic; GB2 embeds it at p = q = 1."""
+    k = len(FAMILY_TABLE[family].names)
+    ratio = np.max(y, axis=1)
+    x0 = np.ones((len(y), k))
+    x0[:, 1] = np.median(y, axis=1)
+    ratio /= x0[:, 1]
+    low = ratio <= 1.0
+    x0[:, 0] = np.nan
+    x0[~low, 0] = math.log(y.shape[1] - 1) / libm_log(ratio[~low])
+    usable = np.all(np.isfinite(x0) & (x0 > 0.0), axis=1)
+    failed = [None] * len(y)
+    for i in np.flatnonzero(~usable).tolist():
+        if low[i]:
+            failed[i] = InvalidStart("max(y) must exceed median(y)")
+        else:
+            # printed as the one-sample start was: a tuple, or GB2's array
+            point = x0[i] if k > 2 else tuple(x0[i].tolist())
+            failed[i] = InvalidStart(f"{family} start point {point} is unusable")
+    return libm_log(x0[usable]), failed
 
 
-def gb2_init(y: np.ndarray) -> np.ndarray:
-    """Start point for the GB2 optimizer: the log-logistic initializer embedded
-    at p = q = 1.  Scale-equivariant in b by construction."""
-    a0, s0 = loglogistic_init(y)
-    return np.array([a0, s0, 1.0, 1.0])
-
-
-def _log_start(family: str, init, y: np.ndarray) -> list[float]:
-    x0 = init(y)
-    if not all(math.isfinite(v) and v > 0.0 for v in x0):
-        raise InvalidStart(f"{family} start point {x0} is unusable")
-    return [math.log(v) for v in x0]
-
-
-def _newton_family_rows(family: str, init, xs: np.ndarray, T: float) -> list:
-    """Fit a family that `newton_rows` fits in log-parameters, from `init(y)`."""
+def _newton_family_rows(family: str, xs: np.ndarray, T: float) -> list:
+    """Fit a family that `newton_rows` fits in log-parameters."""
     ly = xs - T
-    outcomes, starts = [], []
-    for y in ly:
-        try:
-            starts.append(_log_start(family, init, y))
-            outcomes.append(None)
-        except InvalidStart as exc:
-            outcomes.append(exc)
+    starts, outcomes = _log_starts(family, ly)
     ok = [i for i, o in enumerate(outcomes) if o is None]
     if not ok:
         return outcomes
@@ -337,15 +352,15 @@ _FITTERS = {
     "pareto": (1, _pareto_rows),
     "weibull": (2, _weibull_rows),
     "lognormal": (2, _lognormal_rows),
-    "loglogistic": (3, partial(_newton_family_rows, "loglogistic", loglogistic_init)),
-    "gb2": (8, partial(_newton_family_rows, "gb2", gb2_init)),
+    "loglogistic": (3, partial(_newton_family_rows, "loglogistic")),
+    "gb2": (8, partial(_newton_family_rows, "gb2")),
 }
 
 
 def fit_rows(family: str, xs, T: float) -> list:
     """Fit `family` above T to every row of `xs` (shape (R, n)).  Entry i is
-    row i's FitResult, or the FitError or InvalidStart its fit raised: exactly
-    what `fit` of that row alone returns or raises.
+    row i's FitResult, or the FitError its fit raised: exactly what `fit` of
+    that row alone returns or raises.
 
     A row is DegenerateSample unless it has at least the family's fewest
     values, all finite and inside its support; only the rows that pass reach
@@ -353,7 +368,8 @@ def fit_rows(family: str, xs, T: float) -> list:
     if family not in _FITTERS:
         raise ValueError(f"unknown family {family!r}")
     min_n, solve = _FITTERS[family]
-    xs = np.asarray(xs, dtype=float)
+    # in C order each row's sums run along its own memory, as in a fit of it alone
+    xs = np.ascontiguousarray(xs, dtype=float)
     if xs.shape[1] < min_n:
         ok = np.zeros(len(xs), dtype=bool)
     else:

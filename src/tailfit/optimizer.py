@@ -24,10 +24,15 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["OptimResult", "RowsResult", "InvalidStart", "nelder_mead", "newton_rows"]
+__all__ = ["OptimResult", "RowsResult", "FitError", "InvalidStart", "nelder_mead",
+           "newton_rows"]
 
 
-class InvalidStart(Exception):
+class FitError(Exception):
+    """A fit that gives no estimate.  `mle` raises its subclasses."""
+
+
+class InvalidStart(FitError):
     """The objective is not finite at the requested start point."""
 
 
@@ -132,8 +137,8 @@ def nelder_mead(
 
 
 def _finite(f: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    return (np.isfinite(f) & np.all(np.isfinite(grad), axis=1)
-            & np.all(np.isfinite(hess), axis=(1, 2)))
+    return (np.isfinite(f) & np.isfinite(grad).all(axis=1)
+            & np.isfinite(hess).all(axis=(1, 2)))
 
 
 def _eigh(hess: np.ndarray) -> tuple:

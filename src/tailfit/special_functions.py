@@ -1,8 +1,8 @@
 """Self-contained special functions.
 
-Every function here is pure.  The normal pdf, cdf and quantile take a float
-or an array of any shape and return the same; beta_polygamma_rows takes 1-D
-arrays; the others take scalar floats.
+Every function here is pure.  The normal pdf, cdf and quantile and libm_log
+take a float or an array of any shape and return the same;
+beta_polygamma_rows takes 1-D arrays; the others take scalar floats.
 Accuracy targets: log-gamma (math.lgamma, called directly) 1e-12 absolute for
 moderate arguments, digamma/trigamma 1e-10, regularized incomplete beta /
 gamma 1e-10, normal cdf 1e-12 and quantile inverse-consistent to 1e-9.
@@ -25,6 +25,7 @@ __all__ = [
     "digamma",
     "trigamma",
     "beta_polygamma_rows",
+    "libm_log",
     "regularized_incomplete_beta",
     "log_inverse_incomplete_beta",
     "regularized_gamma_upper",
@@ -270,6 +271,14 @@ def regularized_gamma_upper(x: float, k: float) -> float:
 def _each(fn, x: np.ndarray) -> np.ndarray:
     """The `math` function fn applied to each element of the 1-d array x."""
     return np.fromiter(map(fn, x.tolist()), float, count=x.size)
+
+
+def libm_log(x):
+    """ln x by `math.log`, of a float or of each element of an array of any
+    shape, so an element gets the bits it gets alone."""
+    if isinstance(x, np.ndarray):
+        return _each(math.log, x.ravel()).reshape(x.shape)
+    return math.log(x)
 
 
 def _elementwise(kernel):

@@ -6,8 +6,8 @@ of the suite reuse them.  The cache is tracked in git as the evidence the
 acceptance criteria read.  Cache entries are full BootstrapMatrix round trips.
 
 Each entry is also keyed on a fingerprint of the code's behaviour for its
-model and sample size: a hash of the rows the bootstrap keeps from the
-entry's first replications.
+model and sample size: a hash of the class and row of each of the entry's
+first replications.
 `fingerprints.json` in the cache records the fingerprint each entry was
 computed under, and an entry whose fingerprint differs from the current
 code's is computed again and rewritten.  So a deliberate change of a family's
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ import pytest
 
 from tailfit import SeverityModel, run_bootstrap
 from tailfit.bootstrap import BootstrapMatrix, _fit_replication, _run_chunk
+from tailfit.optimizer import InvalidStart
 
 STUDY_SEED = 20260823
 STUDY_M = 2000
@@ -53,12 +55,12 @@ _PROBE_REPS = 32
 
 @functools.cache
 def behaviour_fingerprint(model: SeverityModel, n: int) -> str:
-    """A hash of the rows (parameters, or None for a dropped replication)
-    the bootstrap keeps from the first replications of `model` at size n:
-    it changes with any fitted bit, drop or sampled value among them, and
-    not with an edit that changes none."""
-    rows = [params for _, params in _run_chunk((model, n, STUDY_SEED, 0, _PROBE_REPS))]
-    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    """A hash of the `mle.OUTCOMES` class and the row (parameters, or None
+    for a dropped replication) of each of the first replications of `model`
+    at size n: it changes with any fitted bit, drop, class or sampled value
+    among them, and not with an edit that changes none."""
+    records = _run_chunk((model, n, STUDY_SEED, 0, _PROBE_REPS))
+    return hashlib.sha256(repr(records).encode()).hexdigest()[:16]
 
 
 def _recorded_fingerprints() -> dict:
@@ -116,3 +118,32 @@ def study_matrices():
         for n in sizes:
             bms[(family, n)] = cached_bootstrap(model, n)
     return bms
+
+
+# The one-sample Newton start that `mle._log_starts` computes for all rows at
+# once, kept as its oracle.
+
+
+def loglogistic_init(y: np.ndarray) -> tuple[float, float]:
+    """s from the sample median, a from the top order statistic."""
+    s0 = float(np.median(y))
+    n = y.size
+    ratio = float(np.max(y)) / s0
+    if ratio <= 1.0:
+        raise InvalidStart("max(y) must exceed median(y)")
+    a0 = math.log(n - 1) / math.log(ratio)
+    return a0, s0
+
+
+def gb2_init(y: np.ndarray) -> np.ndarray:
+    """The log-logistic start embedded at p = q = 1."""
+    a0, s0 = loglogistic_init(y)
+    return np.array([a0, s0, 1.0, 1.0])
+
+
+def log_start(family: str, init, y: np.ndarray) -> list[float]:
+    """init(y) in log-parameters, or InvalidStart if it is unusable."""
+    x0 = init(y)
+    if not all(math.isfinite(v) and v > 0.0 for v in x0):
+        raise InvalidStart(f"{family} start point {x0} is unusable")
+    return [math.log(v) for v in x0]

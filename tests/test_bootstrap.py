@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from tailfit import SeverityModel, bootstrap, mle, run_bootstrap, sample, true_model_from_losses
+from tailfit import (
+    SeverityModel,
+    bootstrap,
+    distributions,
+    mle,
+    run_bootstrap,
+    sample,
+    true_model_from_losses,
+)
 from tailfit.bootstrap import (
     BootstrapMatrix,
     TooFewConverged,
@@ -108,6 +116,59 @@ class TestDeterminism:
         _run_chunk((conftest.TRUE_MODELS["gb2"], 100, STUDY_SEED, 0, 100))
         assert len(calls) <= 202
         assert sum(calls) <= 5624
+
+    def test_gb2_likelihood_algebra_runs_once_per_call(self, monkeypatch):
+        # the GB2 n = 2500, m = 100 cell at the study seed makes 44 objective
+        # calls over 614 rows, whose passes over the data run in blocks of 6
+        # rows; ln B, psi and psi' run once per call, not per block (123)
+        calls, algebra = [], []
+        make_objective = mle._newton_objective
+        polygamma = distributions.beta_polygamma_rows
+
+        def counted(*args):
+            objective = make_objective(*args)
+
+            def wrapped(rows, thetas):
+                calls.append(len(rows))
+                return objective(rows, thetas)
+            return wrapped
+
+        def counted_polygamma(p, q):
+            algebra.append(len(p))
+            return polygamma(p, q)
+
+        monkeypatch.setattr(mle, "_newton_objective", counted)
+        monkeypatch.setattr(distributions, "beta_polygamma_rows", counted_polygamma)
+        _run_chunk((conftest.TRUE_MODELS["gb2"], 2500, STUDY_SEED, 0, 100))
+        assert len(calls) <= 44
+        assert sum(calls) <= 614
+        assert len(algebra) <= 44
+
+    @pytest.mark.parametrize("seed", [0, 20260823, 2**40 + 7, 2**150 + 3])
+    def test_replication_keys_equal_seed_sequence(self, seed):
+        # seeds of 1, 2 and 5 words; a replication from 2**32 on has two
+        # spawn words
+        reps = np.concatenate([np.arange(5000), [2**32 - 1, 2**32, 2**40 + 3]])
+        want = [np.random.SeedSequence(entropy=seed, spawn_key=(int(rep),))
+                .generate_state(2, np.uint64) for rep in reps]
+        assert np.array_equal(bootstrap._replication_keys(seed, reps), want)
+
+    @pytest.mark.parametrize("family", list(conftest.TRUE_MODELS))
+    def test_chunk_equals_replications_fitted_alone(self, family):
+        # each replication drawn from its own `replication_rng` and fitted
+        # alone by `fit`: no shared generator, no batch
+        model = conftest.TRUE_MODELS[family]
+        for n, lo, hi in ((100, 20, 60), (2500, 3, 9)):
+            want = []
+            for rep in range(lo, hi):
+                try:
+                    outcome = fit(family, sample(model, n, replication_rng(STUDY_SEED, rep)), T)
+                except mle.FitError as exc:
+                    outcome = exc
+                want.append((mle.outcome_class(outcome), bootstrap._kept(outcome)))
+            assert _run_chunk((model, n, STUDY_SEED, lo, hi)) == want
+            if (family, n) == ("gb2", 100):
+                assert any(row is None for _, row in want)
 
     def test_seed_changes_rows(self):
         model = SeverityModel("pareto", (1.11,), T)

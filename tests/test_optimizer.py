@@ -4,10 +4,10 @@ import pytest
 from tailfit import optimizer, sample
 from tailfit.bootstrap import replication_rng
 from tailfit.distributions import FAMILY_TABLE
-from tailfit.mle import _newton_objective, gb2_init
+from tailfit.mle import _newton_objective
 from tailfit.optimizer import InvalidStart, nelder_mead, newton_rows
 
-from conftest import STUDY_SEED, TRUE_MODELS
+from conftest import STUDY_SEED, TRUE_MODELS, gb2_init
 
 
 def quad(x):

@@ -160,11 +160,11 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _U32 = 0xFFFFFFFF
 
 
-def _hashed(words: np.ndarray, const: int) -> tuple:
-    """SeedSequence's hashmix of uint32 `words` at hash constant `const`:
-    the hashed words and the next constant."""
+def _hashed(words: np.ndarray, const: int, mult: int) -> tuple:
+    """SeedSequence's hash of uint32 `words` at hash constant `const`, which
+    advances by `mult`: the hashed words and the next constant."""
     h = words ^ np.uint32(const)
-    const = const * _MULT_A & _U32
+    const = const * mult & _U32
     h *= np.uint32(const)
     h ^= h >> np.uint32(16)
     return h, const
@@ -190,17 +190,14 @@ def _replication_keys(seed: int, reps: np.ndarray) -> np.ndarray:
     rep = reps[~wide].astype(np.uint32)
     pool = []
     for word in np.random.SeedSequence(seed).pool.tolist():
-        h, const = _hashed(rep, const)
+        h, const = _hashed(rep, const, _MULT_A)
         mixed = np.uint32(_MIX_L * word & _U32) - np.uint32(_MIX_R) * h
         mixed ^= mixed >> np.uint32(16)
         pool.append(mixed)
     # generate_state: each pool word hashed in turn, pairs read as little-endian uint64
     const, state = _INIT_B, []
     for word in pool:
-        word ^= np.uint32(const)
-        const = const * _MULT_B & _U32
-        word *= np.uint32(const)
-        word ^= word >> np.uint32(16)
+        word, const = _hashed(word, const, _MULT_B)
         state.append(word.astype(np.uint64))
     keys[~wide, 0] = state[0] | state[1] << np.uint64(32)
     keys[~wide, 1] = state[2] | state[3] << np.uint64(32)

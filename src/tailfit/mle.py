@@ -291,13 +291,12 @@ def _log_starts(family: str, y: np.ndarray) -> tuple:
     log-logistic's, s0 the sample median and a0 = ln(n - 1) / ln(max(y) / s0)
     from the top order statistic; GB2 embeds it at p = q = 1."""
     k = len(FAMILY_TABLE[family].names)
-    ratio = np.max(y, axis=1)
-    x0 = np.ones((len(y), k))
-    x0[:, 1] = np.median(y, axis=1)
-    ratio /= x0[:, 1]
+    s0 = np.median(y, axis=1)
+    ratio = np.max(y, axis=1) / s0
     low = ratio <= 1.0
-    x0[:, 0] = np.nan
-    x0[~low, 0] = math.log(y.shape[1] - 1) / libm_log(ratio[~low])
+    a0 = np.full(len(y), np.nan)
+    a0[~low] = math.log(y.shape[1] - 1) / libm_log(ratio[~low])
+    x0 = np.column_stack([a0, s0, np.ones((len(y), k - 2))])
     usable = np.all(np.isfinite(x0) & (x0 > 0.0), axis=1)
     failed = [None] * len(y)
     for i in np.flatnonzero(~usable).tolist():

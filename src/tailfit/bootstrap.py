@@ -239,7 +239,7 @@ def _run_chunk(args):
     rows = []
     for start in range(lo, hi, per_batch):
         xs = np.empty((min(per_batch, hi - start), n))
-        for i, key in enumerate(keys[start - lo:start - lo + len(xs)]):
+        for i, key in enumerate(keys[start - lo:start - lo + len(xs)].tolist()):
             fresh["state"]["key"] = key
             bitgen.state = fresh
             xs[i] = sample(model, n, rng)

@@ -68,6 +68,9 @@ _MAX_ITERATIONS = 100
 _ARMIJO = 1e-4  # the share of the predicted decrease a Newton step must achieve
 _HALVINGS = 40  # step halvings before a Newton line search gives up
 _LADDER = 4  # the most halvings a line-search call tries per row
+# the reductions of each Newton step, called as ufunc methods: np.sum and
+# np.max add a Python wrapper to every call
+_sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
 
 def _max1(x: np.ndarray) -> np.ndarray:
@@ -178,7 +181,7 @@ def _line_search(objective, ids, x, f, grad, hess, step, block_rows: int) -> np.
     put it, with the same f, gradient and Hessian.  Updates x and f (by run)
     and grad and hess (by state row) in place; returns the mask of rows
     whose _HALVINGS + 1 trial points all failed."""
-    slope = np.sum(grad * step, axis=1)
+    slope = _sum(grad * step, axis=1)
     pending = np.arange(ids.size)
     k, depth = 0, 1  # k: trial points each pending row has had
     while pending.size and k <= _HALVINGS:
@@ -253,12 +256,12 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0,
     steps = 0
     while ids.size:
         lam, vec = _eigh(hess)
-        pd = np.min(lam, axis=1) > 0.0
+        pd = _min(lam, axis=1) > 0.0
         lam = np.abs(lam)
-        lam = np.maximum(lam, np.maximum(1e-10 * np.max(lam, axis=1, keepdims=True), _TINY))
-        vg = np.sum(vec * grad[:, :, None], axis=1)  # the gradient in the eigenbasis
-        step = -np.sum(vec * (vg / lam)[:, None, :], axis=2)
-        done = 0.5 * np.sum(vg * vg / lam, axis=1) <= _RTOL * _max1(np.abs(f[ids]))
+        lam = np.maximum(lam, np.maximum(1e-10 * _max(lam, axis=1, keepdims=True), _TINY))
+        vg = _sum(vec * grad[:, :, None], axis=1)  # the gradient in the eigenbasis
+        step = -_sum(vec * (vg / lam)[:, None, :], axis=2)
+        done = 0.5 * _sum(vg * vg / lam, axis=1) <= _RTOL * _max1(np.abs(f[ids]))
         converged[ids[done]] = True
         escaped[ids[done]] = 0
         stop = done | (steps >= _MAX_ITERATIONS)
@@ -268,7 +271,7 @@ def newton_rows(objective: Callable[[np.ndarray, np.ndarray], tuple], x0,
         if not ids.size:
             break
 
-        longest = np.max(np.abs(step), axis=1)
+        longest = _max(np.abs(step), axis=1)
         step *= np.where(longest > _MAX_STEP, _MAX_STEP / longest, 1.0)[:, None]
         stop = _line_search(objective, ids, x, f, grad, hess, step, block_rows)  # failed
         steps += 1

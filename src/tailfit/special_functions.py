@@ -107,10 +107,10 @@ def beta_polygamma_rows(p, q):
         x += low
         low = x < 6.0
     w = 1.0 / (x * x)
-    log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    log_x = _each(math.log, x)
     psi = psi + log_x - 0.5 / x - _digamma_series(w)
     tri = tri + 1.0 / x + 0.5 * w + _trigamma_series(w) / (x * x * x)
-    lg = np.fromiter(map(math.lgamma, v.tolist()), float, v.size).reshape(3, -1)
+    lg = _each(math.lgamma, v).reshape(3, -1)
     return (lg[0] + lg[1] - lg[2], *psi.reshape(3, -1), *tri.reshape(3, -1))
 
 

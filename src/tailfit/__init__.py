@@ -15,7 +15,7 @@ from .distributions import (
     quantile,
     sample,
 )
-from .fisher import InfoMatrix, asymptotic_covariance, fisher_information, mc_score_information
+from .fisher import InfoMatrix, asymptotic_covariance, fisher_information
 from .mle import FitResult, fit
 from .normality import NormalityReport, anderson_darling_normal, mardia, normality_suite
 from .optimizer import OptimResult, nelder_mead
@@ -42,7 +42,6 @@ __all__ = [
     "log_likelihood",
     "log_pdf",
     "mardia",
-    "mc_score_information",
     "nelder_mead",
     "normal_ci_width",
     "normality_suite",

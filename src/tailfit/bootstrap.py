@@ -258,12 +258,6 @@ def _chunks(n: int, m: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-def _fit_replication(model: SeverityModel, n: int, seed: int, rep: int):
-    """Replication `rep` alone: its class, and its parameters or None if it
-    is dropped."""
-    return _run_chunk((model, n, seed, rep, rep + 1))[0]
-
-
 def run_bootstrap(
     model: SeverityModel,
     n: int,

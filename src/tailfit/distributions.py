@@ -18,14 +18,12 @@ import numpy as np
 
 from .special_functions import (
     beta_polygamma_rows,
-    digamma,
     libm_log,
     log_beta,
     log_inverse_incomplete_beta,
     regularized_incomplete_beta,
     std_normal_cdf,
     std_normal_quantile,
-    trigamma,
 )
 
 __all__ = [
@@ -320,10 +318,11 @@ class _GB2(_Family):
         #   d/db = (a/b)((p+q) w - p)
         #   d/dp = ln w - psi(p) + psi(p+q),  d/dq = ln(1-w) - psi(q) + psi(p+q)
         # and the entries below are the exact Beta moments of their products.
-        dp, dq = digamma(p), digamma(q)
-        dp1, dq1 = digamma(p + 1.0), digamma(q + 1.0)
-        tp, tq, tpq = trigamma(p), trigamma(q), trigamma(p + q)
-        tp1, tq1 = trigamma(p + 1.0), trigamma(q + 1.0)
+        # psi and psi' at p + 1 and q + 1 are evaluated there, not by the
+        # recurrence from p and q, which need not round the same way.
+        _, (dp, dp1), (dq, dq1), _, (tp, tp1), (tq, tq1), (tpq, _) = (
+            v.tolist() for v in beta_polygamma_rows(np.array([p, p + 1.0]),
+                                                    np.array([q, q + 1.0])))
         i11 = (1.0 + p * q / (p + q + 1.0) * (tp1 + tq1 + (dp1 - dq1) ** 2)) / a**2
         i12 = -p * q * (dp1 - dq1) / (b * (p + q + 1.0))
         i13 = (1.0 - q * (dp - dq)) / (a * (p + q))

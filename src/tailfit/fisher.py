@@ -3,8 +3,7 @@
 All matrices are evaluated from the closed forms in each family's
 `distributions.FAMILY_TABLE` entry at the model's parameters; the support
 shift T never enters (the shifted families carry the base family's
-information).  `mc_score_information` is the independent Monte-Carlo oracle:
-it averages outer products of finite-difference score vectors.
+information).
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FAMILY_TABLE, SeverityModel, log_pdf, sample
+from .distributions import FAMILY_TABLE, SeverityModel
 
 __all__ = [
     "InfoMatrix",
     "SingularInformation",
     "fisher_information",
     "asymptotic_covariance",
-    "mc_score_information",
 ]
 
 
@@ -59,22 +57,3 @@ def asymptotic_covariance(model: SeverityModel, n: int) -> np.ndarray:
     linv = np.linalg.solve(chol, np.eye(k))
     return (linv.T @ linv) / n
 
-
-def mc_score_information(model: SeverityModel, draws: int, rng: np.random.Generator) -> InfoMatrix:
-    """Monte-Carlo estimate of E[score score^T] with central-difference scores
-    (step 1e-5 * max(1, |theta_j|) per coordinate)."""
-    xs = sample(model, draws, rng)
-    theta = np.asarray(model.params)
-    k = theta.size
-    scores = np.empty((draws, k))
-    for j in range(k):
-        h = 1e-5 * max(1.0, abs(theta[j]))
-        up = theta.copy()
-        up[j] += h
-        dn = theta.copy()
-        dn[j] -= h
-        lp_up = log_pdf(model.replace_params(up), xs)
-        lp_dn = log_pdf(model.replace_params(dn), xs)
-        scores[:, j] = (lp_up - lp_dn) / (2.0 * h)
-    info = scores.T @ scores / draws
-    return InfoMatrix(0.5 * (info + info.T))

@@ -99,7 +99,6 @@ class FitResult:
     model: SeverityModel
     nll: float
     converged: bool
-    n: int
     warnings: set = field(default_factory=set)
 
 
@@ -160,8 +159,7 @@ def _estimates(family: str, params: np.ndarray, xs: np.ndarray, T: float, failed
         params, xs = params[keep], xs[keep]
     outcomes = list(failed)
     for i, model, nll in zip(keep, models, _nll_rows(family, params, xs, T)):
-        outcomes[i] = FitResult(model, nll, True, xs.shape[1],
-                                set() if warnings is None else warnings[i])
+        outcomes[i] = FitResult(model, nll, True, set() if warnings is None else warnings[i])
     return outcomes
 
 
@@ -303,9 +301,8 @@ def _log_starts(family: str, y: np.ndarray) -> tuple:
         if low[i]:
             failed[i] = InvalidStart("max(y) must exceed median(y)")
         else:
-            # printed as the one-sample start was: a tuple, or GB2's array
-            point = x0[i] if k > 2 else tuple(x0[i].tolist())
-            failed[i] = InvalidStart(f"{family} start point {point} is unusable")
+            failed[i] = InvalidStart(f"{family} start point {tuple(x0[i].tolist())} "
+                                     "is unusable")
     return libm_log(x0[usable]), failed
 
 
@@ -325,23 +322,24 @@ def _newton_family_rows(family: str, xs: np.ndarray, T: float) -> list:
                       block_rows=_block_rows(n), escape=entry.escape_test(starts))
     params = np.exp(res.argmin)
     for j, i in enumerate(ok):
+        point = tuple(params[j].tolist())
         if not res.valid[j]:
             outcomes[i] = InvalidStart(f"log-likelihood is {-res.fmin[j]} at start point "
-                                       f"{params[j]}")
+                                       f"{point}")
         elif res.escaped[j]:
             limit = entry.limits[res.escaped[j] - 1]
-            outcomes[i] = NestedLimit(limit, tuple(params[j].tolist()), float(res.fmin[j]),
+            outcomes[i] = NestedLimit(limit, point, float(res.fmin[j]),
                                       f"{family} Newton escaped toward {limit} after "
-                                      f"{res.iterations[j]} steps at {params[j]}")
+                                      f"{res.iterations[j]} steps at {point}")
         elif not res.converged[j]:
             outcomes[i] = NoConvergence(f"{family} Newton stopped unconverged after "
-                                        f"{res.iterations[j]} steps at {params[j]}")
-        elif not np.all(np.isfinite(params[j]) & (params[j] > 0.0)):
-            outcomes[i] = NoConvergence(f"{family} optimum {params[j]} is out of range")
+                                        f"{res.iterations[j]} steps at {point}")
+        elif not all(math.isfinite(v) and v > 0.0 for v in point):
+            outcomes[i] = NoConvergence(f"{family} optimum {point} is out of range")
         else:
-            model = SeverityModel(family, tuple(params[j]), T)
+            model = SeverityModel(family, point, T)
             warnings = set() if res.positive_definite[j] else {LOCAL_MINIMUM_RISK}
-            outcomes[i] = FitResult(model, float(res.fmin[j]), True, n, warnings)
+            outcomes[i] = FitResult(model, float(res.fmin[j]), True, warnings)
     return outcomes
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bootstrap import BootstrapMatrix
 from .mle import DegenerateSample
-from .special_functions import regularized_gamma_upper, std_normal_cdf
+from .special_functions import libm_log, regularized_gamma_upper, std_normal_cdf
 
 __all__ = [
     "SingularCovariance",
@@ -63,11 +63,6 @@ def _ad_p_value(a2_star: float) -> float:
     return 1.0 - math.exp(-13.436 + 101.14 * z - 223.73 * z * z)
 
 
-def _log_floored(p: np.ndarray) -> np.ndarray:
-    """math.log(max(p, 1e-300)) per element: libm's log, not numpy's SIMD one."""
-    return np.fromiter(map(math.log, np.maximum(p, 1e-300).tolist()), float, count=p.size)
-
-
 def anderson_darling_normal(xs, family: str = "", n: int = 0) -> NormalityReport:
     """A-D statistic with the small-sample factor (1 + 0.75/m + 2.25/m^2)."""
     xs = np.asarray(xs, dtype=float)
@@ -78,8 +73,8 @@ def anderson_darling_normal(xs, family: str = "", n: int = 0) -> NormalityReport
         raise DegenerateSample("constant sample")
     sd = float(np.std(xs, ddof=1))
     z = np.sort((xs - np.mean(xs)) / sd)
-    log_cdf = _log_floored(std_normal_cdf(z))
-    log_sf = _log_floored(std_normal_cdf(-z))
+    log_cdf = libm_log(np.maximum(std_normal_cdf(z), 1e-300))
+    log_sf = libm_log(np.maximum(std_normal_cdf(-z), 1e-300))
     i = np.arange(1, m + 1)
     a2 = -m - float(np.sum((2 * i - 1) * (log_cdf + log_sf[::-1]))) / m
     a2_star = a2 * (1.0 + 0.75 / m + 2.25 / m**2)

@@ -2,9 +2,10 @@
 
 Every function here is pure.  The normal pdf, cdf and quantile and libm_log
 take a float or an array of any shape and return the same;
-beta_polygamma_rows takes 1-D arrays; the others take scalar floats.
+beta_polygamma_rows takes 1-D arrays and is the package's one evaluation of
+psi and psi'; the others take scalar floats.
 Accuracy targets: log-gamma (math.lgamma, called directly) 1e-12 absolute for
-moderate arguments, digamma/trigamma 1e-10, regularized incomplete beta /
+moderate arguments, psi and psi' 1e-10 absolute, regularized incomplete beta /
 gamma 1e-10, normal cdf 1e-12 and quantile inverse-consistent to 1e-9.
 
 The array functions do their arithmetic with numpy ufuncs, whose + - * / and
@@ -22,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "log_beta",
-    "digamma",
-    "trigamma",
     "beta_polygamma_rows",
     "libm_log",
     "regularized_incomplete_beta",
@@ -51,48 +50,12 @@ def log_beta(p: float, q: float) -> float:
     return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
 
 
-def digamma(x: float) -> float:
-    """psi(x) for x > 0, via upward recurrence to x >= 6 plus asymptotic series."""
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    result = 0.0
-    while x < 6.0:
-        result -= 1.0 / x
-        x += 1.0
-    return result + math.log(x) - 0.5 / x - _digamma_series(1.0 / (x * x))
-
-
-def _digamma_series(w):
-    """Bernoulli-number series: psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n),
-    the sum in w = 1 / x^2; a float or an array."""
-    return w * (1.0 / 12.0 - w * (1.0 / 120.0 - w * (1.0 / 252.0 - w * (
-        1.0 / 240.0 - w * (1.0 / 132.0 - w * (691.0 / 32760.0 - w / 12.0))))))
-
-
-def trigamma(x: float) -> float:
-    """psi'(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"trigamma requires x > 0, got {x}")
-    result = 0.0
-    while x < 6.0:
-        result += 1.0 / (x * x)
-        x += 1.0
-    w = 1.0 / (x * x)
-    return result + 1.0 / x + 0.5 * w + _trigamma_series(w) / (x * x * x)
-
-
-def _trigamma_series(w):
-    """The series of psi'(x) ~ 1/x + 1/(2x^2) + series / x^3 in w = 1 / x^2;
-    a float or an array."""
-    return (1.0 / 6.0 - w * (1.0 / 30.0 - w * (1.0 / 42.0 - w * (
-        1.0 / 30.0 - w * (5.0 / 66.0 - w * (691.0 / 2730.0 - w * 7.0 / 6.0))))))
-
-
 def beta_polygamma_rows(p, q):
     """(ln B(p, q), psi(p), psi(q), psi(p + q), psi'(p), psi'(q), psi'(p + q))
-    for arrays p, q > 0, each bit for bit what log_beta, digamma and trigamma
-    give per element: one masked upward recurrence over p, q and p + q
-    together, then the series, with log and lgamma applied through `math`."""
+    for arrays p, q > 0: ln B as log_beta forms it, and psi and psi' by the
+    upward recurrence to x >= 6 and then the asymptotic series.  One masked
+    recurrence runs over p, q and p + q together, with log and lgamma applied
+    through `math`, so each element gets the bits it gets alone."""
     v = np.concatenate([p, q, p + q])
     if not (v > 0.0).all():
         raise ValueError("beta_polygamma_rows requires p, q > 0")
@@ -106,10 +69,14 @@ def beta_polygamma_rows(p, q):
         tri += low / (x * x)
         x += low
         low = x < 6.0
+    # the Bernoulli-number series in w = 1 / x^2:
+    #   psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n)
+    #   psi'(x) ~ 1/x + 1/(2x^2) + sum B_2n / x^(2n+1)
     w = 1.0 / (x * x)
-    log_x = _each(math.log, x)
-    psi = psi + log_x - 0.5 / x - _digamma_series(w)
-    tri = tri + 1.0 / x + 0.5 * w + _trigamma_series(w) / (x * x * x)
+    psi = psi + _each(math.log, x) - 0.5 / x - w * (1.0 / 12.0 - w * (1.0 / 120.0 - w * (
+        1.0 / 252.0 - w * (1.0 / 240.0 - w * (1.0 / 132.0 - w * (691.0 / 32760.0 - w / 12.0))))))
+    tri = tri + 1.0 / x + 0.5 * w + (1.0 / 6.0 - w * (1.0 / 30.0 - w * (1.0 / 42.0 - w * (
+        1.0 / 30.0 - w * (5.0 / 66.0 - w * (691.0 / 2730.0 - w * 7.0 / 6.0)))))) / (x * x * x)
     lg = _each(math.lgamma, v).reshape(3, -1)
     return (lg[0] + lg[1] - lg[2], *psi.reshape(3, -1), *tri.reshape(3, -1))
 

@@ -1,4 +1,7 @@
-"""Shared fixtures: the study's true models and disk-cached bootstrap runs.
+"""Shared fixtures: the study's true models and disk-cached bootstrap runs,
+and the oracles that code in `tailfit` is checked against (one replication
+fitted alone, the Monte-Carlo score information, the scalar psi and psi', the
+one-sample Newton starts).
 
 The heavyweight bootstrap matrices (m = 2000) are computed once and cached
 under tests/.bootstrap_cache keyed by (family, params, T, n, m, seed); reruns
@@ -29,7 +32,9 @@ import numpy as np
 import pytest
 
 from tailfit import SeverityModel, run_bootstrap
-from tailfit.bootstrap import BootstrapMatrix, _fit_replication, _run_chunk
+from tailfit.bootstrap import BootstrapMatrix, _run_chunk
+from tailfit.distributions import log_pdf, sample
+from tailfit.fisher import InfoMatrix
 from tailfit.optimizer import InvalidStart
 
 STUDY_SEED = 20260823
@@ -80,7 +85,7 @@ def _spot_check(bm: BootstrapMatrix, model: SeverityModel, base: Path) -> None:
     fresh = []
     rep = 0
     while len(fresh) < want and rep < bm.m_requested:
-        _, params = _fit_replication(model, bm.n, bm.seed, rep)
+        _, params = fit_replication(model, bm.n, bm.seed, rep)
         if params is not None:
             fresh.append(params)
         rep += 1
@@ -120,6 +125,59 @@ def study_matrices():
     return bms
 
 
+def fit_replication(model: SeverityModel, n: int, seed: int, rep: int):
+    """Replication `rep` alone: its class, and its parameters or None if it
+    is dropped."""
+    return _run_chunk((model, n, seed, rep, rep + 1))[0]
+
+
+def mc_score_information(model: SeverityModel, draws: int, rng: np.random.Generator) -> InfoMatrix:
+    """The independent Monte-Carlo oracle of the analytic information:
+    E[score score^T] over `draws` samples, with central-difference scores
+    (step 1e-5 * max(1, |theta_j|) per coordinate)."""
+    xs = sample(model, draws, rng)
+    theta = np.asarray(model.params)
+    k = theta.size
+    scores = np.empty((draws, k))
+    for j in range(k):
+        h = 1e-5 * max(1.0, abs(theta[j]))
+        up = theta.copy()
+        up[j] += h
+        dn = theta.copy()
+        dn[j] -= h
+        lp_up = log_pdf(model.replace_params(up), xs)
+        lp_dn = log_pdf(model.replace_params(dn), xs)
+        scores[:, j] = (lp_up - lp_dn) / (2.0 * h)
+    info = scores.T @ scores / draws
+    return InfoMatrix(0.5 * (info + info.T))
+
+
+# psi and psi' of one value: the scalar form of
+# `special_functions.beta_polygamma_rows`, kept as its bit-for-bit oracle.
+
+
+def digamma(x: float) -> float:
+    """psi(x) for x > 0, via upward recurrence to x >= 6 plus asymptotic series."""
+    result = 0.0
+    while x < 6.0:
+        result -= 1.0 / x
+        x += 1.0
+    w = 1.0 / (x * x)
+    return result + math.log(x) - 0.5 / x - w * (1.0 / 12.0 - w * (1.0 / 120.0 - w * (
+        1.0 / 252.0 - w * (1.0 / 240.0 - w * (1.0 / 132.0 - w * (691.0 / 32760.0 - w / 12.0))))))
+
+
+def trigamma(x: float) -> float:
+    """psi'(x) for x > 0, via upward recurrence to x >= 6 plus asymptotic series."""
+    result = 0.0
+    while x < 6.0:
+        result += 1.0 / (x * x)
+        x += 1.0
+    w = 1.0 / (x * x)
+    return result + 1.0 / x + 0.5 * w + (1.0 / 6.0 - w * (1.0 / 30.0 - w * (1.0 / 42.0 - w * (
+        1.0 / 30.0 - w * (5.0 / 66.0 - w * (691.0 / 2730.0 - w * 7.0 / 6.0)))))) / (x * x * x)
+
+
 # The one-sample Newton start that `mle._log_starts` computes for all rows at
 # once, kept as its oracle.
 
@@ -145,5 +203,5 @@ def log_start(family: str, init, y: np.ndarray) -> list[float]:
     """init(y) in log-parameters, or InvalidStart if it is unusable."""
     x0 = init(y)
     if not all(math.isfinite(v) and v > 0.0 for v in x0):
-        raise InvalidStart(f"{family} start point {x0} is unusable")
+        raise InvalidStart(f"{family} start point {tuple(map(float, x0))} is unusable")
     return [math.log(v) for v in x0]

@@ -23,7 +23,6 @@ from tailfit import (
     ci_error_table,
     fisher_information,
     log_likelihood,
-    mc_score_information,
     normality_suite,
     overlay,
     quantile,
@@ -36,7 +35,7 @@ from tailfit.normality import mardia_moments
 from tailfit.optimizer import nelder_mead
 from test_normality import brute_force_mardia
 
-from conftest import TRUE_MODELS
+from conftest import TRUE_MODELS, mc_score_information
 
 pytestmark = pytest.mark.acceptance
 

@@ -16,7 +16,6 @@ from tailfit.bootstrap import (
     BootstrapMatrix,
     TooFewConverged,
     _chunks,
-    _fit_replication,
     _run_chunk,
     replication_rng,
 )
@@ -25,7 +24,7 @@ from tailfit.mle import fit, fit_rows
 from tailfit.optimizer import InvalidStart
 
 import conftest
-from conftest import STUDY_SEED, cached_bootstrap
+from conftest import STUDY_SEED, cached_bootstrap, fit_replication
 
 T = 1e5
 
@@ -75,7 +74,7 @@ class TestDeterminism:
             whole = _run_chunk((model, n, seed, 0, m))
             split = _run_chunk((model, n, seed, 0, 37)) + _run_chunk((model, n, seed, 37, m))
             assert whole == split
-            alone = [_fit_replication(model, n, seed, rep) for rep in range(30, 45)]
+            alone = [fit_replication(model, n, seed, rep) for rep in range(30, 45)]
             assert alone == whole[30:45]
             assert all((kind == "interior") == (row is not None) for kind, row in whole)
             if model.family == "gb2":

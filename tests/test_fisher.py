@@ -3,15 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from tailfit import SeverityModel, fisher_information, mc_score_information
+from tailfit import SeverityModel, fisher_information
 from tailfit.fisher import InfoMatrix, SingularInformation, asymptotic_covariance
-from tailfit.special_functions import digamma, trigamma
+
+from conftest import TRUE_MODELS, digamma, mc_score_information, trigamma
 
 T = 1e5
 
 
 def frobenius_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def gb2_info_oracle(a, b, p, q):
+    """The GB2 information from the scalar psi and psi' oracles, each
+    evaluated directly at its argument, in the order `info` forms it."""
+    dp, dq = digamma(p), digamma(q)
+    dp1, dq1 = digamma(p + 1.0), digamma(q + 1.0)
+    tp, tq, tpq = trigamma(p), trigamma(q), trigamma(p + q)
+    tp1, tq1 = trigamma(p + 1.0), trigamma(q + 1.0)
+    i11 = (1.0 + p * q / (p + q + 1.0) * (tp1 + tq1 + (dp1 - dq1) ** 2)) / a**2
+    i12 = -p * q * (dp1 - dq1) / (b * (p + q + 1.0))
+    i13 = (1.0 - q * (dp - dq)) / (a * (p + q))
+    i14 = (1.0 + p * (dp - dq)) / (a * (p + q))
+    i22 = a**2 * p * q / (b**2 * (p + q + 1.0))
+    i23 = a * q / (b * (p + q))
+    i24 = -a * p / (b * (p + q))
+    return np.array([[i11, i12, i13, i14],
+                     [i12, i22, i23, i24],
+                     [i13, i23, tp - tpq, -tpq],
+                     [i14, i24, -tpq, tq - tpq]])
 
 
 class TestInfoMatrix:
@@ -64,14 +85,14 @@ class TestAnalytic:
         assert info[3, 3] == pytest.approx(1.0)
 
     def test_gb2_general_point_closed_forms(self):
-        a, b, p, q = 0.837, 117516.887, 1.184, 1.454
-        info = fisher_information(SeverityModel("gb2", (a, b, p, q), T)).entries
-        dp1, dq1 = digamma(p + 1.0), digamma(q + 1.0)
-        expected_11 = (1.0 + p * q / (p + q + 1.0)
-                       * (trigamma(p + 1.0) + trigamma(q + 1.0) + (dp1 - dq1) ** 2)) / a**2
-        assert info[0, 0] == pytest.approx(expected_11, rel=1e-12)
-        assert info[1, 2] == pytest.approx(a * q / (b * (p + q)))
-        assert np.array_equal(info, info.T)
+        # bit for bit, at theta* and over (p, q) in [1e-3, 1e3]: psi and psi'
+        # at p + 1 and q + 1 taken from psi(p) + 1/p and the like fail here
+        a, b = TRUE_MODELS["gb2"].params[:2]
+        grid = np.geomspace(1e-3, 1e3, 13).tolist()
+        points = [TRUE_MODELS["gb2"].params] + [(a, b, p, q) for p in grid for q in grid]
+        for params in points:
+            info = fisher_information(SeverityModel("gb2", params, T)).entries
+            assert info.tobytes() == gb2_info_oracle(*params).tobytes(), params
 
     def test_shift_does_not_enter(self):
         for threshold in (0.0, 1e5, 3e6):

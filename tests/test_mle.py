@@ -217,7 +217,6 @@ def assert_same_outcome(batched, family, xs):
     assert batched.nll == one.nll
     assert batched.converged == one.converged
     assert batched.warnings == one.warnings
-    assert batched.n == one.n
 
 
 def reference_weibull_profile(y):

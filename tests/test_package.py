@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,26 @@ def test_star_import():
     namespace = {}
     exec("from tailfit import *", namespace)
     assert set(tailfit.__all__) <= set(namespace)
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # runtime dependencies stay at numpy only, though scipy, mpmath and
+    # hypothesis may be installed where the tests run
+    allowed = sys.stdlib_module_names | {"numpy", "tailfit"}
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "tailfit").glob("*.py"))
+    assert len(paths) == len(MODULES) + 1  # and __init__.py
+    outside = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["tailfit" if node.level else node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_benchmark_tracer_finds_what_it_patches(monkeypatch):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from tailfit import special_functions as sf
 
+from conftest import digamma, trigamma
+
 mp.mp.dps = 30
 
 
@@ -38,47 +40,60 @@ class TestLogGamma:
         assert abs(math.lgamma(x) - ref) < 1e-13 * abs(ref)
 
 
+def polygamma(x):
+    """psi and psi' of each element of x, from beta_polygamma_rows."""
+    x = np.asarray(x, dtype=float)
+    _, psi, _, _, tri, _, _ = sf.beta_polygamma_rows(x, x)
+    return psi, tri
+
+
 class TestDigammaTrigamma:
+    """psi and psi', which the package evaluates only in beta_polygamma_rows."""
+
     EULER = 0.5772156649015329
 
     def test_digamma_values(self):
-        assert sf.digamma(1.0) == pytest.approx(-self.EULER, abs=1e-10)
-        assert sf.digamma(2.0) == pytest.approx(1.0 - self.EULER, abs=1e-10)
-        assert sf.digamma(0.5) == pytest.approx(-self.EULER - 2.0 * math.log(2.0), abs=1e-10)
+        psi, _ = polygamma([1.0, 2.0, 0.5])
+        want = [-self.EULER, 1.0 - self.EULER, -self.EULER - 2.0 * math.log(2.0)]
+        assert psi == pytest.approx(want, abs=1e-10)
 
     def test_trigamma_values(self):
-        assert sf.trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)
-        assert sf.trigamma(2.0) == pytest.approx(math.pi**2 / 6.0 - 1.0, abs=1e-10)
-        assert sf.trigamma(0.5) == pytest.approx(math.pi**2 / 2.0, abs=1e-10)
+        _, tri = polygamma([1.0, 2.0, 0.5])
+        want = [math.pi**2 / 6.0, math.pi**2 / 6.0 - 1.0, math.pi**2 / 2.0]
+        assert tri == pytest.approx(want, abs=1e-10)
 
     def test_domain(self):
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                sf.digamma(bad)
+                sf.beta_polygamma_rows(np.array([bad]), np.array([1.0]))
             with pytest.raises(ValueError):
-                sf.trigamma(bad)
+                sf.beta_polygamma_rows(np.array([1.0]), np.array([bad]))
 
     @pytest.mark.parametrize("x", [1e-3, 0.07, 0.9, 3.3, 12.0, 250.0, 1e4])
     def test_against_mpmath(self, x):
-        assert abs(sf.digamma(x) - float(mp.digamma(x))) < 1e-10
-        assert abs(sf.trigamma(x) - float(mp.polygamma(1, x))) < 1e-10
+        # p = q = x, so the p + q slot is checked at 2x
+        _, dp, dq, dpq, tp, tq, tpq = sf.beta_polygamma_rows(np.array([x]), np.array([x]))
+        for u, psi, tri in ((x, dp, tp), (x, dq, tq), (2.0 * x, dpq, tpq)):
+            assert abs(psi[0] - float(mp.digamma(u))) < 1e-10
+            assert abs(tri[0] - float(mp.polygamma(1, u))) < 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=0.1, max_value=100.0))
     def test_recurrences(self, x):
-        assert sf.digamma(x + 1.0) - sf.digamma(x) == pytest.approx(1.0 / x, abs=1e-9)
-        assert sf.trigamma(x + 1.0) - sf.trigamma(x) == pytest.approx(-1.0 / x**2, abs=1e-9)
+        psi, tri = polygamma([x, x + 1.0])
+        assert psi[1] - psi[0] == pytest.approx(1.0 / x, abs=1e-9)
+        assert tri[1] - tri[0] == pytest.approx(-1.0 / x**2, abs=1e-9)
 
 
 class TestBetaPolygammaRows:
     def test_bit_identical_to_the_scalar_functions(self):
-        # the scalar functions are the oracle, p and q from 1e-7 to 1e4
+        # the scalar oracles, p and q from 1e-7 to 1e4
         rng = np.random.default_rng(5)
         p, q = np.exp(rng.uniform(math.log(1e-7), math.log(1e4), (2, 5000)))
         p[:4], q[:4] = (1e-7, 6.0, 5.999999999999999, 1e4), (1e4, 6.0, 1.0, 1e-7)
         got = sf.beta_polygamma_rows(p, q)
-        want = np.array([(sf.log_beta(u, z), sf.digamma(u), sf.digamma(z), sf.digamma(u + z),
-                          sf.trigamma(u), sf.trigamma(z), sf.trigamma(u + z))
+        want = np.array([(sf.log_beta(u, z), digamma(u), digamma(z), digamma(u + z),
+                          trigamma(u), trigamma(z), trigamma(u + z))
                          for u, z in zip(p.tolist(), q.tolist())]).T
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()

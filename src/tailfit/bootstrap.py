@@ -25,7 +25,7 @@ import numpy as np
 from . import mle
 from .distributions import FAMILIES, PARAM_NAMES, SeverityModel, in_support, sample
 from .mle import FitResult
-from .textio import format_rows, read_rows
+from .textio import read_rows, write_rows
 
 __all__ = [
     "TooFewConverged",
@@ -91,9 +91,10 @@ class BootstrapMatrix:
 
     def write(self, path_base: Path, extra_meta: dict | None = None) -> None:
         """`<base>.csv` (header = param names, one row per converged
-        replication) plus a `<base>.json` sidecar."""
+        replication) and its binary twin (see `textio`), plus a `<base>.json`
+        sidecar."""
         csv_path, json_path = self.files(path_base)
-        csv_path.write_text(",".join(self.param_names) + "\n" + format_rows(self.rows))
+        write_rows(csv_path, self.param_names, self.rows)
         meta = {key: getattr(self, key) for key in _SIDECAR_KEYS}
         if self.outcomes is not None:
             meta["outcomes"] = self.outcomes

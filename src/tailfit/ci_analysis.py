@@ -14,7 +14,7 @@ import numpy as np
 
 from .bootstrap import BootstrapMatrix
 from .distributions import SeverityModel
-from .fisher import asymptotic_covariance
+from .fisher import SingularInformation, asymptotic_covariance
 from .mle import DegenerateSample
 from .special_functions import std_normal_quantile
 
@@ -48,6 +48,7 @@ def bootstrap_ci_width(bm: BootstrapMatrix, j: int, level: float = 0.95) -> floa
 
 
 def ci_error_table(bms: list[BootstrapMatrix], level: float = 0.95) -> list[CiErrorRow]:
+    """One row per (matrix, parameter); a degenerate cell's error names it."""
     rows = []
     for bm in bms:
         model = bm.true_model()
@@ -55,7 +56,10 @@ def ci_error_table(bms: list[BootstrapMatrix], level: float = 0.95) -> list[CiEr
             boot = bootstrap_ci_width(bm, j, level)
             if boot == 0.0:
                 raise DegenerateSample(f"{bm.family} at n={bm.n}: zero-width bootstrap interval for {name}")
-            normal = normal_ci_width(model, bm.n, j, level)
+            try:
+                normal = normal_ci_width(model, bm.n, j, level)
+            except SingularInformation as exc:
+                raise SingularInformation(f"{bm.family} at n={bm.n}: {exc}") from exc
             rows.append(CiErrorRow(
                 family=bm.family,
                 param_name=name,

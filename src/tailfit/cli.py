@@ -4,7 +4,8 @@ Commands: generate, fit, bootstrap, normality, cierror, overlays.
 Exit codes: 0 success, 2 ingestion/config error, 3 fit failure,
 4 too few converged replications (in a bootstrap run, or in a cell that
 cierror or overlays analyse) or a degenerate cell (constant column, singular
-covariance) that normality, cierror or overlays analyse, 5 required bootstrap
+covariance, or a theta* whose information is singular) that normality,
+cierror or overlays analyse, 5 required bootstrap
 matrix missing or malformed.  Commands raise; `main` alone prints the one
 `error:` line and picks the code from `EXIT_CODES`.
 """
@@ -27,10 +28,11 @@ from .bootstrap import (BootstrapMatrix, MalformedMatrix, TooFewConverged, run_b
 from .ci_analysis import ci_error_table, table_csv, table_json
 from .density import overlay
 from .distributions import FAMILIES, PARAM_NAMES, SeverityModel
+from .fisher import SingularInformation
 from .generate import PROFILES, generate_losses
 from .mle import DegenerateSample
 from .normality import SingularCovariance, normality_suite, reports_to_csv
-from .textio import format_rows, read_rows
+from .textio import read_rows, write_rows
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -61,6 +63,7 @@ EXIT_CODES = {
     FitFailed: EXIT_FIT,
     TooFewConverged: EXIT_CONVERGENCE,
     SingularCovariance: EXIT_CONVERGENCE,
+    SingularInformation: EXIT_CONVERGENCE,
     DegenerateSample: EXIT_CONVERGENCE,
     MissingMatrix: EXIT_MISSING,
     MalformedMatrix: EXIT_MISSING,
@@ -172,7 +175,7 @@ def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> None:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "losses.csv"
-    path.write_text("loss\n" + format_rows(losses))
+    write_rows(path, ("loss",), losses)
     _write_meta(cfg, out, "generate")
     frac_tail = float(np.mean(losses >= PROFILES[profile].threshold))
     print(f"wrote {path} ({n} losses)")
@@ -274,7 +277,7 @@ def _in_cell(bm: BootstrapMatrix, analyse, *args):
     names the cell."""
     try:
         return analyse(bm, *args)
-    except (SingularCovariance, DegenerateSample) as exc:
+    except (SingularCovariance, SingularInformation, DegenerateSample) as exc:
         raise type(exc)(f"{bm.family} at n={bm.n}: {exc}") from exc
 
 

@@ -21,6 +21,7 @@ from .special_functions import (
     libm_log,
     log_beta,
     log_inverse_incomplete_beta,
+    polygamma_rows,
     regularized_incomplete_beta,
     std_normal_cdf,
     std_normal_quantile,
@@ -320,9 +321,8 @@ class _GB2(_Family):
         # and the entries below are the exact Beta moments of their products.
         # psi and psi' at p + 1 and q + 1 are evaluated there, not by the
         # recurrence from p and q, which need not round the same way.
-        _, (dp, dp1), (dq, dq1), _, (tp, tp1), (tq, tq1), (tpq, _) = (
-            v.tolist() for v in beta_polygamma_rows(np.array([p, p + 1.0]),
-                                                    np.array([q, q + 1.0])))
+        (dp, dp1, dq, dq1, _), (tp, tp1, tq, tq1, tpq) = (
+            v.tolist() for v in polygamma_rows(np.array([p, p + 1.0, q, q + 1.0, p + q])))
         i11 = (1.0 + p * q / (p + q + 1.0) * (tp1 + tq1 + (dp1 - dq1) ** 2)) / a**2
         i12 = -p * q * (dp1 - dq1) / (b * (p + q + 1.0))
         i13 = (1.0 - q * (dp - dq)) / (a * (p + q))

@@ -2,8 +2,9 @@
 
 Every function here is pure.  The normal pdf, cdf and quantile and libm_log
 take a float or an array of any shape and return the same;
-beta_polygamma_rows takes 1-D arrays and is the package's one evaluation of
-psi and psi'; the others take scalar floats.
+polygamma_rows and beta_polygamma_rows take 1-D arrays, and polygamma_rows
+is the package's one evaluation of psi and psi'; the others take scalar
+floats.
 Accuracy targets: log-gamma (math.lgamma, called directly) 1e-12 absolute for
 moderate arguments, psi and psi' 1e-10 absolute, regularized incomplete beta /
 gamma 1e-10, normal cdf 1e-12 and quantile inverse-consistent to 1e-9.
@@ -24,6 +25,7 @@ import numpy as np
 __all__ = [
     "log_beta",
     "beta_polygamma_rows",
+    "polygamma_rows",
     "libm_log",
     "regularized_incomplete_beta",
     "log_inverse_incomplete_beta",
@@ -50,33 +52,42 @@ def log_beta(p: float, q: float) -> float:
     return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
 
 
+def polygamma_rows(x):
+    """(psi(x), psi'(x)) for an array x > 0, by the upward recurrence to
+    x >= 6 and then the asymptotic series.  The recurrence is masked and log
+    is applied through `math`, so each element gets the bits it gets alone."""
+    if not (x > 0.0).all():
+        raise ValueError("polygamma_rows requires x > 0")
+    # where x >= 6 a step adds 0.0, which leaves every value's bits alone
+    x = np.array(x, dtype=float)
+    psi = np.zeros(x.size)
+    tri = np.zeros(x.size)
+    # above x ~ 1e154 x^2 overflows to inf, and every term it enters to its limit 0
+    with np.errstate(over="ignore"):
+        low = x < 6.0
+        while low.any():
+            psi -= low / x
+            tri += low / (x * x)
+            x += low
+            low = x < 6.0
+        # the Bernoulli-number series in w = 1 / x^2:
+        #   psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n)
+        #   psi'(x) ~ 1/x + 1/(2x^2) + sum B_2n / x^(2n+1)
+        w = 1.0 / (x * x)
+        psi = psi + _each(math.log, x) - 0.5 / x - w * (1.0 / 12.0 - w * (
+            1.0 / 120.0 - w * (1.0 / 252.0 - w * (1.0 / 240.0 - w * (
+                1.0 / 132.0 - w * (691.0 / 32760.0 - w / 12.0))))))
+        tri = tri + 1.0 / x + 0.5 * w + (1.0 / 6.0 - w * (1.0 / 30.0 - w * (1.0 / 42.0 - w * (
+            1.0 / 30.0 - w * (5.0 / 66.0 - w * (691.0 / 2730.0 - w * 7.0 / 6.0)))))) / (x * x * x)
+    return psi, tri
+
+
 def beta_polygamma_rows(p, q):
     """(ln B(p, q), psi(p), psi(q), psi(p + q), psi'(p), psi'(q), psi'(p + q))
-    for arrays p, q > 0: ln B as log_beta forms it, and psi and psi' by the
-    upward recurrence to x >= 6 and then the asymptotic series.  One masked
-    recurrence runs over p, q and p + q together, with log and lgamma applied
-    through `math`, so each element gets the bits it gets alone."""
+    for arrays p, q > 0: ln B as log_beta forms it, and psi and psi' from one
+    `polygamma_rows` call over p, q and p + q together."""
     v = np.concatenate([p, q, p + q])
-    if not (v > 0.0).all():
-        raise ValueError("beta_polygamma_rows requires p, q > 0")
-    # where x >= 6 a step adds 0.0, which leaves every value's bits alone
-    x = v.copy()
-    psi = np.zeros(v.size)
-    tri = np.zeros(v.size)
-    low = x < 6.0
-    while low.any():
-        psi -= low / x
-        tri += low / (x * x)
-        x += low
-        low = x < 6.0
-    # the Bernoulli-number series in w = 1 / x^2:
-    #   psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n)
-    #   psi'(x) ~ 1/x + 1/(2x^2) + sum B_2n / x^(2n+1)
-    w = 1.0 / (x * x)
-    psi = psi + _each(math.log, x) - 0.5 / x - w * (1.0 / 12.0 - w * (1.0 / 120.0 - w * (
-        1.0 / 252.0 - w * (1.0 / 240.0 - w * (1.0 / 132.0 - w * (691.0 / 32760.0 - w / 12.0))))))
-    tri = tri + 1.0 / x + 0.5 * w + (1.0 / 6.0 - w * (1.0 / 30.0 - w * (1.0 / 42.0 - w * (
-        1.0 / 30.0 - w * (5.0 / 66.0 - w * (691.0 / 2730.0 - w * 7.0 / 6.0)))))) / (x * x * x)
+    psi, tri = polygamma_rows(v)
     lg = _each(math.lgamma, v).reshape(3, -1)
     return (lg[0] + lg[1] - lg[2], *psi.reshape(3, -1), *tri.reshape(3, -1))
 

@@ -1,13 +1,26 @@
 """CSV text of float arrays, both ways: a header line over rows of numbers.
 
 Reading.  `read_rows(path, names, valid, invalid)` checks the header, then
-parses the body with numpy's C reader, which rounds each decimal as float()
-does, and checks its width and the caller's `valid` predicate on the array.
-Only when one of these fails are the lines walked with float(), the rule
-the file format keeps: blank and whitespace-only lines are skipped, and a
-value is what float() reads from its field, so "1_000" and " 1.5 " are
-numbers.  The walk names the first bad line, or, if every line passes,
-returns what it read.
+takes the rows from the CSV's binary twin (below) if it has a valid one.
+Otherwise it parses the body with numpy's C reader, which rounds each
+decimal as float() does, and checks its width and the caller's `valid`
+predicate on the array.  Only when one of these fails are the lines walked
+with float(), the rule the file format keeps: blank and whitespace-only
+lines are skipped, and a value is what float() reads from its field, so
+"1_000" and " 1.5 " are numbers.  The walk names the first bad line, or, if
+every line passes, returns what it read.
+
+The twin.  `write_rows(path, names, a)` writes the CSV, header and
+`format_rows(a)`, and beside it a hidden file, `.<name>.f64`, holding the
+SHA-256 of the CSV's bytes followed by the rows as little-endian float64,
+and then those rows.  Every value in the CSV is repr of the twin's double,
+which float() reads back as that double (nan is stored as the nan float()
+reads), so the twin's rows are what parsing the CSV would return, bit for
+bit, without the decimal conversion.  `read_rows` uses a twin only when the
+digest matches the CSV and the twin as they are on disk, the rows fill the
+header's columns and pass `valid`; an edited CSV, a truncated or garbled
+twin, or no twin at all is parsed as if the twin were not there.  The CSV
+stays the artifact: deleting a twin costs one parse.
 
 Writing.  `format_rows(a)` returns exactly
 
@@ -51,11 +64,14 @@ loop itself.
 from __future__ import annotations
 
 import functools
+import hashlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CHUNK_ELEMENTS", "SMALL_ELEMENTS", "format_rows", "read_rows"]
+__all__ = ["CHUNK_ELEMENTS", "SMALL_ELEMENTS", "format_rows", "read_rows", "twin_path",
+           "write_rows"]
 
 # Values formatted per chunk.  A chunk's temporaries peak at about 0.9 MB,
 # less than the strings a repr loop builds for a 5,000 x 4 matrix; 2^14
@@ -270,16 +286,63 @@ def _format_chunk(x: np.ndarray, last: np.ndarray) -> bytes:
 def format_rows(a) -> str:
     """The CSV body of `a`: one line per row, its values written by repr and
     joined by commas.  A 1-D array is one column."""
+    return _format_body(a).decode("ascii")
+
+
+def _format_body(a) -> bytes:
+    """`format_rows(a)` as ASCII bytes."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     if a.size < SMALL_ELEMENTS:
-        return "".join(",".join(map(repr, row)) + "\n" for row in a.tolist())
+        return "".join(",".join(map(repr, row)) + "\n" for row in a.tolist()).encode()
     rows, cols = a.shape
     per = max(1, CHUNK_ELEMENTS // cols)
     last = np.tile(np.arange(cols) == cols - 1, min(per, rows))
     chunks = (a[lo:lo + per].ravel() for lo in range(0, rows, per))
-    return b"".join(_format_chunk(x, last[:x.size]) for x in chunks).decode("ascii")
+    return b"".join(_format_chunk(x, last[:x.size]) for x in chunks)
+
+
+def twin_path(path) -> Path:
+    """The binary twin of the CSV at `path`: `.<name>.f64` beside it."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.f64")
+
+
+def write_rows(path, names, a) -> None:
+    """The CSV of `a` at `path`, under the header `names`, and its twin.  A
+    1-D array is one column; ValueError if `a` has not len(names) columns."""
+    a = np.asarray(a, dtype=float)
+    rows = a[:, None] if a.ndim == 1 else a
+    if rows.ndim != 2 or rows.shape[1] != len(names):
+        raise ValueError(f"{len(names)} names for rows of shape {a.shape}")
+    text = (",".join(names) + "\n").encode() + _format_body(rows)
+    # float() reads every nan's repr as this one nan
+    twin = np.where(np.isnan(rows), np.nan, rows).astype("<f8", copy=False)
+    digest = hashlib.sha256(text)
+    digest.update(twin)
+    Path(path).write_bytes(text)
+    with open(twin_path(path), "wb") as f:
+        f.write(digest.digest())
+        f.write(twin)
+
+
+def _twin_rows(path, k: int):
+    """The rows of the twin of the CSV at `path`, or None unless the twin's
+    digest is the SHA-256 of the CSV's bytes and its own rows, and they
+    fill k columns."""
+    try:
+        with open(twin_path(path), "rb") as f:
+            digest = f.read(32)
+            rows = np.fromfile(f, "<f8")
+        with open(path, "rb") as f:
+            check = hashlib.sha256(f.read())
+    except OSError:
+        return None
+    check.update(rows)
+    if check.digest() != digest or rows.size % k:
+        return None
+    return rows.reshape(-1, k)
 
 
 def read_rows(path, names, valid, invalid: str) -> np.ndarray:
@@ -288,7 +351,8 @@ def read_rows(path, names, valid, invalid: str) -> np.ndarray:
     ValueError, naming the file and its first bad line, otherwise: a wrong
     header, a row of another width, a field float() cannot read, or a value
     that fails `valid`, whose message is `invalid.format(field)`, or text
-    that is not UTF-8."""
+    that is not UTF-8.  The rows come from the CSV's twin where it is valid,
+    and are the same bits either way."""
     k = len(names)
     try:
         with open(path, encoding="utf-8") as f:
@@ -296,6 +360,9 @@ def read_rows(path, names, valid, invalid: str) -> np.ndarray:
             if header != ",".join(names):
                 raise ValueError(f"{path}: line 1: header {header!r}, "
                                  f"expected {','.join(names)!r}")
+            rows = _twin_rows(path, k)
+            if rows is not None and valid(rows).all():
+                return rows
             try:
                 with warnings.catch_warnings():
                     # a header-only file warns of no data

@@ -10,6 +10,7 @@ from tailfit import (
     mle,
     run_bootstrap,
     sample,
+    textio,
     true_model_from_losses,
 )
 from tailfit.bootstrap import (
@@ -22,6 +23,7 @@ from tailfit.bootstrap import (
 from tailfit.generate import generate_losses
 from tailfit.mle import fit, fit_rows
 from tailfit.optimizer import InvalidStart
+from tailfit.textio import twin_path
 
 import conftest
 from conftest import STUDY_SEED, cached_bootstrap, fit_replication
@@ -238,6 +240,10 @@ EDGE_VALUES = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                -0.0, 1e23, 9007199254740993.0]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the csv was parsed")
+
+
 def _matrix(family, params, rows):
     rows = np.asarray(rows, dtype=float)
     return BootstrapMatrix(family, params, T, 40, 100, rows.shape[0], rows, 9)
@@ -256,20 +262,42 @@ ROUND_TRIP_CASES = {
 
 
 class TestRoundTrip:
-    def test_write_read_identity(self, tmp_path):
+    def test_write_read_identity(self, tmp_path, monkeypatch):
+        # a written matrix is read from its twin, without parsing its csv,
+        # and from the csv alone once the twin is gone
         for case, make in ROUND_TRIP_CASES.items():
             bm = make()
             base = tmp_path / f"boot_{case}"
             bm.write(base)
-            back = BootstrapMatrix.read(base)
-            assert back.rows.shape == bm.rows.shape, case
-            assert back.rows.tobytes() == bm.rows.tobytes(), case
-            assert back.family == bm.family
-            assert back.true_params == bm.true_params
-            assert back.threshold == bm.threshold
-            assert (back.n, back.m_requested, back.m_converged, back.seed) == \
-                (bm.n, bm.m_requested, bm.m_converged, bm.seed)
-            assert back.outcomes == bm.outcomes
+            with monkeypatch.context() as m:
+                m.setattr(np, "loadtxt", _refuse)
+                m.setattr(textio, "_walk", _refuse)
+                from_twin = BootstrapMatrix.read(base)
+            twin_path(BootstrapMatrix.files(base)[0]).unlink()
+            for back in (from_twin, BootstrapMatrix.read(base)):
+                assert back.rows.shape == bm.rows.shape, case
+                assert back.rows.tobytes() == bm.rows.tobytes(), case
+                assert back.family == bm.family
+                assert back.true_params == bm.true_params
+                assert back.threshold == bm.threshold
+                assert (back.n, back.m_requested, back.m_converged, back.seed) == \
+                    (bm.n, bm.m_requested, bm.m_converged, bm.seed)
+                assert back.outcomes == bm.outcomes
+
+    def test_twin_bytes_follow_the_rows(self, tmp_path):
+        # every file of a written cell, its twin too, is the same bytes at 1
+        # and 2 workers and on a second write
+        model = SeverityModel("lognormal", (11.3, 1.8), T)
+        serial = run_bootstrap(model, 50, 120, seed=7, workers=1)
+        parallel = run_bootstrap(model, 50, 120, seed=7, workers=2)
+        written = []
+        for bm in (serial, parallel, parallel):
+            out = tmp_path / f"run{len(written)}"
+            out.mkdir()
+            bm.write(out / "boot_x")
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(written[0]) == [".boot_x.csv.f64", "boot_x.csv", "boot_x.json"]
+        assert written[0] == written[1] == written[2]
 
     @pytest.mark.parametrize("csv_path", sorted(conftest._CACHE_DIR.glob("*.csv")),
                              ids=lambda p: p.stem)

@@ -301,6 +301,12 @@ class TestPipeline:
 
     def test_bootstrap_outputs(self, tmp_path, ran_bootstrap):
         out = tmp_path / "out"
+        # two boot_* files per cell; each csv's twin is a hidden file beside it
+        assert sorted(p.name for p in out.glob("boot_*")) == [
+            "boot_lognormal_n100.csv", "boot_lognormal_n100.json",
+            "boot_pareto_n100.csv", "boot_pareto_n100.json"]
+        assert sorted(p.name for p in out.glob(".*")) == [
+            ".boot_lognormal_n100.csv.f64", ".boot_pareto_n100.csv.f64"]
         for family in ("pareto", "lognormal"):
             assert (out / f"boot_{family}_n100.csv").exists()
             meta = json.loads((out / f"boot_{family}_n100.json").read_text())
@@ -311,9 +317,10 @@ class TestPipeline:
 
     def test_bootstrap_deterministic_across_threads(self, tmp_path, ran_bootstrap):
         out = tmp_path / "out"
-        first = (out / "boot_lognormal_n100.csv").read_bytes()
+        names = ("boot_lognormal_n100.csv", ".boot_lognormal_n100.csv.f64")
+        first = [(out / name).read_bytes() for name in names]
         assert main(["bootstrap", "--config", str(ran_bootstrap), "--threads", "2"]) == 0
-        assert (out / "boot_lognormal_n100.csv").read_bytes() == first
+        assert [(out / name).read_bytes() for name in names] == first
 
     def test_normality_table(self, tmp_path, ran_bootstrap):
         assert main(["normality", "--config", str(ran_bootstrap)]) == 0
@@ -377,7 +384,7 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err == f"error: {csv_path}: {message}\n"
         assert sorted(p.name for p in base.parent.iterdir()) == \
-            ["boot_weibull_n100.csv", "boot_weibull_n100.json"]
+            [".boot_weibull_n100.csv.f64", "boot_weibull_n100.csv", "boot_weibull_n100.json"]
 
     def test_non_utf8_matrix_names_the_file(self, tmp_path, capsys):
         base = tmp_path / "out" / "boot_weibull_n100"
@@ -448,7 +455,7 @@ class TestPipeline:
         assert err.count("error:") == 1
         assert err.startswith(f"error: {json_path}: ")
         assert sorted(p.name for p in base.parent.iterdir()) == \
-            ["boot_weibull_n100.csv", "boot_weibull_n100.json"]
+            [".boot_weibull_n100.csv.f64", "boot_weibull_n100.csv", "boot_weibull_n100.json"]
 
     def test_entry_point_reports_malformed_sidecar(self, tmp_path):
         base = tmp_path / "out" / "boot_pareto_n100"
@@ -528,7 +535,22 @@ class TestPipeline:
             assert err.count("error:") == 1
             assert err.startswith("error: lognormal at n=100: ")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
-            ["boot_lognormal_n100.csv", "boot_lognormal_n100.json"]
+            [".boot_lognormal_n100.csv.f64", "boot_lognormal_n100.csv", "boot_lognormal_n100.json"]
+
+    # theta* whose GB2 information is singular: at q = 1e306 ln B(p, q)
+    # overflows, and the information needs no ln B
+    @pytest.mark.parametrize("command", ["cierror", "overlays"])
+    @pytest.mark.parametrize("q", [1e200, 1e306])
+    def test_singular_information_exits_4(self, tmp_path, capsys, command, q):
+        rows = np.random.default_rng(0).uniform(0.5, 2.0, (120, 4))
+        (tmp_path / "out").mkdir()
+        BootstrapMatrix("gb2", (1.0, 1.0, q, 1.0), 1e5, 100, 120, 120, rows,
+                        777).write(tmp_path / "out" / "boot_gb2_n100")
+        cfg = write_config(tmp_path, families="gb2")
+        assert main([command, "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == "error: gb2 at n=100: Matrix is not positive definite\n"
+        assert not list((tmp_path / "out").glob("overlay_*"))
+        assert not (tmp_path / "out" / "ci_error.csv").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -145,6 +145,13 @@ class TestAsymptoticCovariance:
         with pytest.raises(SingularInformation):
             fisher.asymptotic_covariance(SeverityModel("lognormal", (0.0, 1.0), 0.0), 10)
 
+    # from p or q ~ 2.6e305 on ln B(p, q) overflows; the information needs none
+    @pytest.mark.parametrize("params", [(1.0, 1.0, 1e200, 1.0), (1.0, 1.0, 1e306, 1.0),
+                                        (1.0, 1.0, 1.0, 1e306)])
+    def test_gb2_extreme_shape_is_singular(self, params):
+        with pytest.raises(SingularInformation):
+            asymptotic_covariance(SeverityModel("gb2", params, T), 100)
+
 
 class TestMcOracle:
     DRAWS = 200_000

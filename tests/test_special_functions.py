@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -41,14 +42,12 @@ class TestLogGamma:
 
 
 def polygamma(x):
-    """psi and psi' of each element of x, from beta_polygamma_rows."""
-    x = np.asarray(x, dtype=float)
-    _, psi, _, _, tri, _, _ = sf.beta_polygamma_rows(x, x)
-    return psi, tri
+    """psi and psi' of each element of x, from polygamma_rows."""
+    return sf.polygamma_rows(np.asarray(x, dtype=float))
 
 
 class TestDigammaTrigamma:
-    """psi and psi', which the package evaluates only in beta_polygamma_rows."""
+    """psi and psi', which the package evaluates only in polygamma_rows."""
 
     EULER = 0.5772156649015329
 
@@ -65,6 +64,8 @@ class TestDigammaTrigamma:
     def test_domain(self):
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
+                sf.polygamma_rows(np.array([1.0, bad]))
+            with pytest.raises(ValueError):
                 sf.beta_polygamma_rows(np.array([bad]), np.array([1.0]))
             with pytest.raises(ValueError):
                 sf.beta_polygamma_rows(np.array([1.0]), np.array([bad]))
@@ -76,6 +77,15 @@ class TestDigammaTrigamma:
         for u, psi, tri in ((x, dp, tp), (x, dq, tq), (2.0 * x, dpq, tpq)):
             assert abs(psi[0] - float(mp.digamma(u))) < 1e-10
             assert abs(tri[0] - float(mp.polygamma(1, u))) < 1e-10
+
+    def test_huge_arguments(self):
+        # above x ~ 1e154 x^2 overflows; the terms it enters go to 0 silently
+        x = np.array([1e200, 1e306])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi, tri = sf.polygamma_rows(x)
+        assert psi.tolist() == [math.log(v) for v in x.tolist()]
+        assert tri.tolist() == (1.0 / x).tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=0.1, max_value=100.0))

@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from tailfit import textio
 from tailfit.bootstrap import BootstrapMatrix
-from tailfit.cli import read_losses
+from tailfit.cli import ConfigError, main, read_losses
 from tailfit.generate import generate_losses
-from tailfit.textio import CHUNK_ELEMENTS, SMALL_ELEMENTS, _shortest, format_rows, read_rows
+from tailfit.textio import (CHUNK_ELEMENTS, SMALL_ELEMENTS, _shortest, format_rows, read_rows,
+                            twin_path, write_rows)
 
 
 # The three writers that format_rows replaced, kept as its oracles: the text
@@ -162,3 +166,134 @@ class TestReadRows:
         BootstrapMatrix.files(base)[0].write_bytes(("shape\r\n" + body).encode())
         assert read_losses(loss_path).tolist() == want
         assert BootstrapMatrix.read(base).rows[:, 0].tolist() == want
+
+
+def no_parse(monkeypatch):
+    """Make any parse of a CSV body fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CSV was parsed")
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(textio, "_walk", refuse)
+
+
+def outcome(read):
+    """The bytes of what `read()` returns, or the message of its error."""
+    try:
+        return read().tobytes()
+    except (ValueError, ConfigError) as exc:
+        return str(exc)
+
+
+# a CSV body edited in one byte, to another number or to no number; a twin
+# cut short, garbled in its digest or its rows, or absent
+def edit_value(csv, twin):
+    data = bytearray(csv.read_bytes())
+    data[-3] = ord("1") if data[-3] != ord("1") else ord("2")
+    csv.write_bytes(bytes(data))
+
+
+def edit_to_text(csv, twin):
+    data = bytearray(csv.read_bytes())
+    data[-3] = ord("x")
+    csv.write_bytes(bytes(data))
+
+
+def flip(twin, offset):
+    data = bytearray(twin.read_bytes())
+    data[offset] ^= 0x40
+    twin.write_bytes(bytes(data))
+
+
+DEFECTS = {
+    "csv_value": edit_value,
+    "csv_text": edit_to_text,
+    "twin_truncated": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:-8]),
+    "twin_digest_only": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:32]),
+    "twin_short": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:20]),
+    "twin_digest_garbled": lambda csv, twin: flip(twin, 5),
+    "twin_rows_garbled": lambda csv, twin: flip(twin, 40),
+    "twin_of_another_csv": lambda csv, twin: twin.write_bytes(
+        twin.read_bytes()[:32] + np.ones(twin.stat().st_size // 8 - 4).tobytes()),
+    "no_twin": lambda csv, twin: twin.unlink(),
+}
+
+
+class TestTwin:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_read_skips_the_parse(self, tmp_path, monkeypatch, k):
+        a = FINITE[:FINITE.size // k * k].reshape(-1, k)
+        names = tuple(f"c{j}" for j in range(k))
+        path = tmp_path / "m.csv"
+        write_rows(path, names, a)
+        assert path.read_text() == ",".join(names) + "\n" + format_rows(a)
+        no_parse(monkeypatch)
+        got = read_rows(path, names, np.isfinite, "not a finite number: {!r}")
+        assert got.shape == a.shape
+        assert got.tobytes() == a.tobytes()  # bit for bit, -0.0 included
+
+    def test_generated_losses_skip_the_parse(self, tmp_path, monkeypatch):
+        assert main(["generate", "--out", str(tmp_path), "--seed", "3", "--n", "5000"]) == 0
+        want = generate_losses("uom1", 5000, 3)
+        no_parse(monkeypatch)
+        assert read_losses(tmp_path / "losses.csv").tobytes() == want.tobytes()
+
+    def test_twin_holds_what_the_parse_returns(self, tmp_path):
+        # nan of either sign or any payload is written "nan", which reads
+        # back as numpy's one nan; inf and -0.0 read back as themselves
+        odd_nan = np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(float)
+        a = np.concatenate([odd_nan, [np.nan, np.inf, -np.inf, -0.0, 0.1]])
+        path = tmp_path / "x.csv"
+        write_rows(path, ("x",), a)
+
+        def read():
+            return read_rows(path, ("x",), lambda v: np.ones(np.shape(v), bool), "{}")
+        with_twin = read().tobytes()
+        twin_path(path).unlink()
+        assert with_twin == read().tobytes()
+
+    def test_layout_and_determinism(self, tmp_path):
+        a = FINITE[:1000].reshape(-1, 4)
+        path = tmp_path / "m.csv"
+        write_rows(path, ("a", "b", "c", "d"), a)
+        twin = twin_path(path)
+        assert twin == tmp_path / ".m.csv.f64"
+        first = twin.read_bytes()
+        digest = hashlib.sha256(path.read_bytes() + a.astype("<f8").tobytes()).digest()
+        assert first == digest + a.astype("<f8").tobytes()
+        write_rows(path, ("a", "b", "c", "d"), a)
+        assert twin.read_bytes() == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".m.csv.f64", "m.csv"]
+
+    def test_names_must_fit_the_rows(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_rows(tmp_path / "m.csv", ("a", "b"), np.ones((3, 3)))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("kind", ["matrix", "losses"])
+    def test_defect_reads_as_the_csv_alone(self, tmp_path, defect, kind):
+        # the read gives what parsing the CSV as it stands gives: its values,
+        # or its error word for word
+        rows = np.abs(FINITE[FINITE != 0.0][:600]).reshape(-1, 2 if kind == "matrix" else 1)
+        if kind == "matrix":
+            base = tmp_path / "boot_weibull_n100"
+            BootstrapMatrix("weibull", (0.56, 212303.18), 1e5, 100, len(rows), len(rows),
+                            rows, 7).write(base)
+            csv = BootstrapMatrix.files(base)[0]
+
+            def read():
+                return BootstrapMatrix.read(base).rows
+        else:
+            csv = tmp_path / "losses.csv"
+            write_rows(csv, ("loss",), rows)
+
+            def read():
+                return read_losses(csv)
+        DEFECTS[defect](csv, twin_path(csv))
+        got = outcome(read)
+        twin_path(csv).unlink(missing_ok=True)
+        assert got == outcome(read)
+        if defect.startswith("twin") or defect == "no_twin":
+            assert got == rows.ravel().tobytes()
+        elif defect == "csv_text":
+            assert "not a number" in got

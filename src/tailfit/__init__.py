@@ -18,7 +18,6 @@ from .distributions import (
 from .fisher import InfoMatrix, asymptotic_covariance, fisher_information
 from .mle import FitResult, fit
 from .normality import NormalityReport, anderson_darling_normal, mardia, normality_suite
-from .optimizer import OptimResult, nelder_mead
 
 __all__ = [
     "BootstrapMatrix",
@@ -28,7 +27,6 @@ __all__ = [
     "FitResult",
     "InfoMatrix",
     "NormalityReport",
-    "OptimResult",
     "PARAM_NAMES",
     "SeverityModel",
     "anderson_darling_normal",
@@ -42,7 +40,6 @@ __all__ = [
     "log_likelihood",
     "log_pdf",
     "mardia",
-    "nelder_mead",
     "normal_ci_width",
     "normality_suite",
     "overlay",

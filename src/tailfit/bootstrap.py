@@ -47,7 +47,8 @@ class MalformedMatrix(ValueError):
     """A bootstrap matrix file that is not the matrix its sidecar describes:
     a wrong header, a row that is not one finite number per parameter, or a
     row count other than the sidecar's m_converged; or a sidecar that is not
-    a JSON object with every field and a known family."""
+    a JSON object with every field, a known family, integer counts and seed,
+    and a valid theta* of the family."""
 
 
 # Every field of a BootstrapMatrix but its rows, in the `<base>.json` sidecar
@@ -123,8 +124,10 @@ class BootstrapMatrix:
 
 
 def _read_sidecar(json_path: Path) -> dict:
-    """The `<base>.json` fields; MalformedMatrix, naming the file, unless it
-    is a JSON object with every field that `read` uses and a known family."""
+    """The `<base>.json` fields; MalformedMatrix, naming the file and the
+    field, unless it is a JSON object with every field that `read` uses, a
+    known family, integer counts and seed, and a true_params and threshold
+    that make a SeverityModel of the family."""
     try:
         meta = json.loads(json_path.read_text())
     except ValueError as exc:
@@ -136,6 +139,19 @@ def _read_sidecar(json_path: Path) -> dict:
         raise MalformedMatrix(f"{json_path}: no {', '.join(missing)}")
     if meta["family"] not in FAMILIES:
         raise MalformedMatrix(f"{json_path}: unknown family {meta['family']!r}")
+    not_int = [key for key in ("n", "m_requested", "m_converged", "seed")
+               if type(meta[key]) is not int]
+    if not_int:
+        raise MalformedMatrix(f"{json_path}: {', '.join(not_int)} must be integers")
+    params, threshold = meta["true_params"], meta["threshold"]
+    if not (isinstance(params, list)
+            and all(type(v) in (int, float) for v in [*params, threshold])):
+        raise MalformedMatrix(f"{json_path}: true_params must be a list of numbers and "
+                              f"threshold a number")
+    try:
+        SeverityModel(meta["family"], params, threshold)
+    except ValueError as exc:
+        raise MalformedMatrix(f"{json_path}: true_params or threshold: {exc}") from None
     outcomes = meta.get("outcomes")
     if outcomes is not None and not (
             isinstance(outcomes, dict) and set(outcomes) == set(mle.OUTCOMES)
@@ -215,14 +231,6 @@ def _batch_rows(n: int) -> int:
     return max(1, BATCH_ELEMENTS // n)
 
 
-def _kept(outcome):
-    """A replication's row: its parameters, or None if its fit raised a
-    FitError or did not converge."""
-    if isinstance(outcome, Exception):
-        return None
-    return outcome.model.params if outcome.converged else None
-
-
 def _run_chunk(args):
     """Replications [lo, hi), each as (its `mle.OUTCOMES` class, its row or
     None): each sampled from its own stream, then fitted in batches of at
@@ -244,8 +252,9 @@ def _run_chunk(args):
             fresh["state"]["key"] = key
             bitgen.state = fresh
             xs[i] = sample(model, n, rng)
-        rows.extend((mle.outcome_class(o), _kept(o))
-                    for o in mle.fit_rows(model.family, xs, model.threshold))
+        for outcome in mle.fit_rows(model.family, xs, model.threshold):
+            kind = mle.outcome_class(outcome)
+            rows.append((kind, outcome.model.params if kind == "interior" else None))
     return rows
 
 

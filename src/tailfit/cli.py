@@ -108,6 +108,8 @@ class StudyConfig:
             raise ConfigError(f"threshold must be finite and positive, got {self.threshold}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not self.families:
+            raise ConfigError("families must name at least one family")
         if any(f not in FAMILIES for f in self.families):
             raise ConfigError(f"unknown family in {self.families}")
         if not self.sample_sizes or list(self.sample_sizes) != sorted(set(self.sample_sizes)) \
@@ -117,6 +119,8 @@ class StudyConfig:
             raise ConfigError("replications must be at least 100")
         if not 0.0 < self.level < 1.0:
             raise ConfigError("level must lie strictly between 0 and 1")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be at least 1, got {self.threads}")
 
     def canonical(self) -> str:
         return json.dumps({key: getattr(self, key) for key in _KEYS if key != "out"},

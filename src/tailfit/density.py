@@ -30,7 +30,6 @@ class DensityOverlay:
     grid: np.ndarray
     kde: np.ndarray
     normal_pdf: np.ndarray
-    bandwidth: float
 
     def to_csv(self) -> str:
         return "grid,kde,normal_pdf\n" + format_rows(
@@ -53,11 +52,8 @@ def kde(xs, grid) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.size < 2:
         raise DegenerateSample("kde needs at least 2 observations")
-    return _kde(xs, np.asarray(grid, dtype=float), silverman_bandwidth(xs))
-
-
-def _kde(xs: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian-kernel density of xs on grid with bandwidth h."""
+    grid = np.asarray(grid, dtype=float)
+    h = silverman_bandwidth(xs)
     out = np.empty(grid.size)
     # the (grid, m) kernel matrix is built _KDE_ROWS grid points at a time in
     # one buffer reused by every chunk.  -0.5 * z**2 equals (-0.5 * z) * z bit
@@ -90,7 +86,6 @@ def overlay(bm: BootstrapMatrix, j: int) -> DensityOverlay:
     lo = min(float(col.min()), target - 4.0 * sd)
     hi = max(float(col.max()), target + 4.0 * sd)
     grid = np.linspace(lo, hi, _GRID_POINTS)
-    h = silverman_bandwidth(col)
     z = (grid - target) / sd
     normal_pdf = np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
     return DensityOverlay(
@@ -98,7 +93,6 @@ def overlay(bm: BootstrapMatrix, j: int) -> DensityOverlay:
         param_name=bm.param_names[j],
         n=bm.n,
         grid=grid,
-        kde=_kde(col, grid, h),
+        kde=kde(col, grid),
         normal_pdf=normal_pdf,
-        bandwidth=h,
     )

@@ -402,8 +402,8 @@ def _validate(family: str, params: tuple[float, ...], threshold: float) -> None:
         raise ValueError(f"{family} expects {len(entry.names)} parameters, got {len(params)}")
     if not all(math.isfinite(p) for p in params):
         raise ValueError(f"{family} parameters must be finite, got {params}")
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     if entry.closed and threshold <= 0.0:
         raise ValueError(f"{family} requires threshold > 0")
     for name, p in zip(entry.names, params):

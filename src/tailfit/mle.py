@@ -98,8 +98,11 @@ class NestedLimit(NoConvergence):
 class FitResult:
     model: SeverityModel
     nll: float
-    converged: bool
     warnings: set = field(default_factory=set)
+    # a class constant, not a field: every FitResult is a converged fit (an
+    # unconverged run is a NoConvergence), but `cmd_fit` writes the flag to
+    # true_params.json and the benchmark's tracer (bench/tracer.py) reads it
+    converged = True
 
 
 # Every class of a fit's outcome: an estimate, a run that escaped toward a
@@ -112,7 +115,7 @@ OUTCOMES = ("interior", *FAMILY_TABLE["gb2"].limits, "not_converged", "degenerat
 def outcome_class(outcome) -> str:
     """The OUTCOMES class of one entry of `fit_rows`."""
     if isinstance(outcome, FitResult):
-        return "interior" if outcome.converged else "not_converged"
+        return "interior"
     if isinstance(outcome, NestedLimit):
         return outcome.limit
     if isinstance(outcome, DegenerateSample):
@@ -159,7 +162,7 @@ def _estimates(family: str, params: np.ndarray, xs: np.ndarray, T: float, failed
         params, xs = params[keep], xs[keep]
     outcomes = list(failed)
     for i, model, nll in zip(keep, models, _nll_rows(family, params, xs, T)):
-        outcomes[i] = FitResult(model, nll, True, set() if warnings is None else warnings[i])
+        outcomes[i] = FitResult(model, nll, set() if warnings is None else warnings[i])
     return outcomes
 
 
@@ -339,7 +342,7 @@ def _newton_family_rows(family: str, xs: np.ndarray, T: float) -> list:
         else:
             model = SeverityModel(family, point, T)
             warnings = set() if res.positive_definite[j] else {LOCAL_MINIMUM_RISK}
-            outcomes[i] = FitResult(model, float(res.fmin[j]), True, warnings)
+            outcomes[i] = FitResult(model, float(res.fmin[j]), warnings)
     return outcomes
 
 

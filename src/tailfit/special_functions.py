@@ -92,6 +92,20 @@ def beta_polygamma_rows(p, q):
     return (lg[0] + lg[1] - lg[2], *psi.reshape(3, -1), *tri.reshape(3, -1))
 
 
+def _lentz_step(a: float, b: float, c: float, d: float) -> tuple:
+    """One modified Lentz step (Thompson & Barnett 1986) over the term
+    a / (b + ...) of a continued fraction: the new c = b + a / c and
+    d = 1 / (b + a d), each sum held at least _FPMIN from 0.  The fraction's
+    value is then multiplied by c d."""
+    d = b + a * d
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    c = b + a / c
+    if abs(c) < _FPMIN:
+        c = _FPMIN
+    return c, 1.0 / d
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
@@ -105,23 +119,9 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
@@ -230,15 +230,8 @@ def regularized_gamma_upper(x: float, k: float) -> float:
     d = 1.0 / b
     h = d
     for i in range(1, _CF_MAX_ITER + 1):
-        an = -i * (i - k)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(-i * (i - k), b, c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:

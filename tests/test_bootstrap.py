@@ -166,7 +166,8 @@ class TestDeterminism:
                     outcome = fit(family, sample(model, n, replication_rng(STUDY_SEED, rep)), T)
                 except mle.FitError as exc:
                     outcome = exc
-                want.append((mle.outcome_class(outcome), bootstrap._kept(outcome)))
+                row = outcome.model.params if isinstance(outcome, mle.FitResult) else None
+                want.append((mle.outcome_class(outcome), row))
             assert _run_chunk((model, n, STUDY_SEED, lo, hi)) == want
             if (family, n) == ("gb2", 100):
                 assert any(row is None for _, row in want)

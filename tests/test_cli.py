@@ -90,6 +90,14 @@ class TestParseConfig:
             with pytest.raises(ConfigError):
                 parse_config(f"threshold = {threshold}\n")
 
+    def test_no_families_exits_2(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="families"):
+            parse_config("families =\n")
+        cfg = write_config(tmp_path, families="")
+        assert main(["normality", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: families must name at least one family\n"
+        assert not (tmp_path / "out").exists()
+
     def test_config_hash_ignores_out_and_threads(self):
         a = StudyConfig(seed=1, out="x", threads=1)
         b = StudyConfig(seed=1, out="y", threads=8)
@@ -430,7 +438,8 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: missing bootstrap matrix {json_path}\n"
 
     # a sidecar that is not JSON, one without m_converged, one of an unknown
-    # family, one whose class counts do not add up to m_requested
+    # family, one whose class counts do not add up to m_requested, and ones
+    # whose theta*, threshold or n is not a valid value of its field
     SIDECARS = {
         "not_json": lambda meta: "{",
         "no_m_converged": lambda meta: json.dumps({k: v for k, v in meta.items()
@@ -438,7 +447,17 @@ class TestPipeline:
         "unknown_family": lambda meta: json.dumps({**meta, "family": "normal"}),
         "short_outcomes": lambda meta: json.dumps(
             {**meta, "outcomes": {**dict.fromkeys(OUTCOMES, 0), "interior": 2}}),
+        "three_params": lambda meta: json.dumps({**meta, "true_params": [0.56, 2e5, 1.0]}),
+        "string_param": lambda meta: json.dumps({**meta, "true_params": ["0.56", 2e5]}),
+        "null_params": lambda meta: json.dumps({**meta, "true_params": None}),
+        "negative_threshold": lambda meta: json.dumps({**meta, "threshold": -5.0}),
+        "infinite_threshold": lambda meta: json.dumps({**meta, "threshold": float("inf")}),
+        "string_n": lambda meta: json.dumps({**meta, "n": "100"}),
     }
+    # the field that the error names, where it names one
+    SIDECAR_FIELDS = {"three_params": "true_params", "string_param": "true_params",
+                      "null_params": "true_params", "negative_threshold": "threshold",
+                      "infinite_threshold": "threshold", "string_n": "n must be"}
 
     @pytest.mark.parametrize("command", ["normality", "cierror", "overlays"])
     @pytest.mark.parametrize("defect", SIDECARS)
@@ -454,6 +473,7 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert err.startswith(f"error: {json_path}: ")
+        assert self.SIDECAR_FIELDS.get(defect, "") in err
         assert sorted(p.name for p in base.parent.iterdir()) == \
             [".boot_weibull_n100.csv.f64", "boot_weibull_n100.csv", "boot_weibull_n100.json"]
 
@@ -587,6 +607,15 @@ class TestParser:
                                           "--paper-scale", "--out", "elsewhere"])
         got = _study_config(args)
         assert (got.seed, got.threads, got.replications, got.out) == (777, 1, 40000, "elsewhere")
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        # validation fails before any worker starts
+        cfg = write_config(tmp_path)
+        assert main(["bootstrap", "--config", str(cfg), "--threads", threads]) == 2
+        assert capsys.readouterr().err == \
+            f"error: threads must be at least 1, got {threads}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_threads_only_on_bootstrap(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

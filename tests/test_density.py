@@ -123,7 +123,6 @@ class TestOverlay:
         bm = normal_matrix(self.MODEL, 100, 2000, seed=407)
         a, b = overlay(bm, 0), overlay(bm, 0)
         assert np.array_equal(a.kde, b.kde)
-        assert a.bandwidth == b.bandwidth
 
     def test_min_replications(self):
         bm = normal_matrix(self.MODEL, 100, 99, seed=408)

@@ -80,6 +80,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             SeverityModel("gb2", (1.0, 2.0), 0.0)
 
+    @pytest.mark.parametrize("threshold", [-5.0, math.inf, math.nan])
+    def test_threshold_finite_and_nonnegative(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            SeverityModel("weibull", (0.56, 2e5), threshold)
+
 
 class TestPdf:
     def test_pareto_at_left_endpoint(self):

@@ -4,6 +4,7 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tailfit
@@ -60,3 +61,19 @@ def test_benchmark_tracer_finds_what_it_patches(monkeypatch):
     assert (mle.fit, mle.nelder_mead) == (fit, nelder_mead)
     assert tracer.names == ["mle.fit"]
     assert tracer.data == {0: {"converged": True}}
+
+
+def test_benchmark_tracer_sees_the_overlay_kde(monkeypatch):
+    # overlay computes its density through the public `kde`, so the tracer's
+    # density.kde boundary times every overlay
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracer_module = importlib.import_module("tracer")
+    from tailfit import density
+    from tailfit.bootstrap import BootstrapMatrix
+
+    rows = np.random.default_rng(5).normal(1.11, 0.1, size=(200, 1))
+    bm = BootstrapMatrix("pareto", (1.11,), 1e5, 100, 200, 200, rows, 5)
+    tracer = tracer_module.Tracer()
+    with tracer_module.patched(tracer_module.instrument(tracer)):
+        density.overlay(bm, 0)
+    assert tracer.names.count("density.kde") == 1

@@ -189,6 +189,43 @@ class TestGammaUpper:
         assert abs(sf.regularized_gamma_upper(x, k) - ref) < 1e-10
 
 
+# The exact bits of the continued-fraction functions, so that a rewrite of
+# the Lentz recurrence that reorders its arithmetic fails here; the mpmath
+# tests above only bound the error.  I_x on both sides of the symmetry
+# switch, Q(k, x) by its series (x < k + 1) and by its continued fraction.
+PINNED_BITS = [
+    (sf.regularized_incomplete_beta, (0.3, 2.0, 3.0), "0x1.64a8c154c985ap-2"),
+    (sf.regularized_incomplete_beta, (0.9, 2.0, 3.0), "0x1.fe1b089a02752p-1"),
+    (sf.regularized_incomplete_beta, (0.01, 0.5, 0.5), "0x1.05322eb667bebp-4"),
+    (sf.regularized_incomplete_beta, (0.2, 0.5, 7.5), "0x1.db3298eef724ep-1"),
+    (sf.regularized_incomplete_beta, (1e-5, 1.5, 40.0), "0x1.978a2b7169de4p-18"),
+    (sf.regularized_incomplete_beta, (0.5, 200.0, 150.0), "0x1.e1e7dbd5d63b4p-9"),
+    (sf.regularized_incomplete_beta, (0.6, 30.0, 20.0), "0x1.f81d705930d4cp-2"),
+    (sf.regularized_incomplete_beta, (0.25, 1e-3, 2.0), "0x1.ffac96de6b05bp-1"),
+    (sf.regularized_incomplete_beta, (0.75, 3.5, 1e-2), "0x1.698aa61218c3ap-9"),
+    (sf.log_inverse_incomplete_beta, (0.5, 2.0, 3.0), "-0x1.e7be533db8f7cp-1"),
+    (sf.log_inverse_incomplete_beta, (1e-12, 0.7, 4.0), "-0x1.47ac8ae1e0bfep+5"),
+    (sf.log_inverse_incomplete_beta, (0.999, 5.0, 0.3), "-0x1.07566b6124d33p-36"),
+    (sf.log_inverse_incomplete_beta, (1e-300, 3.0, 2.0), "-0x1.cd70f374aa66cp+7"),
+    (sf.log_inverse_incomplete_beta, (0.25, 120.0, 80.0), "-0x1.19bab4070492dp-1"),
+    (sf.log_inverse_incomplete_beta, (0.9, 0.05, 0.05), "-0x1.5cda6046ec662p-47"),
+    (sf.regularized_gamma_upper, (0.5, 1.0), "0x1.368b2fc6f960ap-1"),
+    (sf.regularized_gamma_upper, (2.0, 3.5), "0x1.8f3efc07202bap-1"),
+    (sf.regularized_gamma_upper, (0.1, 0.5), "0x1.4f37921b5187fp-1"),
+    (sf.regularized_gamma_upper, (1e-3, 1e-3), "0x1.9dafb6f23d100p-8"),
+    (sf.regularized_gamma_upper, (700.0, 690.0), "0x1.640ac3332547ap-2"),
+    (sf.regularized_gamma_upper, (3.0, 1.0), "0x1.97db0ccceb0b0p-5"),
+    (sf.regularized_gamma_upper, (12.0, 2.5), "0x1.c7519fbbbdfe1p-13"),
+    (sf.regularized_gamma_upper, (20.0, 10.0), "0x1.47611c7e8500ep-8"),
+    (sf.regularized_gamma_upper, (150.0, 100.0), "0x1.8d96d3f3ce846p-18"),
+]
+
+
+@pytest.mark.parametrize("fn,args,bits", PINNED_BITS)
+def test_continued_fraction_bits(fn, args, bits):
+    assert fn(*args).hex() == bits
+
+
 def _bisect_quantile(u, lo=-40.0, hi=40.0):
     """Independent oracle: bisection on the cdf."""
     for _ in range(200):

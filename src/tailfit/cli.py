@@ -108,6 +108,8 @@ class StudyConfig:
             raise ConfigError(f"threshold must be finite and positive, got {self.threshold}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not self.out:
+            raise ConfigError("out must name a directory")
         if not self.families:
             raise ConfigError("families must name at least one family")
         if any(f not in FAMILIES for f in self.families):

@@ -98,6 +98,17 @@ class TestParseConfig:
         assert capsys.readouterr().err == "error: families must name at least one family\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("spelling", ["config", "flag"])
+    def test_empty_out_exits_2(self, tmp_path, monkeypatch, capsys, spelling):
+        # an empty out would put every output in the working directory
+        write_config(tmp_path, out="" if spelling == "config" else "out")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        flags = ["--out", ""] if spelling == "flag" else []
+        assert main(["bootstrap", "--config", "study.cfg", *flags]) == 2
+        assert capsys.readouterr().err == "error: out must name a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_config_hash_ignores_out_and_threads(self):
         a = StudyConfig(seed=1, out="x", threads=1)
         b = StudyConfig(seed=1, out="y", threads=8)
@@ -438,8 +449,9 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: missing bootstrap matrix {json_path}\n"
 
     # a sidecar that is not JSON, one without m_converged, one of an unknown
-    # family, one whose class counts do not add up to m_requested, and ones
-    # whose theta*, threshold or n is not a valid value of its field
+    # family, one whose class counts do not add up to m_requested, ones whose
+    # m_requested contradicts its m_converged of 3, and ones whose theta*,
+    # threshold, n or seed is not a valid value of its field
     SIDECARS = {
         "not_json": lambda meta: "{",
         "no_m_converged": lambda meta: json.dumps({k: v for k, v in meta.items()
@@ -453,11 +465,17 @@ class TestPipeline:
         "negative_threshold": lambda meta: json.dumps({**meta, "threshold": -5.0}),
         "infinite_threshold": lambda meta: json.dumps({**meta, "threshold": float("inf")}),
         "string_n": lambda meta: json.dumps({**meta, "n": "100"}),
+        "negative_m_requested": lambda meta: json.dumps({**meta, "m_requested": -1}),
+        "m_requested_below_m_converged": lambda meta: json.dumps({**meta, "m_requested": 2}),
+        "negative_seed": lambda meta: json.dumps({**meta, "seed": -5}),
     }
     # the field that the error names, where it names one
     SIDECAR_FIELDS = {"three_params": "true_params", "string_param": "true_params",
                       "null_params": "true_params", "negative_threshold": "threshold",
-                      "infinite_threshold": "threshold", "string_n": "n must be"}
+                      "infinite_threshold": "threshold", "string_n": "n must be",
+                      "negative_m_requested": "m_requested = -1",
+                      "m_requested_below_m_converged": "m_requested = 2",
+                      "negative_seed": "seed must be nonnegative, got -5"}
 
     @pytest.mark.parametrize("command", ["normality", "cierror", "overlays"])
     @pytest.mark.parametrize("defect", SIDECARS)

@@ -5,7 +5,7 @@ import pytest
 
 from tailfit import SeverityModel, overlay
 from tailfit.bootstrap import BootstrapMatrix
-from tailfit.density import kde, silverman_bandwidth
+from tailfit.density import _KDE_ELEMENTS, kde, silverman_bandwidth
 from tailfit.fisher import asymptotic_covariance
 from tailfit.mle import DegenerateSample
 from tailfit.special_functions import std_normal_cdf
@@ -55,12 +55,15 @@ def reference_kde(xs, grid):
 
 
 class TestKde:
-    # grid sizes against the 32-point chunks of the kernel buffer: less than
-    # one chunk, an exact multiple, a multiple plus one, a partial last chunk
-    @pytest.mark.parametrize("points", [10, 512, 513, 701])
+    # grid sizes against the kernel buffer's chunks of _KDE_ELEMENTS // m
+    # grid points (32 at the m = 5000 below): less than one chunk, an exact
+    # multiple, a multiple plus one, a partial last chunk
+    CHUNK = _KDE_ELEMENTS // 5000
+
+    @pytest.mark.parametrize("points", [CHUNK // 3, 16 * CHUNK, 16 * CHUNK + 1, 22 * CHUNK - 3])
     def test_bit_identical_to_reference(self, points):
         rng = np.random.default_rng(403)
-        xs = np.concatenate([rng.standard_cauchy(3000), [1e-160]])
+        xs = np.concatenate([rng.standard_cauchy(4998), [1e-160]])
         # a point whose z**2 overflows while -0.5 * z * z does not; the grid
         # point 0 puts z**2 below the normal range for the 1e-160 point
         xs = np.append(xs, 1.6e154 * silverman_bandwidth(xs))

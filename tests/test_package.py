@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,32 @@ def test_runtime_imports_are_stdlib_or_numpy():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_one_worker_stages_never_load_the_process_pool(tmp_path):
+    # bootstrap imports ProcessPoolExecutor only for a multi-worker run, so
+    # no stage of a one-worker study pays for multiprocessing and its
+    # dependencies; test_bootstrap_deterministic_across_threads runs the pool
+    script = textwrap.dedent("""
+        import sys
+        from tailfit.cli import main
+
+        open("study.cfg", "w").write(
+            "seed = 777\\nfamilies = pareto\\nsample_sizes = 100\\n"
+            "replications = 100\\ninput = out/losses.csv\\nout = out\\n")
+        assert main(["generate", "--out", "out", "--seed", "777", "--n", "20000"]) == 0
+        for stage in ("fit", "bootstrap", "normality", "cierror", "overlays"):
+            assert main([stage, "--config", "study.cfg"]) == 0, stage
+        loaded = {"multiprocessing", "concurrent.futures"} & set(sys.modules)
+        assert not loaded, sorted(loaded)
+    """)
+    src = str(Path(tailfit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "run_meta_overlays.json").exists()
 
 
 def test_benchmark_tracer_finds_what_it_patches(monkeypatch):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mle
+from . import __version__, mle
 from .bootstrap import (BootstrapMatrix, MalformedMatrix, TooFewConverged, run_bootstrap,
                         true_model_from_losses)
 from .ci_analysis import ci_error_table, table_csv, table_json
@@ -168,7 +168,10 @@ def read_losses(path: Path) -> np.ndarray:
 
 
 def _write_meta(cfg: StudyConfig, out: Path, command: str) -> None:
-    meta = {"command": command, "config_hash": cfg.config_hash, "seed": cfg.seed}
+    versions = {"numpy": np.__version__, "python": "{}.{}.{}".format(*sys.version_info),
+                "tailfit": __version__}
+    meta = {"command": command, "config_hash": cfg.config_hash, "seed": cfg.seed,
+            "threads": cfg.threads, "versions": versions}
     (out / f"run_meta_{command}.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,9 @@ class TestGenerateCommand:
         assert meta["command"] == "generate"
         assert meta["seed"] == 5
         assert len(meta["config_hash"]) == 16
+        assert meta["threads"] == 1
+        assert meta["versions"] == {"numpy": np.__version__, "python": platform.python_version(),
+                                    "tailfit": tailfit.__version__}
 
 
 class TestFitCommand:
@@ -336,10 +340,15 @@ class TestPipeline:
 
     def test_bootstrap_deterministic_across_threads(self, tmp_path, ran_bootstrap):
         out = tmp_path / "out"
-        names = ("boot_lognormal_n100.csv", ".boot_lognormal_n100.csv.f64")
+        names = ("boot_lognormal_n100.csv", ".boot_lognormal_n100.csv.f64",
+                 "boot_lognormal_n100.json")
         first = [(out / name).read_bytes() for name in names]
+        meta = out / "run_meta_bootstrap.json"
+        assert json.loads(meta.read_text())["threads"] == 1
         assert main(["bootstrap", "--config", str(ran_bootstrap), "--threads", "2"]) == 0
         assert [(out / name).read_bytes() for name in names] == first
+        # the worker count goes to the run meta alone
+        assert json.loads(meta.read_text())["threads"] == 2
 
     def test_normality_table(self, tmp_path, ran_bootstrap):
         assert main(["normality", "--config", str(ran_bootstrap)]) == 0

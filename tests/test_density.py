@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tailfit import SeverityModel, overlay
+from tailfit import SeverityModel, density, overlay
 from tailfit.bootstrap import BootstrapMatrix
 from tailfit.density import _KDE_ELEMENTS, kde, silverman_bandwidth
 from tailfit.fisher import asymptotic_covariance
@@ -54,6 +54,25 @@ def reference_kde(xs, grid):
     return out / (xs.size * h * math.sqrt(2.0 * math.pi))
 
 
+# the binned kde's bound: at most this share of the estimate's peak away from
+# the exact sum (README, numerical notes)
+BINNED_BOUND = 1e-6
+
+
+@pytest.fixture()
+def binned_only(monkeypatch):
+    """Fails any kde that falls back to the exact sum."""
+    def exact_sum(*args):
+        raise AssertionError("kde took the exact sum")
+    monkeypatch.setattr(density, "_exact_sum", exact_sum)
+
+
+def binned_error(got, xs, grid) -> float:
+    """Largest distance of got from the exact sum, as a share of its peak."""
+    want = reference_kde(xs, grid)
+    return float(np.max(np.abs(got - want)) / np.max(want))
+
+
 class TestKde:
     # grid sizes against the kernel buffer's chunks of _KDE_ELEMENTS // m
     # grid points (32 at the m = 5000 below): less than one chunk, an exact
@@ -70,6 +89,54 @@ class TestKde:
         grid = np.append(np.linspace(-1e3, 1e3, points - 1), 0.0)
         with np.errstate(over="ignore"):
             assert kde(xs, grid).tobytes() == reference_kde(xs, grid).tobytes()
+
+    @pytest.mark.parametrize("m", [100, 5000, 40_000])
+    @pytest.mark.parametrize("model", [SeverityModel("lognormal", (11.3, 1.8), T),
+                                       SeverityModel("weibull", (0.56, 212303.18), T)],
+                             ids=["lognormal", "weibull"])
+    def test_binned_normal_columns(self, binned_only, model, m):
+        bm = normal_matrix(model, 100, m, seed=410)
+        for j in (0, 1):
+            ov = overlay(bm, j)
+            assert binned_error(ov.kde, bm.rows[:, j], ov.grid) <= BINNED_BOUND
+
+    def test_binned_skewed_column_with_rows_beyond_both_ends(self, binned_only):
+        xs = np.random.default_rng(411).lognormal(0.0, 1.0, 5000)
+        grid = np.linspace(2.0, 8.0, 512)
+        h = silverman_bandwidth(xs)
+        # rows more than 9h from every grid point on both sides: dropped
+        assert np.any(xs < grid[0] - 9.0 * h) and np.any(xs > grid[-1] + 9.0 * h)
+        assert binned_error(kde(xs, grid), xs, grid) <= BINNED_BOUND
+
+    # the binned path runs for spacings from h/256 to h; just outside either
+    # end the exact sum runs and equals the reference bit for bit
+    @pytest.mark.parametrize("spacing", [0.999, 1.001, 1.001 / 256, 0.999 / 256],
+                             ids=["below_h", "above_h", "above_h/256", "below_h/256"])
+    def test_spacing_picks_the_path(self, spacing):
+        xs = np.random.default_rng(412).normal(size=3000)
+        h = silverman_bandwidth(xs)
+        grid = np.linspace(-1.0, -1.0 + 511 * spacing * h, 512)
+        got = kde(xs, grid)
+        if 1.0 / 256 <= spacing <= 1.0:
+            assert 0.0 < binned_error(got, xs, grid) <= BINNED_BOUND
+        else:
+            assert got.tobytes() == reference_kde(xs, grid).tobytes()
+
+    def test_binned_resolved_cache_columns(self, binned_only, study_matrices):
+        for (family, n), bm in study_matrices.items():
+            if (family, n) == ("gb2", 100):
+                continue
+            for j in range(len(bm.param_names)):
+                ov = overlay(bm, j)
+                assert binned_error(ov.kde, bm.rows[:, j], ov.grid) <= BINNED_BOUND, \
+                    (family, n, bm.param_names[j])
+
+    def test_unresolved_gb2_n100_columns_exact(self, study_matrices):
+        # their grids span 1.8 to 6.2e6 bandwidths per step
+        bm = study_matrices[("gb2", 100)]
+        for j in range(4):
+            ov = overlay(bm, j)
+            assert ov.kde.tobytes() == reference_kde(bm.rows[:, j], ov.grid).tobytes()
 
     def test_single_point_rejected(self):
         with pytest.raises(DegenerateSample):
@@ -121,6 +188,15 @@ class TestOverlay:
         sd = math.sqrt(asymptotic_covariance(self.MODEL, 100)[1, 1])
         mass = std_normal_cdf((ov.grid[-1] - 1.8) / sd) - std_normal_cdf((ov.grid[0] - 1.8) / sd)
         assert np.trapezoid(ov.normal_pdf, ov.grid) == pytest.approx(mass, abs=1e-3)
+
+    def test_kde_owns_its_data(self, study_matrices):
+        # a kde that is a view keeps its whole buffer alive while the CLI
+        # holds every overlay before writing them
+        for bm in study_matrices.values():
+            for j in range(len(bm.param_names)):
+                ov = overlay(bm, j)
+                assert ov.kde.flags.owndata
+                assert np.all(ov.kde >= 0.0)
 
     def test_deterministic(self):
         bm = normal_matrix(self.MODEL, 100, 2000, seed=407)

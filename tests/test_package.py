@@ -51,7 +51,9 @@ def test_runtime_imports_are_stdlib_or_numpy():
 def test_one_worker_stages_never_load_the_process_pool(tmp_path):
     # bootstrap imports ProcessPoolExecutor only for a multi-worker run, so
     # no stage of a one-worker study pays for multiprocessing and its
-    # dependencies; test_bootstrap_deterministic_across_threads runs the pool
+    # dependencies; test_bootstrap_deterministic_across_threads runs the pool.
+    # numpy loads numpy.fft on first use, and no stage uses it: the binned
+    # kde convolves without it, which keeps its pages out of every stage
     script = textwrap.dedent("""
         import sys
         from tailfit.cli import main
@@ -62,7 +64,7 @@ def test_one_worker_stages_never_load_the_process_pool(tmp_path):
         assert main(["generate", "--out", "out", "--seed", "777", "--n", "20000"]) == 0
         for stage in ("fit", "bootstrap", "normality", "cierror", "overlays"):
             assert main([stage, "--config", "study.cfg"]) == 0, stage
-        loaded = {"multiprocessing", "concurrent.futures"} & set(sys.modules)
+        loaded = {"multiprocessing", "concurrent.futures", "numpy.fft"} & set(sys.modules)
         assert not loaded, sorted(loaded)
     """)
     src = str(Path(tailfit.__file__).parents[1])

@@ -10,7 +10,8 @@ together by `mle.fit_rows`, which gives every row the fit its sample alone
 would get.  So results are bit-identical for any worker count and any
 chunking of the replication range.  A replication without an interior
 estimate is dropped, never imputed, and counted under its `mle.OUTCOMES`
-class in the matrix's `outcomes`.
+class in the matrix's `outcomes`.  `DegenerateCell` is every failure of an
+analysis of a matrix (normality, density, CI width) that its rows cause.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .mle import FitResult
 from .textio import read_rows, write_rows
 
 __all__ = [
+    "DegenerateCell",
     "TooFewConverged",
     "BootstrapMatrix",
     "MalformedMatrix",
@@ -38,17 +40,29 @@ __all__ = [
 
 
 class TooFewConverged(ValueError):
-    """Too few replications produced an estimate: fewer than half of those
-    requested in a run, or fewer than 100 in a cell to analyse."""
+    """Fewer than half of the replications a run requested produced an
+    estimate."""
+
+
+class DegenerateCell(ValueError):
+    """A cell's rows cannot support an analysis: too few rows for it, a
+    constant column, a singular sample covariance, or a zero-width bootstrap
+    interval.  The message leaves naming the cell to the caller."""
 
 
 class MalformedMatrix(ValueError):
-    """A bootstrap matrix file that is not the matrix its sidecar describes:
-    a wrong header, a row that is not one finite number per parameter, or a
-    row count other than the sidecar's m_converged; or a sidecar that is not
-    a JSON object with every field, a known family, integer counts that do
-    not contradict each other, a nonnegative integer seed, and a valid
-    theta* of the family."""
+    """A bootstrap matrix file that is missing or cannot be opened, or is not
+    the matrix its sidecar describes: a wrong header, a row that is not one
+    finite number per parameter, or a row count other than the sidecar's
+    m_converged; or a sidecar that is not a JSON object with every field, a
+    known family, integer counts that do not contradict each other, a
+    nonnegative integer seed, and a valid theta* of the family."""
+
+
+def _unopened(path: Path, exc: OSError) -> MalformedMatrix:
+    if isinstance(exc, FileNotFoundError):
+        return MalformedMatrix(f"missing bootstrap matrix {path}")
+    return MalformedMatrix(f"{path}: cannot open: {exc.strerror}")
 
 
 # Every field of a BootstrapMatrix but its rows, in the `<base>.json` sidecar
@@ -87,8 +101,8 @@ class BootstrapMatrix:
     def check_analysable(self) -> None:
         """Interval and density estimates need at least 100 replications."""
         if self.m_converged < 100:
-            raise TooFewConverged(f"{self.family} at n={self.n}: need at least 100 "
-                                  f"converged replications, have {self.m_converged}")
+            raise DegenerateCell(f"need at least 100 converged replications, "
+                                 f"have {self.m_converged}")
 
     def write(self, path_base: Path, extra_meta: dict | None = None) -> None:
         """`<base>.csv` (header = param names, one row per converged
@@ -106,13 +120,16 @@ class BootstrapMatrix:
     @classmethod
     def read(cls, path_base: Path) -> "BootstrapMatrix":
         """The matrix at `path_base`; MalformedMatrix, naming the file (and
-        the line of the csv), if the sidecar is malformed or the csv is not
-        m_converged rows of finite numbers under the sidecar family's header."""
+        the line of the csv), if either file is missing or cannot be opened,
+        the sidecar is malformed, or the csv is not m_converged rows of
+        finite numbers under the sidecar family's header."""
         csv_path, json_path = cls.files(path_base)
         meta = _read_sidecar(json_path)
         try:
             rows = read_rows(csv_path, PARAM_NAMES[meta["family"]], np.isfinite,
                              "not a finite number: {!r}")
+        except OSError as exc:
+            raise _unopened(csv_path, exc) from None
         except ValueError as exc:
             raise MalformedMatrix(str(exc)) from None
         if rows.shape[0] != meta["m_converged"]:
@@ -131,6 +148,8 @@ def _read_sidecar(json_path: Path) -> dict:
     SeverityModel of the family."""
     try:
         meta = json.loads(json_path.read_text())
+    except OSError as exc:
+        raise _unopened(json_path, exc) from None
     except ValueError as exc:
         raise MalformedMatrix(f"{json_path}: not JSON: {exc}") from None
     if not isinstance(meta, dict):
@@ -293,7 +312,8 @@ def run_bootstrap(
 
         tasks = [(model, n, seed, lo, hi) for lo, hi in _chunks(n, m, workers)]
         outcomes = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker at its first submit: none idle
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for chunk in pool.map(_run_chunk, tasks):
                 outcomes.extend(chunk)
 

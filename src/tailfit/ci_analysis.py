@@ -12,10 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapMatrix
+from .bootstrap import BootstrapMatrix, DegenerateCell
 from .distributions import SeverityModel
-from .fisher import SingularInformation, asymptotic_covariance
-from .mle import DegenerateSample
+from .fisher import asymptotic_covariance
 from .special_functions import std_normal_quantile
 
 __all__ = ["CiErrorRow", "normal_ci_width", "bootstrap_ci_width", "ci_error_table"]
@@ -48,18 +47,16 @@ def bootstrap_ci_width(bm: BootstrapMatrix, j: int, level: float = 0.95) -> floa
 
 
 def ci_error_table(bms: list[BootstrapMatrix], level: float = 0.95) -> list[CiErrorRow]:
-    """One row per (matrix, parameter); a degenerate cell's error names it."""
+    """One row per (matrix, parameter); DegenerateCell for a matrix under 100
+    rows or a zero-width bootstrap interval."""
     rows = []
     for bm in bms:
         model = bm.true_model()
         for j, name in enumerate(bm.param_names):
             boot = bootstrap_ci_width(bm, j, level)
             if boot == 0.0:
-                raise DegenerateSample(f"{bm.family} at n={bm.n}: zero-width bootstrap interval for {name}")
-            try:
-                normal = normal_ci_width(model, bm.n, j, level)
-            except SingularInformation as exc:
-                raise SingularInformation(f"{bm.family} at n={bm.n}: {exc}") from exc
+                raise DegenerateCell(f"zero-width bootstrap interval for {name}")
+            normal = normal_ci_width(model, bm.n, j, level)
             rows.append(CiErrorRow(
                 family=bm.family,
                 param_name=name,

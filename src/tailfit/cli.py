@@ -2,12 +2,12 @@
 
 Commands: generate, fit, bootstrap, normality, cierror, overlays.
 Exit codes: 0 success, 2 ingestion/config error, 3 fit failure,
-4 too few converged replications (in a bootstrap run, or in a cell that
-cierror or overlays analyse) or a degenerate cell (constant column, singular
-covariance, or a theta* whose information is singular) that normality,
-cierror or overlays analyse, 5 required bootstrap
-matrix missing or malformed.  Commands raise; `main` alone prints the one
-`error:` line and picks the code from `EXIT_CODES`.
+4 too few converged replications in a bootstrap run, or a cell that
+normality, cierror or overlays cannot analyse (`DegenerateCell`, or a theta*
+whose information is singular), 5 a required bootstrap matrix file missing,
+unopenable or malformed.  Commands raise; `main` alone prints the one
+`error:` line and picks the code from `EXIT_CODES`, and `_in_cell` alone
+names the cell of an analysis error.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mle
-from .bootstrap import (BootstrapMatrix, MalformedMatrix, TooFewConverged, run_bootstrap,
-                        true_model_from_losses)
+from .bootstrap import (BootstrapMatrix, DegenerateCell, MalformedMatrix, TooFewConverged,
+                        run_bootstrap, true_model_from_losses)
 from .ci_analysis import ci_error_table, table_csv, table_json
 from .density import overlay
 from .distributions import FAMILIES, PARAM_NAMES, SeverityModel
 from .fisher import SingularInformation
 from .generate import PROFILES, generate_losses
-from .mle import DegenerateSample
-from .normality import SingularCovariance, normality_suite, reports_to_csv
+from .normality import normality_suite, reports_to_csv
 from .textio import read_rows, write_rows
 
 EXIT_OK = 0
@@ -48,13 +47,8 @@ class ConfigError(Exception):
 
 
 class FitFailed(Exception):
-    """`fit` could not fit a family to the loss file.  Its own type because a
-    DegenerateSample here is a fit failure, but a degenerate cell in an
-    analysis stage."""
-
-
-class MissingMatrix(Exception):
-    """A bootstrap matrix file that an analysis stage needs does not exist."""
+    """`fit` could not fit a family to the loss file; the message names the
+    family."""
 
 
 # exception type -> exit code; the first type the error is an instance of wins
@@ -62,10 +56,8 @@ EXIT_CODES = {
     ConfigError: EXIT_INGEST,
     FitFailed: EXIT_FIT,
     TooFewConverged: EXIT_CONVERGENCE,
-    SingularCovariance: EXIT_CONVERGENCE,
+    DegenerateCell: EXIT_CONVERGENCE,
     SingularInformation: EXIT_CONVERGENCE,
-    DegenerateSample: EXIT_CONVERGENCE,
-    MissingMatrix: EXIT_MISSING,
     MalformedMatrix: EXIT_MISSING,
 }
 
@@ -270,9 +262,6 @@ def _load_matrices(cfg: StudyConfig) -> list[BootstrapMatrix]:
     for family in cfg.families:
         for n in cfg.sample_sizes:
             base = matrix_path(out, family, n)
-            for path in BootstrapMatrix.files(base):
-                if not path.exists():
-                    raise MissingMatrix(f"missing bootstrap matrix {path}")
             bm = BootstrapMatrix.read(base)
             if (bm.family, bm.n) != (family, n):
                 raise MalformedMatrix(f"{BootstrapMatrix.files(base)[1]}: holds {bm.family} "
@@ -282,16 +271,16 @@ def _load_matrices(cfg: StudyConfig) -> list[BootstrapMatrix]:
 
 
 def _in_cell(bm: BootstrapMatrix, analyse, *args):
-    """`analyse(bm, *args)`; a degenerate cell's error gains the prefix that
-    names the cell."""
+    """`analyse(*args)`, an analysis of `bm`; a cell it cannot analyse gains
+    the prefix that names the cell."""
     try:
-        return analyse(bm, *args)
-    except (SingularCovariance, SingularInformation, DegenerateSample) as exc:
+        return analyse(*args)
+    except (DegenerateCell, SingularInformation) as exc:
         raise type(exc)(f"{bm.family} at n={bm.n}: {exc}") from exc
 
 
 def cmd_normality(cfg: StudyConfig) -> None:
-    reports = [r for bm in _load_matrices(cfg) for r in _in_cell(bm, normality_suite)]
+    reports = [r for bm in _load_matrices(cfg) for r in _in_cell(bm, normality_suite, bm)]
     out = Path(cfg.out)
     (out / "normality.csv").write_text(reports_to_csv(reports))
     _write_meta(cfg, out, "normality")
@@ -299,7 +288,8 @@ def cmd_normality(cfg: StudyConfig) -> None:
 
 
 def cmd_cierror(cfg: StudyConfig) -> None:
-    rows = ci_error_table(_load_matrices(cfg), cfg.level)
+    rows = [r for bm in _load_matrices(cfg)
+            for r in _in_cell(bm, ci_error_table, [bm], cfg.level)]
     out = Path(cfg.out)
     (out / "ci_error.csv").write_text(table_csv(rows))
     (out / "ci_error.json").write_text(table_json(rows))
@@ -308,7 +298,7 @@ def cmd_cierror(cfg: StudyConfig) -> None:
 
 
 def cmd_overlays(cfg: StudyConfig) -> None:
-    overlays = [_in_cell(bm, overlay, j)
+    overlays = [_in_cell(bm, overlay, bm, j)
                 for bm in _load_matrices(cfg) for j in range(len(bm.param_names))]
     out = Path(cfg.out)
     for ov in overlays:

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bootstrap import BootstrapMatrix
+from .bootstrap import BootstrapMatrix, DegenerateCell
 from .fisher import asymptotic_covariance
-from .mle import DegenerateSample
 from .textio import format_rows
 
 __all__ = ["DensityOverlay", "silverman_bandwidth", "kde", "overlay"]
@@ -50,7 +49,7 @@ class DensityOverlay:
 
 def silverman_bandwidth(xs: np.ndarray) -> float:
     if np.ptp(xs) == 0.0:
-        raise DegenerateSample("constant sample has no bandwidth")
+        raise DegenerateCell("constant sample has no bandwidth")
     m = xs.size
     sd = float(np.std(xs, ddof=1))
     q25, q75 = np.quantile(xs, [0.25, 0.75])
@@ -72,7 +71,7 @@ def kde(xs, grid) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size < 2:
-        raise DegenerateSample("kde needs at least 2 observations")
+        raise DegenerateCell("kde needs at least 2 observations")
     grid = np.asarray(grid, dtype=float)
     h = silverman_bandwidth(xs)
     step = (grid[-1] - grid[0]) / (grid.size - 1) if grid.size > 1 else 0.0

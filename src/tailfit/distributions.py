@@ -423,10 +423,6 @@ class SeverityModel:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         _validate(self.family, self.params, self.threshold)
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return PARAM_NAMES[self.family]
-
     def replace_params(self, params) -> "SeverityModel":
         return SeverityModel(self.family, tuple(params), self.threshold)
 

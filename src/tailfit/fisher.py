@@ -35,10 +35,6 @@ class InfoMatrix:
         if not np.allclose(self.entries, self.entries.T, rtol=0, atol=0):
             raise ValueError("information matrix must be exactly symmetric")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def fisher_information(model: SeverityModel) -> InfoMatrix:
     return InfoMatrix(FAMILY_TABLE[model.family].info(*model.params))

@@ -2,7 +2,10 @@
 
 Anderson-Darling (mean and variance estimated from the sample) for the
 one-parameter Pareto column; Mardia skewness/kurtosis for the multivariate
-families.  p-values below 1e-15 are reported as 0.
+families.  p-values below 1e-15 are reported as 0.  A sample neither test can
+judge raises `bootstrap.DegenerateCell`: Anderson-Darling needs at least 8
+values, not all equal; Mardia needs m > k + 1 rows, no constant column, and
+an invertible sample covariance.
 """
 
 from __future__ import annotations
@@ -12,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapMatrix
-from .mle import DegenerateSample
+from .bootstrap import BootstrapMatrix, DegenerateCell
 from .special_functions import libm_log, regularized_gamma_upper, std_normal_cdf
 
 __all__ = [
-    "SingularCovariance",
     "NormalityReport",
     "anderson_darling_normal",
     "mardia",
@@ -25,10 +26,6 @@ __all__ = [
 ]
 
 _P_FLOOR = 1e-15
-
-
-class SingularCovariance(Exception):
-    pass
 
 
 @dataclass
@@ -68,9 +65,9 @@ def anderson_darling_normal(xs, family: str = "", n: int = 0) -> NormalityReport
     xs = np.asarray(xs, dtype=float)
     m = xs.size
     if m < 8:
-        raise ValueError("anderson_darling_normal needs at least 8 observations")
+        raise DegenerateCell(f"Anderson-Darling needs at least 8 rows, have {m}")
     if np.ptp(xs) == 0.0:
-        raise DegenerateSample("constant sample")
+        raise DegenerateCell("constant sample")
     sd = float(np.std(xs, ddof=1))
     z = np.sort((xs - np.mean(xs)) / sd)
     log_cdf = libm_log(np.maximum(std_normal_cdf(z), 1e-300))
@@ -92,13 +89,13 @@ def mardia_moments(rows: np.ndarray) -> tuple[float, float]:
     rows = np.asarray(rows, dtype=float)
     m, k = rows.shape
     if np.any(np.ptp(rows, axis=0) == 0.0):
-        raise SingularCovariance("constant column")
+        raise DegenerateCell("constant column")
     centered = rows - rows.mean(axis=0)
     cov = centered.T @ centered / m
     try:
         cov_inv = np.linalg.inv(cov)
     except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
+        raise DegenerateCell(str(exc)) from exc
     half = centered @ cov_inv  # (m, k)
     c, h = centered.astype(np.longdouble), half.astype(np.longdouble)
     t = np.einsum("ia,ib,ic->abc", c, c, c)
@@ -113,7 +110,7 @@ def mardia(rows, family: str = "", n: int = 0) -> tuple[NormalityReport, Normali
     rows = np.asarray(rows, dtype=float)
     m, k = rows.shape
     if m <= k + 1:
-        raise ValueError(f"mardia needs m > k + 1, got m={m}, k={k}")
+        raise DegenerateCell(f"Mardia needs more than k + 1 = {k + 1} rows, have {m}")
     b1, b2 = mardia_moments(rows)
     skew_stat = m * b1 / 6.0
     df = k * (k + 1) * (k + 2) / 6.0

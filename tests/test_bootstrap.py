@@ -63,6 +63,38 @@ class TestDeterminism:
             assert serial.outcomes["interior"] == serial.m_converged
             assert sum(serial.outcomes.values()) == m
 
+    def test_pool_never_exceeds_the_chunks(self, tmp_path, monkeypatch):
+        # a fork pool starts every worker at its first submit, so 200 workers
+        # for the 100 one-replication chunks of m = 100 must ask for 100; the
+        # stand-in pool maps in this process and starts none
+        import concurrent.futures
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        model = SeverityModel("lognormal", (11.3, 1.8), T)
+        written = []
+        for workers in (1, 200, 2):
+            base = tmp_path / f"w{workers}"
+            run_bootstrap(model, 100, 100, seed=7, workers=workers).write(base)
+            written.append([p.read_bytes() for p in (*BootstrapMatrix.files(base),
+                                                     twin_path(f"{base}.csv"))])
+        assert asked == [100, 2]
+        assert written[1] == written[0] and written[2] == written[0]
+
     def test_chunks_fill_whole_batches(self):
         assert _chunks(2500, 100, 2) == [(0, 25), (25, 50), (50, 75), (75, 100)]
         assert len(_chunks(2500, 100, 8)) == 8

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tailfit import SeverityModel, bootstrap_ci_width, ci_error_table, normal_ci_width
-from tailfit.bootstrap import BootstrapMatrix
+from tailfit.bootstrap import BootstrapMatrix, DegenerateCell
 from tailfit.ci_analysis import table_csv, table_json
 from tailfit.fisher import asymptotic_covariance
 
@@ -93,8 +93,9 @@ class TestErrorTable:
         assert row.percent_error == expected
 
     def test_degenerate_column_guarded(self):
+        # the message names the parameter; the CLI adds the cell
         rows = np.column_stack([np.full(200, 11.3), np.full(200, 1.8)])
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateCell, match="^zero-width bootstrap interval for meanlog$"):
             ci_error_table([synthetic_matrix(rows)])
 
     def test_desk_scale_lognormal(self, study_matrices):

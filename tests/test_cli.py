@@ -457,6 +457,22 @@ class TestPipeline:
         assert main(["normality", "--config", str(cfg)]) == 5
         assert capsys.readouterr().err == f"error: missing bootstrap matrix {json_path}\n"
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_unopenable_matrix_exits_5(self, tmp_path, capsys, suffix):
+        # a boot_* file that is a directory: the error names it, no traceback
+        base = tmp_path / "out" / "boot_pareto_n100"
+        base.parent.mkdir()
+        BootstrapMatrix("pareto", (1.11,), 1e5, 100, 3, 3, np.ones((3, 1)), 777).write(base)
+        path = Path(f"{base}{suffix}")
+        path.unlink()
+        path.mkdir()
+        cfg = write_config(tmp_path, families="pareto")
+        for command in ("normality", "cierror", "overlays"):
+            assert main([command, "--config", str(cfg)]) == 5
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"error: {path}: cannot open: ")
+
     # a sidecar that is not JSON, one without m_converged, one of an unknown
     # family, one whose class counts do not add up to m_requested, ones whose
     # m_requested contradicts its m_converged of 3, and ones whose theta*,
@@ -598,6 +614,24 @@ class TestPipeline:
         assert capsys.readouterr().err == "error: gb2 at n=100: Matrix is not positive definite\n"
         assert not list((tmp_path / "out").glob("overlay_*"))
         assert not (tmp_path / "out" / "ci_error.csv").exists()
+
+    # cells with fewer rows than normality's own minimum: Anderson-Darling
+    # takes 8, Mardia on k parameters k + 2
+    @pytest.mark.parametrize("family, params, m", [
+        ("pareto", (1.11,), 0), ("pareto", (1.11,), 3), ("pareto", (1.11,), 7),
+        ("weibull", (0.56, 212303.18), 0), ("weibull", (0.56, 212303.18), 3)])
+    def test_too_few_rows_for_normality_exits_4(self, tmp_path, capsys, family, params, m):
+        rows = np.random.default_rng(6).normal(params, np.multiply(params, 0.1),
+                                               (m, len(params)))
+        (tmp_path / "out").mkdir()
+        BootstrapMatrix(family, params, 1e5, 100, 120, m, rows,
+                        777).write(tmp_path / "out" / f"boot_{family}_n100")
+        cfg = write_config(tmp_path, families=family)
+        assert main(["normality", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {family} at n=100: ")
+        assert not (tmp_path / "out" / "normality.csv").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from tailfit import SeverityModel, density, overlay
-from tailfit.bootstrap import BootstrapMatrix
+from tailfit.bootstrap import BootstrapMatrix, DegenerateCell
 from tailfit.density import _KDE_ELEMENTS, kde, silverman_bandwidth
 from tailfit.fisher import asymptotic_covariance
-from tailfit.mle import DegenerateSample
 from tailfit.special_functions import std_normal_cdf
 
 T = 1e5
@@ -37,10 +36,10 @@ class TestBandwidth:
         assert silverman_bandwidth(xs) == pytest.approx(0.9 * sd * 21 ** (-0.2))
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateSample):
+        with pytest.raises(DegenerateCell):
             silverman_bandwidth(np.full(10, 2.0))
         # 11.3 is not representable: its rounded mean leaves np.std at ~1e-15
-        with pytest.raises(DegenerateSample):
+        with pytest.raises(DegenerateCell):
             silverman_bandwidth(np.full(120, 11.3))
 
 
@@ -139,7 +138,7 @@ class TestKde:
             assert ov.kde.tobytes() == reference_kde(bm.rows[:, j], ov.grid).tobytes()
 
     def test_single_point_rejected(self):
-        with pytest.raises(DegenerateSample):
+        with pytest.raises(DegenerateCell):
             kde(np.array([1.0]), np.linspace(0, 2, 10))
 
     def test_spike_sample_integrates_to_one(self):

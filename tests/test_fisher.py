@@ -40,9 +40,6 @@ class TestInfoMatrix:
         with pytest.raises(ValueError):
             InfoMatrix(np.array([[1.0, 0.1], [0.2, 1.0]]))
 
-    def test_dim(self):
-        assert InfoMatrix(np.eye(3)).dim == 3
-
 
 class TestAnalytic:
     def test_pareto(self):

@@ -108,3 +108,29 @@ def test_benchmark_tracer_sees_the_overlay_kde(monkeypatch):
     with tracer_module.patched(tracer_module.instrument(tracer)):
         density.overlay(bm, 0)
     assert tracer.names.count("density.kde") == 1
+
+
+def test_benchmark_tracer_sees_every_ci_error_cell(monkeypatch, tmp_path):
+    # cierror calls ci_error_table once per cell, through the name the
+    # tracer's ci_analysis.ci_error_table boundary patches, so that span
+    # times every cell
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracer_module = importlib.import_module("tracer")
+    from tailfit.bootstrap import BootstrapMatrix
+    from tailfit.cli import main
+
+    rng = np.random.default_rng(5)
+    out = tmp_path / "out"
+    out.mkdir()
+    for family, params in (("pareto", (1.11,)), ("lognormal", (11.3, 1.8))):
+        for n in (100, 200):
+            rows = rng.normal(params, np.multiply(params, 0.05), (150, len(params)))
+            BootstrapMatrix(family, params, 1e5, n, 150, 150, rows,
+                            5).write(out / f"boot_{family}_n{n}")
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("families = pareto,lognormal\nsample_sizes = 100,200\n"
+                   f"replications = 150\nout = {out}\n")
+    tracer = tracer_module.Tracer()
+    with tracer_module.patched(tracer_module.instrument(tracer)):
+        assert main(["cierror", "--config", str(cfg)]) == 0
+    assert tracer.names.count("ci_analysis.ci_error_table") == 4

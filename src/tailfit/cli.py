@@ -70,7 +70,8 @@ def _ints(value: str) -> tuple[int, ...]:
     return tuple(int(v) for v in value.split(",") if v.strip())
 
 
-# config file key -> parser of its value; config_hash covers every key but out
+# config file key -> parser of its value; config_hash covers every key but
+# input and out
 _KEYS = {
     "seed": int,
     "threshold": float,
@@ -117,8 +118,10 @@ class StudyConfig:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
 
     def canonical(self) -> str:
-        return json.dumps({key: getattr(self, key) for key in _KEYS if key != "out"},
-                          sort_keys=True)
+        """The study's keys but the paths, so one study run from two
+        directories writes the same bytes."""
+        return json.dumps({key: getattr(self, key) for key in _KEYS
+                           if key not in ("input", "out")}, sort_keys=True)
 
     @property
     def config_hash(self) -> str:

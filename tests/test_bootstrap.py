@@ -26,9 +26,16 @@ from tailfit.optimizer import InvalidStart
 from tailfit.textio import twin_path
 
 import conftest
-from conftest import STUDY_SEED, cached_bootstrap, fit_replication
+from conftest import STUDY_CELLS, STUDY_M, STUDY_SEED, fit_replication
 
 T = 1e5
+
+
+def cell_name(family: str, n: int) -> str:
+    """A study cell's name: its model, threshold, n, m and seed."""
+    model = conftest.TRUE_MODELS[family]
+    tag = "_".join(repr(p) for p in model.params)
+    return f"{family}_{tag}_T{model.threshold!r}_n{n}_m{STUDY_M}_s{STUDY_SEED}"
 
 
 class TestDeterminism:
@@ -332,27 +339,32 @@ class TestRoundTrip:
         assert sorted(written[0]) == [".boot_x.csv.f64", "boot_x.csv", "boot_x.json"]
         assert written[0] == written[1] == written[2]
 
-    @pytest.mark.parametrize("csv_path", sorted(conftest._CACHE_DIR.glob("*.csv")),
-                             ids=lambda p: p.stem)
-    def test_read_matches_float_per_value(self, csv_path):
-        # the oracle: Python's float() on every value of the tracked cache
+    @pytest.mark.parametrize("cell", STUDY_CELLS, ids=lambda cell: cell_name(*cell))
+    def test_read_matches_float_per_value(self, tmp_path, study_matrices, cell):
+        # the oracle: Python's float() on every value of a written study cell,
+        # parsed from the CSV alone
+        base = tmp_path / "boot"
+        study_matrices[cell].write(base)
+        csv_path = BootstrapMatrix.files(base)[0]
+        twin_path(csv_path).unlink()
         lines = csv_path.read_text().splitlines()[1:]
         want = np.array([[float(v) for v in line.split(",")] for line in lines])
-        base = csv_path.with_suffix("")
         assert BootstrapMatrix.read(base).rows.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("csv_path", sorted(conftest._CACHE_DIR.glob("*.csv")),
-                             ids=lambda p: p.stem)
-    def test_cache_write_read_is_exact(self, tmp_path, csv_path):
-        # writing a cached matrix again gives its files byte for byte, and
-        # reading that back gives its rows bit for bit
-        bm = BootstrapMatrix.read(csv_path.with_suffix(""))
-        base = tmp_path / "boot"
-        bm.write(base)
-        assert base.with_name("boot.csv").read_bytes() == csv_path.read_bytes()
-        assert base.with_name("boot.json").read_bytes() == \
-            csv_path.with_suffix(".json").read_bytes()
-        assert BootstrapMatrix.read(base).rows.tobytes() == bm.rows.tobytes()
+    @pytest.mark.parametrize("cell", STUDY_CELLS, ids=lambda cell: cell_name(*cell))
+    def test_cache_write_read_is_exact(self, tmp_path, study_matrices, cell):
+        # a study cell written, read from its CSV and written again gives its
+        # files byte for byte, and each read gives its rows bit for bit
+        bm = study_matrices[cell]
+        first, second = tmp_path / "first", tmp_path / "second"
+        bm.write(first)
+        twin_path(BootstrapMatrix.files(first)[0]).unlink()
+        back = BootstrapMatrix.read(first)
+        back.write(second)
+        for a, b in zip(BootstrapMatrix.files(first), BootstrapMatrix.files(second)):
+            assert a.read_bytes() == b.read_bytes()
+        for base in (first, second):
+            assert BootstrapMatrix.read(base).rows.tobytes() == bm.rows.tobytes()
 
     def test_read_rounds_decimals_as_float(self, tmp_path):
         # decimals no writer emits, among them 2**53 + 1 spelled out: it lies
@@ -375,49 +387,23 @@ class TestRoundTrip:
         header = base.with_suffix(".csv").read_text().splitlines()[0]
         assert header == "shape"
 
-    def test_cache_round_trip_is_exact(self, study_matrices):
-        # the session cache must hand back bit-identical matrices
-        bm = study_matrices[("pareto", 100)]
-        again = cached_bootstrap(SeverityModel("pareto", (1.11,), T), 100)
-        assert np.array_equal(bm.rows, again.rows)
-        assert bm.seed == again.seed == STUDY_SEED
-
-    def test_cache_follows_the_behaviour_fingerprint(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(conftest, "_CACHE_DIR", tmp_path)
-        monkeypatch.setattr(conftest, "_FINGERPRINTS", tmp_path / "fingerprints.json")
-        model = SeverityModel("pareto", (1.11,), T)
-        first = cached_bootstrap(model, 20, m=100, seed=5)
-        (name, fingerprint), = conftest._recorded_fingerprints().items()
-        assert fingerprint == conftest.behaviour_fingerprint(model, 20)
-        csv_path = tmp_path / f"{name}.csv"
-        written = csv_path.read_bytes()
-        # an entry recorded under another fingerprint is computed again
-        conftest._record_fingerprint(name, "stale")
-        csv_path.write_text("shape\n1.0\n")
-        again = cached_bootstrap(model, 20, m=100, seed=5)
-        assert np.array_equal(again.rows, first.rows)
-        assert csv_path.read_bytes() == written
-        assert conftest._recorded_fingerprints() == {name: fingerprint}
-
 
 # The replications of the GB2 n = 100 study cell whose Newton runs used to
 # converge on the flat double-Pareto ridge, at a ~ 1.2-1.5e6 and p, q ~ 5e-7.
-# None is among the cache fingerprint's probe replications, so a cell that
-# still holds them would keep its fingerprint.
 RIDGE_REPLICATIONS = (161, 364, 395, 759, 844, 1151, 1346, 1357, 1426, 1459, 1485, 1540,
                       1603, 1608, 1784, 1883, 1907, 1981, 1984)
 
 
-def test_ridge_replications_leave_the_gb2_cell():
+def test_ridge_replications_leave_the_gb2_cell(study_matrices):
     model = conftest.TRUE_MODELS["gb2"]
     xs = np.array([sample(model, 100, replication_rng(STUDY_SEED, rep))
                    for rep in RIDGE_REPLICATIONS])
     outcomes = fit_rows("gb2", xs, model.threshold)
     assert [mle.outcome_class(o) for o in outcomes] == \
         ["boundary_double_pareto"] * len(RIDGE_REPLICATIONS)
-    bm = cached_bootstrap(model, 100)
-    # the cached cell was built with escaping runs classified, and holds no
-    # row from the ridge: the kept rows all have a < 300
+    bm = study_matrices[("gb2", 100)]
+    # the cell classifies the escaping runs and holds no row from the ridge:
+    # the kept rows all have a < 300
     assert bm.outcomes is not None
     assert bm.outcomes["boundary_double_pareto"] >= len(RIDGE_REPLICATIONS)
     assert np.max(bm.rows[:, 0]) < 1e3

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -111,17 +112,17 @@ class TestParseConfig:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_config_hash_ignores_out_and_threads(self):
-        a = StudyConfig(seed=1, out="x", threads=1)
-        b = StudyConfig(seed=1, out="y", threads=8)
+        a = StudyConfig(seed=1, input="a/losses.csv", out="x", threads=1)
+        b = StudyConfig(seed=1, input="b/losses.csv", out="y", threads=8)
         assert a.config_hash == b.config_hash
         assert a.config_hash != StudyConfig(seed=2).config_hash
 
     def test_config_hash_pinned(self):
         # every boot_*.json, run_meta_*.json and true_params.json carries it
-        assert StudyConfig().config_hash == "c2926361423e0b19"
+        assert StudyConfig().config_hash == "67ec7477016cdaef"
         cfg = parse_config("seed = 20260823\nfamilies = pareto, gb2\n"
                            "sample_sizes = 100, 2500\nreplications = 100\ninput = x.csv\n")
-        assert cfg.config_hash == "24d5e0dfa60a69fd"
+        assert cfg.config_hash == "5ed411b3fab31879"
 
 
 class TestReadLosses:
@@ -337,6 +338,22 @@ class TestPipeline:
             assert meta["config_hash"]
             assert meta["outcomes"] == {**dict.fromkeys(OUTCOMES, 0),
                                         "interior": meta["m_converged"]}
+
+    def test_outputs_do_not_depend_on_the_directory(self, tmp_path, losses_file):
+        # one loss file run from two directories writes the same bytes
+        outputs = []
+        for name in ("a", "b"):
+            run = tmp_path / name
+            run.mkdir()
+            shutil.copyfile(losses_file, run / "losses.csv")
+            cfg = write_config(run)
+            assert main(["fit", "--config", str(cfg)]) == 0
+            assert main(["bootstrap", "--config", str(cfg)]) == 0
+            out = run / "out"
+            outputs.append({p.name: p.read_bytes()
+                            for p in [out / "true_params.json", *sorted(out.glob("boot_*"))]})
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1]
 
     def test_bootstrap_deterministic_across_threads(self, tmp_path, ran_bootstrap):
         out = tmp_path / "out"

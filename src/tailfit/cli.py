@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +84,11 @@ _KEYS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
+    """A study's settings, checked when it is built: every StudyConfig that
+    exists is valid, and ConfigError names the first invalid value."""
+
     seed: int = 12345
     threshold: float = 1e5
     families: tuple[str, ...] = FAMILIES
@@ -96,7 +99,7 @@ class StudyConfig:
     out: str = "out"
     threads: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.threshold) and self.threshold > 0.0):
             raise ConfigError(f"threshold must be finite and positive, got {self.threshold}")
         if self.seed < 0:
@@ -107,6 +110,9 @@ class StudyConfig:
             raise ConfigError("families must name at least one family")
         if any(f not in FAMILIES for f in self.families):
             raise ConfigError(f"unknown family in {self.families}")
+        repeated = [f for i, f in enumerate(self.families) if f in self.families[:i]]
+        if repeated:
+            raise ConfigError(f"families names {repeated[0]} more than once")
         if not self.sample_sizes or list(self.sample_sizes) != sorted(set(self.sample_sizes)) \
                 or self.sample_sizes[0] <= 0:
             raise ConfigError("sample_sizes must be positive and strictly ascending")
@@ -128,9 +134,10 @@ class StudyConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-def parse_config(text: str) -> StudyConfig:
-    """Flat ``key = value`` lines; unknown keys are errors."""
-    kwargs = {}
+def _config_keys(text: str) -> dict:
+    """The keys of flat ``key = value`` lines, each value parsed by its
+    `_KEYS` entry; unknown keys are errors."""
+    keys = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,12 +149,15 @@ def parse_config(text: str) -> StudyConfig:
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            kwargs[key] = _KEYS[key](value)
+            keys[key] = _KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    cfg = StudyConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return keys
+
+
+def parse_config(text: str) -> StudyConfig:
+    """The study of a config file's text, the defaults filling absent keys."""
+    return StudyConfig(**_config_keys(text))
 
 
 def read_losses(path: Path) -> np.ndarray:
@@ -230,7 +240,10 @@ def _load_true_models(cfg: StudyConfig) -> dict[str, SeverityModel]:
         models = {}
         for family in cfg.families:
             params = tuple(entries[family]["params"][name] for name in PARAM_NAMES[family])
-            models[family] = SeverityModel(family, params, entries[family]["threshold"])
+            models[family] = model = SeverityModel(family, params, entries[family]["threshold"])
+            if model.threshold != cfg.threshold:
+                raise ConfigError(f"{path}: {family} was fitted at threshold {model.threshold}, "
+                                  f"the study's threshold is {cfg.threshold}")
         return models
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not JSON: {exc}") from exc
@@ -340,19 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _study_config(args: argparse.Namespace) -> StudyConfig:
-    """The config file (or the defaults) under the command-line overrides."""
-    cfg = StudyConfig()
+    """The config file's keys (or the defaults) under the command-line
+    overrides, validated once, after all of them are known: a flag replaces
+    the value it overrides, valid or not."""
+    keys = {}
     if args.config is not None:
         try:
             text = args.config.read_text()
         except OSError as exc:
             raise ConfigError(str(exc)) from exc
-        cfg = parse_config(text)
+        keys = _config_keys(text)
     flags = vars(args) | ({"replications": 40000} if args.paper_scale else {})
-    cfg = replace(cfg, **{key: flags[key] for key in ("seed", "out", "replications", "threads")
-                          if flags.get(key) is not None})
-    cfg.validate()
-    return cfg
+    keys |= {key: flags[key] for key in ("seed", "out", "replications", "threads")
+             if flags.get(key) is not None}
+    return StudyConfig(**keys)
 
 
 def main(argv=None) -> int:

@@ -5,10 +5,12 @@ takes the rows from the CSV's binary twin (below) if it has a valid one.
 Otherwise it parses the body with numpy's C reader, which rounds each
 decimal as float() does, and checks its width and the caller's `valid`
 predicate on the array.  Only when one of these fails are the lines walked
-with float(), the rule the file format keeps: blank and whitespace-only
-lines are skipped, and a value is what float() reads from its field, so
-"1_000" and " 1.5 " are numbers.  The walk names the first bad line, or, if
-every line passes, returns what it read.
+with float(), the rule the file format keeps: a line ends at "\\n" alone
+(text mode has translated "\\r\\n" and "\\r"), as in the header read and
+numpy's reader; blank and whitespace-only lines are skipped; and a value is
+what float() reads from its field, so "1_000" and " 1.5 " are numbers.  The
+walk names the first bad line, or, if every line passes, returns what it
+read.
 
 The twin.  `write_rows(path, names, a)` writes the CSV, header and
 `format_rows(a)`, and beside it a hidden file, `.<name>.f64`, holding the
@@ -382,7 +384,7 @@ def _walk(path, k: int, valid, invalid: str) -> np.ndarray:
     """`read_rows`' body read line by line with float(), or the ValueError
     that names its first bad line."""
     with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+        lines = f.read().split("\n")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -88,9 +88,17 @@ class TestParseConfig:
             parse_config("level = 1.5\n")
         with pytest.raises(ConfigError):
             parse_config("families = pareto, gaussian\n")
+        with pytest.raises(ConfigError, match="families names pareto more than once"):
+            parse_config("families = pareto, weibull, pareto\n")
         for threshold in ("-5", "0", "nan", "inf"):
             with pytest.raises(ConfigError):
                 parse_config(f"threshold = {threshold}\n")
+
+    def test_invalid_config_cannot_be_built(self):
+        with pytest.raises(ConfigError, match="replications must be at least 100"):
+            StudyConfig(replications=50)
+        with pytest.raises(ConfigError, match="threads must be at least 1, got 0"):
+            StudyConfig(threads=0)
 
     def test_no_families_exits_2(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="families"):
@@ -163,10 +171,12 @@ class TestReadLosses:
         ("-0", "losses must be positive, got '-0'"),
         ("1.0 2.0", "not a number: '1.0 2.0'"),
         ("abc", "not a number: 'abc'"),
+        # a line ends at "\n" alone, not at the other breaks of str.splitlines
+        ("150000.0\u2028250000.0", "not a number: '150000.0\\u2028250000.0'"),
     ])
     def test_parity(self, tmp_path, line, want):
         path = tmp_path / "l.csv"
-        path.write_text(f"loss\n2.5\n{line}\n")
+        path.write_text(f"loss\n2.5\n{line}\n", encoding="utf-8")
         if isinstance(want, list):
             got = read_losses(path)
             assert got.dtype == np.float64
@@ -179,6 +189,7 @@ class TestReadLosses:
     @pytest.mark.parametrize("body,want", [
         ("3\n\n-2\nabc\n", "line 4: losses must be positive, got '-2'"),
         ("3\nabc\n-2\n", "line 3: not a number: 'abc'"),
+        ("1.5\f\nabc\n", "line 3: not a number: 'abc'"),
     ])
     def test_first_bad_line_named(self, tmp_path, body, want):
         path = tmp_path / "l.csv"
@@ -579,7 +590,12 @@ class TestPipeline:
         "no_param": json.dumps({"families": {"pareto": {"params": {}, "threshold": 1e5}}}),
         "bad_shape": json.dumps({"families": {"pareto": {"params": {"shape": -1.0},
                                                          "threshold": 1e5}}}),
+        "other_threshold": json.dumps({"families": {"pareto": {"params": {"shape": 1.11},
+                                                               "threshold": 2e5}}}),
     }
+    # the text that follows the path, where the test pins it
+    TRUE_PARAMS_TEXT = {"other_threshold": "pareto was fitted at threshold 200000.0, "
+                                           "the study's threshold is 100000.0\n"}
 
     @pytest.mark.parametrize("defect", TRUE_PARAMS)
     def test_malformed_true_params_exits_2(self, tmp_path, capsys, defect):
@@ -592,6 +608,7 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert err.startswith(f"error: {path}: ")
+        assert err.endswith(self.TRUE_PARAMS_TEXT.get(defect, ""))
         assert not list(out.glob("boot_*"))
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
@@ -685,6 +702,23 @@ class TestParser:
                                           "--paper-scale", "--out", "elsewhere"])
         got = _study_config(args)
         assert (got.seed, got.threads, got.replications, got.out) == (777, 1, 40000, "elsewhere")
+
+    # a flag replaces the config value it overrides before the one validation,
+    # so it rescues an invalid one
+    @pytest.mark.parametrize("key,bad,flags", [
+        ("replications", 50, ["--replications", "200"]),
+        ("out", "", ["--out", "out"]),
+        ("seed", -1, ["--seed", "4"]),
+    ])
+    def test_flag_replaces_invalid_config_value(self, tmp_path, losses_file, monkeypatch,
+                                                key, bad, flags):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, **{key: bad})
+        argv = ["fit", "--config", str(cfg), *flags]
+        assert main(argv) == 0
+        assert (tmp_path / "out" / "true_params.json").exists()
+        got = _study_config(build_parser().parse_args(argv))
+        assert got == parse_config(write_config(tmp_path, **{key: flags[1]}).read_text())
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):

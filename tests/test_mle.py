@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ class TestFitWeibull:
     def test_all_equal_degenerate(self):
         with pytest.raises(DegenerateSample):
             fit("weibull", [2.0, 2.0], 0.0)
+
+    # logs spanning the whole double range: g(1e-3) < 0 still holds, which the
+    # root search takes for granted, and the root lies inside [1e-3, 1e3]
+    @pytest.mark.parametrize("xs", [[5e-324, sys.float_info.max],
+                                    [1e-300] * 50 + [1e300] * 50],
+                             ids=["two_extremes", "fifty_each"])
+    def test_extreme_samples_bracketed(self, xs):
+        g = reference_weibull_profile(np.array(xs))
+        assert g(1e-3) < 0.0 < g(1e3)
+        a, _ = fit("weibull", xs, 0.0).model.params
+        assert 1e-3 < a < 1e3
+        assert abs(g(a)) < 1e-9
 
 
 class TestFitLogLogistic:

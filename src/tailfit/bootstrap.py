@@ -8,9 +8,11 @@ replication, which then draws exactly that stream (Philox's output depends
 on its key and counter alone).  The replications of a batch are fitted
 together by `mle.fit_rows`, which gives every row the fit its sample alone
 would get.  So results are bit-identical for any worker count and any
-chunking of the replication range.  A replication without an interior
-estimate is dropped, never imputed, and counted under its `mle.OUTCOMES`
-class in the matrix's `outcomes`.  `DegenerateCell` is every failure of an
+chunking of the replication range.  A chunk keeps two columns of the fits'
+record, each replication's `mle.OUTCOMES` class and its parameters, and
+builds no object per replication.  A replication without an interior
+estimate is dropped, never imputed, and counted under its class in the
+matrix's `outcomes`.  `DegenerateCell` is every failure of an
 analysis of a matrix (normality, density, CI width) that its rows cause.
 """
 
@@ -257,11 +259,11 @@ def _batch_rows(n: int) -> int:
 
 
 def _run_chunk(args):
-    """Replications [lo, hi), each as (its `mle.OUTCOMES` class, its row or
-    None): each sampled from its own stream, then fitted in batches of at
-    most BATCH_ELEMENTS sample values.  The chunk's keys come from one
-    vectorized pass, and one generator is re-keyed per replication.  A
-    batch's rows run their Newton iterations in lockstep, so a fuller batch
+    """Replications [lo, hi) as each one's `mle.OUTCOMES` index and its
+    `mle.FitRows` params: each sampled from its own stream, then fitted in
+    batches of at most BATCH_ELEMENTS sample values.  The chunk's keys come
+    from one vectorized pass, and one generator is re-keyed per replication.
+    A batch's rows run their Newton iterations in lockstep, so a fuller batch
     pays the fixed cost of each step for more rows; the passes over the data
     run in blocks of at most mle.BLOCK_ELEMENTS values."""
     model, n, seed, lo, hi = args
@@ -270,17 +272,17 @@ def _run_chunk(args):
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state  # counter 0, empty buffer; each replication sets its key
-    rows = []
+    classes, params = [np.empty(0, int)], [np.empty((0, len(model.params)))]
     for start in range(lo, hi, per_batch):
         xs = np.empty((min(per_batch, hi - start), n))
         for i, key in enumerate(keys[start - lo:start - lo + len(xs)].tolist()):
             fresh["state"]["key"] = key
             bitgen.state = fresh
             xs[i] = sample(model, n, rng)
-        for outcome in mle.fit_rows(model.family, xs, model.threshold):
-            kind = mle.outcome_class(outcome)
-            rows.append((kind, outcome.model.params if kind == "interior" else None))
-    return rows
+        fitted = mle.fit_rows(model.family, xs, model.threshold)
+        classes.append(fitted.classes)
+        params.append(fitted.params)
+    return np.concatenate(classes), np.concatenate(params)
 
 
 def _chunks(n: int, m: int, workers: int) -> list[tuple[int, int]]:
@@ -302,7 +304,7 @@ def run_bootstrap(
 ) -> BootstrapMatrix:
     """m sample-and-refit replications of size n from `model` (theta*)."""
     if workers <= 1:
-        outcomes = _run_chunk((model, n, seed, 0, m))
+        chunks = [_run_chunk((model, n, seed, 0, m))]
     else:
         # Imported here, its only use: the pool pulls in multiprocessing,
         # concurrent.futures, logging, socket and subprocess, 32 modules in
@@ -311,18 +313,13 @@ def run_bootstrap(
         from concurrent.futures import ProcessPoolExecutor
 
         tasks = [(model, n, seed, lo, hi) for lo, hi in _chunks(n, m, workers)]
-        outcomes = []
         # a fork pool starts every worker at its first submit: none idle
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for chunk in pool.map(_run_chunk, tasks):
-                outcomes.extend(chunk)
+            chunks = list(pool.map(_run_chunk, tasks))
 
-    rows = [params for _, params in outcomes if params is not None]
-    counts = dict.fromkeys(mle.OUTCOMES, 0)
-    for kind, _ in outcomes:
-        counts[kind] += 1
-    k = len(PARAM_NAMES[model.family])
-    matrix = np.array(rows, dtype=float).reshape(len(rows), k)
+    classes, params = map(np.concatenate, zip(*chunks))
+    rows = params[classes == mle.OUTCOMES.index("interior")]
+    counts = np.bincount(classes, minlength=len(mle.OUTCOMES)).tolist()
     bm = BootstrapMatrix(
         family=model.family,
         true_params=model.params,
@@ -330,9 +327,9 @@ def run_bootstrap(
         n=n,
         m_requested=m,
         m_converged=len(rows),
-        rows=matrix,
+        rows=rows,
         seed=seed,
-        outcomes=counts,
+        outcomes=dict(zip(mle.OUTCOMES, counts)),
     )
     if bm.m_converged < 0.5 * m:
         raise TooFewConverged(

@@ -31,7 +31,7 @@ from .distributions import FAMILIES, PARAM_NAMES, SeverityModel
 from .fisher import SingularInformation
 from .generate import PROFILES, generate_losses
 from .normality import normality_suite, reports_to_csv
-from .textio import read_rows, write_rows
+from .textio import not_utf8, read_rows, write_rows
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -138,7 +138,8 @@ def _config_keys(text: str) -> dict:
     """The keys of flat ``key = value`` lines, each value parsed by its
     `_KEYS` entry; unknown keys are errors."""
     keys = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # a line ends at "\n" alone, as in the loss reader
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -359,9 +360,11 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
     keys = {}
     if args.config is not None:
         try:
-            text = args.config.read_text()
+            text = args.config.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(not_utf8(args.config, exc)) from None
         keys = _config_keys(text)
     flags = vars(args) | ({"replications": 40000} if args.paper_scale else {})
     keys |= {key: flags[key] for key in ("seed", "out", "replications", "threads")

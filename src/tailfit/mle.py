@@ -12,27 +12,27 @@ iteration:
   samples have no interior maximum: the likelihood keeps rising toward a
   nested limit of the family.  GB2's escape test names the limit a run
   escapes toward, from its direction in the log-parameters, and stops a
-  run that escapes fast; a run that ends escaping raises NestedLimit, which
+  run that escapes fast; a run that ends escaping ends at NestedLimit, which
   carries the limit.  A run that ends unconverged otherwise, at the
-  iteration cap or on a failed line search, raises NoConvergence.  A
+  iteration cap or on a failed line search, ends at NoConvergence.  A
   converged run whose Hessian is not negative definite there carries
-  LOCAL_MINIMUM_RISK.  `outcome_class` names the OUTCOMES class of every
-  outcome.
+  LOCAL_MINIMUM_RISK.
 
 `fit_rows` fits many samples of one size at once, for every family the same
-way.  It checks each row once, from the row's minimum and maximum: too few
-values, or a value that is not finite or lies outside the family's support,
-makes the row DegenerateSample.  The rows that pass go to the family's solver
-as one array, and everything per row is computed for all rows at once:
-- per batch: the closed forms, the Weibull roots and the Newton starts, and
-  each fit's nll, from the family's log-density with one parameter column
-  per row, summed along the rows;
+way, into one record of arrays, `FitRows`; `ENDINGS` names every way a fit
+ends, with its OUTCOMES class and the FitError that `fit`, the one-row case,
+raises.  It checks each row once, from the row's minimum and maximum: too
+few values, or a value that is not finite or lies outside the family's
+support, ends the row at DegenerateSample.  The rows that pass go to the
+family's solver as one array, and everything per row is computed for all
+rows at once:
+- per batch: the closed forms, the Weibull roots and the Newton starts;
 - per Newton objective call: the likelihood algebra of every row the call
   evaluates (ln B, psi, psi', the score and the Hessian);
 - per block of at most BLOCK_ELEMENTS values: the passes over the data.
 The iterations of all rows advance in lockstep.  Sums run along each row and
 logs of per-row values go through libm, so every row gets exactly the result
-a fit of that sample alone gets; `fit` is the one-row case.
+a fit of that sample alone gets.
 """
 
 from __future__ import annotations
@@ -57,7 +57,9 @@ __all__ = [
     "NestedLimit",
     "FitResult",
     "OUTCOMES",
-    "outcome_class",
+    "ENDINGS",
+    "FitRows",
+    "WARNING_BITS",
     "WEIBULL_INCONSISTENT",
     "LOCAL_MINIMUM_RISK",
     "fit",
@@ -111,18 +113,62 @@ class FitResult:
 OUTCOMES = ("interior", *FAMILY_TABLE["gb2"].limits, "not_converged", "degenerate",
             "invalid_start")
 
+# The warnings a fit can carry, each its bit of `FitRows.warnings`
+WARNING_BITS = {WEIBULL_INCONSISTENT: 1, LOCAL_MINIMUM_RISK: 2}
 
-def outcome_class(outcome) -> str:
-    """The OUTCOMES class of one entry of `fit_rows`."""
-    if isinstance(outcome, FitResult):
-        return "interior"
-    if isinstance(outcome, NestedLimit):
-        return outcome.limit
-    if isinstance(outcome, DegenerateSample):
-        return "degenerate"
-    if isinstance(outcome, InvalidStart):
-        return "invalid_start"
-    return "not_converged"
+
+@dataclass(frozen=True)
+class Ending:
+    outcome: str               # the OUTCOMES class
+    error: type | None = None  # the FitError that `fit` raises, None for an estimate
+    message: str = ""          # its message, formatted with the fields `fit` passes
+
+
+# Every way a fit ends, indexed by `FitRows.ending`
+ENDINGS = (
+    Ending("interior"),
+    Ending("degenerate", DegenerateSample,
+           "{family} fit needs at least {min_n} finite values in its support above T={T}"),
+    Ending("degenerate", DegenerateSample, "all observations at the threshold; shape is infinite"),
+    Ending("degenerate", DegenerateSample, "zero variance in log data"),
+    Ending("degenerate", DegenerateSample, "weibull fit needs 2 distinct observations"),
+    Ending("not_converged", NoConvergence, "weibull profile root not bracketed in [1e-3, 1e3]"),
+    Ending("not_converged", NoConvergence,
+           "{family} Newton stopped unconverged after {iterations} steps at {point}"),
+    Ending("not_converged", NoConvergence, "{family} optimum {point} is out of range"),
+    Ending("invalid_start", InvalidStart, "max(y) must exceed median(y)"),
+    Ending("invalid_start", InvalidStart, "{family} start point {point} is unusable"),
+    Ending("invalid_start", InvalidStart, "log-likelihood is {ll} at start point {point}"),
+    *(Ending(limit, NestedLimit,
+             "{family} Newton escaped toward {limit} after {iterations} steps at {point}")
+      for limit in FAMILY_TABLE["gb2"].limits),
+)
+(_ESTIMATE, _ROW_CHECK, _AT_THRESHOLD, _ZERO_LOG_VARIANCE, _WEIBULL_CONSTANT, _NOT_BRACKETED,
+ _UNCONVERGED, _OUT_OF_RANGE, _MAX_AT_MEDIAN, _UNUSABLE_START, _NONFINITE_START,
+ _ESCAPED_TOWARD) = range(12)  # _ESCAPED_TOWARD + i: toward limit i + 1 of `escape_test`
+_CLASS = np.array([OUTCOMES.index(e.outcome) for e in ENDINGS])
+
+
+@dataclass
+class FitRows:
+    """What `fit_rows` gives: one entry per row."""
+    ending: np.ndarray      # (R,) int: the row's ENDINGS index
+    params: np.ndarray      # (R, k): the estimate, a Newton stop or unusable start, or NaN
+    nll: np.ndarray         # (R,): Newton's -log-likelihood at params, or NaN
+    iterations: np.ndarray  # (R,) int: Newton steps, 0 for other fits
+    warnings: np.ndarray    # (R,) int: the WARNING_BITS of the row's warnings
+
+    @property
+    def classes(self) -> np.ndarray:
+        """Each row's OUTCOMES index."""
+        return _CLASS[self.ending]
+
+
+def _closed_form_rows(ending: np.ndarray, params: np.ndarray, warnings=0) -> FitRows:
+    """The record of fits without Newton, with NaN params where they failed."""
+    params[ending != _ESTIMATE] = np.nan
+    zeros = np.zeros(len(ending), int)
+    return FitRows(ending, params, np.full(len(ending), np.nan), zeros, zeros + warnings)
 
 
 def _block_rows(n: int) -> int:
@@ -152,47 +198,29 @@ def _nll_rows(family: str, params: np.ndarray, xs: np.ndarray, T: float) -> list
                    np.arange(len(xs)), xs.shape[1], xs, params).tolist()
 
 
-def _estimates(family: str, params: np.ndarray, xs: np.ndarray, T: float, failed: list,
-               warnings=None) -> list:
-    """Per row: failed[i], the exception that ends the row's fit, or if that
-    is None a converged FitResult at params[i], with warnings[i] if given."""
-    keep = [i for i, f in enumerate(failed) if f is None]
-    models = [SeverityModel(family, tuple(params[i].tolist()), T) for i in keep]
-    if len(keep) < len(xs):
-        params, xs = params[keep], xs[keep]
-    outcomes = list(failed)
-    for i, model, nll in zip(keep, models, _nll_rows(family, params, xs, T)):
-        outcomes[i] = FitResult(model, nll, set() if warnings is None else warnings[i])
-    return outcomes
-
-
-def _pareto_rows(xs: np.ndarray, T: float) -> list:
+def _pareto_rows(xs: np.ndarray, T: float) -> FitRows:
     """alpha = n / sum ln(x / T) per row."""
     s = xs / T
     np.log(s, out=s)
     sums = np.sum(s, axis=1)
     with np.errstate(divide="ignore"):  # a sum of 0 is a failed row
         alpha = xs.shape[1] / sums
-    return _estimates("pareto", alpha[:, None], xs, T, [
-        None if s_i > 0.0
-        else DegenerateSample("all observations at the threshold; shape is infinite")
-        for s_i in sums.tolist()])
+    return _closed_form_rows(np.where(sums > 0.0, _ESTIMATE, _AT_THRESHOLD), alpha[:, None])
 
 
-def _lognormal_rows(xs: np.ndarray, T: float) -> list:
+def _lognormal_rows(xs: np.ndarray, T: float) -> FitRows:
     """mu and sigma from the means of ln(x - T) and its squared deviations
     per row (divisor n: the MLE, not n-1)."""
     ly = xs - T
     np.log(ly, out=ly)
     # exact: the rounded mean leaves a constant sample a spread of ~1e-15
-    constant = (np.ptp(ly, axis=1) == 0.0).tolist()
+    constant = np.ptp(ly, axis=1) == 0.0
     mu = np.mean(ly, axis=1)
     ly -= mu[:, None]
     ly *= ly
     sigma = np.sqrt(np.mean(ly, axis=1))
-    return _estimates("lognormal", np.stack([mu, sigma], axis=1), xs, T,
-                      [DegenerateSample("zero variance in log data") if c else None
-                       for c in constant])
+    return _closed_form_rows(np.where(constant, _ZERO_LOG_VARIANCE, _ESTIMATE),
+                             np.stack([mu, sigma], axis=1))
 
 
 def _weibull_profile(a: np.ndarray, c: np.ndarray) -> tuple:
@@ -257,21 +285,19 @@ def _weibull_scale(a: np.ndarray, c: np.ndarray, mean_ly: np.ndarray) -> tuple:
     return np.exp(mean_ly + (m + np.log(np.mean(w, axis=1))) / a)
 
 
-def _weibull_rows(xs: np.ndarray, T: float) -> list:
+def _weibull_rows(xs: np.ndarray, T: float) -> FitRows:
     c = xs - T
-    constant = (np.ptp(c, axis=1) == 0.0).tolist()
+    constant = np.ptp(c, axis=1) == 0.0
     np.log(c, out=c)
     mean_ly = np.mean(c, axis=1)
     c -= mean_ly[:, None]  # centred in place: ln y - mean(ln y)
     shapes, bracketed = _weibull_roots(c)
     scales = _blocks(lambda r, a: _weibull_scale(a, c[r], mean_ly[r]), np.arange(len(c)),
                      c.shape[1], shapes)
-    failed = [DegenerateSample("weibull fit needs 2 distinct observations") if flat
-              else None if found
-              else NoConvergence("weibull profile root not bracketed in [1e-3, 1e3]")
-              for flat, found in zip(constant, bracketed.tolist())]
-    warnings = [{WEIBULL_INCONSISTENT} if a <= 1.0 else set() for a in shapes.tolist()]
-    return _estimates("weibull", np.stack([shapes, scales], axis=1), xs, T, failed, warnings)
+    ending = np.where(constant, _WEIBULL_CONSTANT,
+                      np.where(bracketed, _ESTIMATE, _NOT_BRACKETED))
+    return _closed_form_rows(ending, np.stack([shapes, scales], axis=1),
+                             (shapes <= 1.0) * WARNING_BITS[WEIBULL_INCONSISTENT])
 
 
 def _newton_objective(family: str, ly: np.ndarray, sly: np.ndarray):
@@ -290,10 +316,10 @@ def _newton_objective(family: str, ly: np.ndarray, sly: np.ndarray):
 
 
 def _log_starts(family: str, y: np.ndarray) -> tuple:
-    """Newton's start for every row of y = x - T in log-parameters, and per
-    row None or the InvalidStart that rules the row out.  The start is the
-    log-logistic's, s0 the sample median and a0 = ln(n - 1) / ln(max(y) / s0)
-    from the top order statistic; GB2 embeds it at p = q = 1."""
+    """Newton's start for every row of y = x - T, and per row _ESTIMATE or the
+    invalid start that rules the row out.  The start is the log-logistic's,
+    s0 the sample median and a0 = ln(n - 1) / ln(max(y) / s0) from the top
+    order statistic; GB2 embeds it at p = q = 1."""
     k = len(FAMILY_TABLE[family].names)
     s0 = np.median(y, axis=1)
     ratio = np.max(y, axis=1) / s0
@@ -302,55 +328,37 @@ def _log_starts(family: str, y: np.ndarray) -> tuple:
     a0[~low] = math.log(y.shape[1] - 1) / libm_log(ratio[~low])
     x0 = np.column_stack([a0, s0, np.ones((len(y), k - 2))])
     usable = np.all(np.isfinite(x0) & (x0 > 0.0), axis=1)
-    failed = [None] * len(y)
-    for i in np.flatnonzero(~usable).tolist():
-        if low[i]:
-            failed[i] = InvalidStart("max(y) must exceed median(y)")
-        else:
-            failed[i] = InvalidStart(f"{family} start point {tuple(x0[i].tolist())} "
-                                     "is unusable")
-    return libm_log(x0[usable]), failed
+    return x0, np.where(usable, _ESTIMATE, np.where(low, _MAX_AT_MEDIAN, _UNUSABLE_START))
 
 
-def _newton_family_rows(family: str, xs: np.ndarray, T: float) -> list:
+def _newton_family_rows(family: str, xs: np.ndarray, T: float) -> FitRows:
     """Fit a family that `newton_rows` fits in log-parameters."""
     ly = xs - T
-    starts, outcomes = _log_starts(family, ly)
-    ok = [i for i, o in enumerate(outcomes) if o is None]
-    if not ok:
-        return outcomes
-    np.log(ly, out=ly)
-    if len(ok) < len(ly):
-        ly = ly[ok]
-    n = ly.shape[1]
-    entry = FAMILY_TABLE[family]
-    res = newton_rows(_newton_objective(family, ly, np.sum(ly, axis=1)), starts,
-                      block_rows=_block_rows(n), escape=entry.escape_test(starts))
-    params = np.exp(res.argmin)
-    for j, i in enumerate(ok):
-        point = tuple(params[j].tolist())
-        if not res.valid[j]:
-            outcomes[i] = InvalidStart(f"log-likelihood is {-res.fmin[j]} at start point "
-                                       f"{point}")
-        elif res.escaped[j]:
-            limit = entry.limits[res.escaped[j] - 1]
-            outcomes[i] = NestedLimit(limit, point, float(res.fmin[j]),
-                                      f"{family} Newton escaped toward {limit} after "
-                                      f"{res.iterations[j]} steps at {point}")
-        elif not res.converged[j]:
-            outcomes[i] = NoConvergence(f"{family} Newton stopped unconverged after "
-                                        f"{res.iterations[j]} steps at {point}")
-        elif not all(math.isfinite(v) and v > 0.0 for v in point):
-            outcomes[i] = NoConvergence(f"{family} optimum {point} is out of range")
-        else:
-            model = SeverityModel(family, point, T)
-            warnings = set() if res.positive_definite[j] else {LOCAL_MINIMUM_RISK}
-            outcomes[i] = FitResult(model, float(res.fmin[j]), warnings)
-    return outcomes
+    params, ending = _log_starts(family, ly)
+    nll = np.full(len(ly), np.nan)
+    iterations, warnings = np.zeros(len(ly), int), np.zeros(len(ly), int)
+    ok = np.flatnonzero(ending == _ESTIMATE)
+    if ok.size:
+        np.log(ly, out=ly)
+        if ok.size < len(ly):
+            ly = ly[ok]
+        starts = libm_log(params[ok])
+        res = newton_rows(_newton_objective(family, ly, np.sum(ly, axis=1)), starts,
+                          block_rows=_block_rows(ly.shape[1]),
+                          escape=FAMILY_TABLE[family].escape_test(starts))
+        stop = np.exp(res.argmin)
+        in_range = np.all(np.isfinite(stop) & (stop > 0.0), axis=1)
+        ending[ok] = np.select(
+            [~res.valid, res.escaped > 0, ~res.converged, ~in_range],
+            [_NONFINITE_START, _ESCAPED_TOWARD - 1 + res.escaped, _UNCONVERGED, _OUT_OF_RANGE],
+            _ESTIMATE)
+        params[ok], nll[ok], iterations[ok] = stop, res.fmin, res.iterations
+        warnings[ok] = ~res.positive_definite * WARNING_BITS[LOCAL_MINIMUM_RISK]
+    return FitRows(ending, params, nll, iterations, warnings)
 
 
 # family -> (the fewest values a sample needs, the solver of rows that passed
-# `fit_rows`' check: an (R, n) array in, one outcome per row out)
+# `fit_rows`' check: an (R, n) array in, their FitRows out)
 _FITTERS = {
     "pareto": (1, _pareto_rows),
     "weibull": (2, _weibull_rows),
@@ -360,14 +368,13 @@ _FITTERS = {
 }
 
 
-def fit_rows(family: str, xs, T: float) -> list:
-    """Fit `family` above T to every row of `xs` (shape (R, n)).  Entry i is
-    row i's FitResult, or the FitError its fit raised: exactly what `fit` of
-    that row alone returns or raises.
+def fit_rows(family: str, xs, T: float) -> FitRows:
+    """Fit `family` above T to every row of `xs` (shape (R, n)).  Row i of
+    the record is exactly what a fit of that row alone gives.
 
-    A row is DegenerateSample unless it has at least the family's fewest
-    values, all finite and inside its support; only the rows that pass reach
-    the family's solver."""
+    A row ends at the row check (DegenerateSample) unless it has at least
+    the family's fewest values, all finite and inside its support; only the
+    rows that pass reach the family's solver."""
     if family not in _FITTERS:
         raise ValueError(f"unknown family {family!r}")
     min_n, solve = _FITTERS[family]
@@ -380,14 +387,28 @@ def fit_rows(family: str, xs, T: float) -> list:
         ok = in_support(family, np.min(xs, axis=1), T) & np.isfinite(np.max(xs, axis=1))
     if ok.size and ok.all():
         return solve(xs, T)  # the rows themselves: no copy
-    solved = iter(solve(xs[ok], T) if ok.any() else [])
-    failed = f"{family} fit needs at least {min_n} finite values in its support above T={T}"
-    return [next(solved) if passed else DegenerateSample(failed) for passed in ok.tolist()]
+    k = len(FAMILY_TABLE[family].names)
+    rows = _closed_form_rows(np.full(len(xs), _ROW_CHECK), np.empty((len(xs), k)))
+    if ok.any():
+        for column, values in vars(solve(xs[ok], T)).items():
+            getattr(rows, column)[ok] = values
+    return rows
 
 
 def fit(family: str, xs, T: float) -> FitResult:
-    """Fit one sample: the one-row case of `fit_rows`."""
-    outcome = fit_rows(family, np.reshape(np.asarray(xs, dtype=float), (1, -1)), T)[0]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    """Fit one sample: the one-row case of `fit_rows`, which raises the
+    FitError of its ending.  A fit without Newton gets its nll from the
+    family's log-density."""
+    xs = np.ascontiguousarray(xs, dtype=float).reshape(1, -1)
+    rows = fit_rows(family, xs, T)
+    ending, point, nll = ENDINGS[rows.ending[0]], tuple(rows.params[0].tolist()), rows.nll[0]
+    if ending.error is not None:
+        message = ending.message.format(
+            family=family, T=T, min_n=_FITTERS[family][0], point=point, ll=-nll,
+            iterations=rows.iterations[0], limit=ending.outcome)
+        if ending.error is NestedLimit:
+            raise NestedLimit(ending.outcome, point, float(nll), message)
+        raise ending.error(message)
+    nll = _nll_rows(family, rows.params, xs, T)[0] if math.isnan(nll) else float(nll)
+    warnings = {w for w, bit in WARNING_BITS.items() if rows.warnings[0] & bit}
+    return FitResult(SeverityModel(family, point, T), nll, warnings)

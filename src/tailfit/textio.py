@@ -72,8 +72,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CHUNK_ELEMENTS", "SMALL_ELEMENTS", "format_rows", "read_rows", "twin_path",
-           "write_rows"]
+__all__ = ["CHUNK_ELEMENTS", "SMALL_ELEMENTS", "format_rows", "not_utf8", "read_rows",
+           "twin_path", "write_rows"]
 
 # Values formatted per chunk.  A chunk's temporaries peak at about 0.9 MB,
 # less than the strings a repr loop builds for a 5,000 x 4 matrix; 2^14
@@ -376,8 +376,12 @@ def read_rows(path, names, valid, invalid: str) -> np.ndarray:
             return rows.reshape(-1, k)
         return _walk(path, k, valid, invalid)
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: "
-                         f"{exc.reason})") from None
+        raise ValueError(not_utf8(path, exc)) from None
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The error message for the file at `path` that is not UTF-8 text."""
+    return f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
 
 
 def _walk(path, k: int, valid, invalid: str) -> np.ndarray:

@@ -19,6 +19,7 @@ from tailfit import SeverityModel, run_bootstrap
 from tailfit.bootstrap import _run_chunk
 from tailfit.distributions import log_pdf, sample
 from tailfit.fisher import InfoMatrix
+from tailfit.mle import OUTCOMES
 from tailfit.optimizer import InvalidStart
 
 STUDY_SEED = 20260823
@@ -47,10 +48,18 @@ def study_matrices():
             for family, n in STUDY_CELLS}
 
 
+def replications(chunk) -> list:
+    """A `_run_chunk` result, its class and parameter columns, as one
+    (class, parameters or None if dropped) per replication."""
+    classes, params = chunk
+    return [(OUTCOMES[c], tuple(p) if OUTCOMES[c] == "interior" else None)
+            for c, p in zip(classes.tolist(), params.tolist())]
+
+
 def fit_replication(model: SeverityModel, n: int, seed: int, rep: int):
     """Replication `rep` alone: its class, and its parameters or None if it
     is dropped."""
-    return _run_chunk((model, n, seed, rep, rep + 1))[0]
+    return replications(_run_chunk((model, n, seed, rep, rep + 1)))[0]
 
 
 def mc_score_information(model: SeverityModel, draws: int, rng: np.random.Generator) -> InfoMatrix:

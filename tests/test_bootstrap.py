@@ -22,11 +22,10 @@ from tailfit.bootstrap import (
 )
 from tailfit.generate import generate_losses
 from tailfit.mle import fit, fit_rows
-from tailfit.optimizer import InvalidStart
 from tailfit.textio import twin_path
 
 import conftest
-from conftest import STUDY_CELLS, STUDY_M, STUDY_SEED, fit_replication
+from conftest import STUDY_CELLS, STUDY_M, STUDY_SEED, fit_replication, replications
 
 T = 1e5
 
@@ -58,14 +57,14 @@ class TestDeterminism:
         gb2_2500 = (self.INVARIANCE_CELLS[1][0], 2500, 100, STUDY_SEED)
         for model, n, m, seed in [*self.INVARIANCE_CELLS, gb2_2500]:
             serial = run_bootstrap(model, n, m, seed=seed, workers=1)
-            whole = _run_chunk((model, n, seed, 0, m))
+            whole = replications(_run_chunk((model, n, seed, 0, m)))
             for workers in (2, 3):
                 parallel = run_bootstrap(model, n, m, seed=seed, workers=workers)
                 assert np.array_equal(serial.rows, parallel.rows)
                 assert serial.outcomes == parallel.outcomes
                 # each replication keeps its class in the chunks the workers fit
                 assert [rec for lo, hi in _chunks(n, m, workers)
-                        for rec in _run_chunk((model, n, seed, lo, hi))] == whole
+                        for rec in replications(_run_chunk((model, n, seed, lo, hi)))] == whole
             assert serial.m_converged == (42 if (model.family, n) == ("gb2", 100) else m)
             assert serial.outcomes["interior"] == serial.m_converged
             assert sum(serial.outcomes.values()) == m
@@ -112,8 +111,9 @@ class TestDeterminism:
         # a chunk fits its replications as one batch; splitting it, or fitting
         # each replication alone, changes no row, no drop and no class
         for model, n, m, seed in self.INVARIANCE_CELLS:
-            whole = _run_chunk((model, n, seed, 0, m))
-            split = _run_chunk((model, n, seed, 0, 37)) + _run_chunk((model, n, seed, 37, m))
+            whole = replications(_run_chunk((model, n, seed, 0, m)))
+            split = (replications(_run_chunk((model, n, seed, 0, 37)))
+                     + replications(_run_chunk((model, n, seed, 37, m))))
             assert whole == split
             alone = [fit_replication(model, n, seed, rep) for rep in range(30, 45)]
             assert alone == whole[30:45]
@@ -129,9 +129,9 @@ class TestDeterminism:
         # and in batches of 26 and 4 at n = 2500; a cap of one value fits
         # each replication alone
         model = conftest.TRUE_MODELS[family]
-        default = _run_chunk((model, n, STUDY_SEED, 0, 30))
+        default = replications(_run_chunk((model, n, STUDY_SEED, 0, 30)))
         monkeypatch.setattr(bootstrap, "BATCH_ELEMENTS", 1)
-        assert _run_chunk((model, n, STUDY_SEED, 0, 30)) == default
+        assert replications(_run_chunk((model, n, STUDY_SEED, 0, 30))) == default
         if family == "gb2" and n == 100:
             assert any(row is None for _, row in default)
 
@@ -201,13 +201,10 @@ class TestDeterminism:
         for n, lo, hi in ((100, 20, 60), (2500, 3, 9)):
             want = []
             for rep in range(lo, hi):
-                try:
-                    outcome = fit(family, sample(model, n, replication_rng(STUDY_SEED, rep)), T)
-                except mle.FitError as exc:
-                    outcome = exc
-                row = outcome.model.params if isinstance(outcome, mle.FitResult) else None
-                want.append((mle.outcome_class(outcome), row))
-            assert _run_chunk((model, n, STUDY_SEED, lo, hi)) == want
+                xs = sample(model, n, replication_rng(STUDY_SEED, rep))
+                kind = mle.OUTCOMES[fit_rows(family, xs[None, :], T).classes[0]]
+                want.append((kind, fit(family, xs, T).model.params if kind == "interior" else None))
+            assert replications(_run_chunk((model, n, STUDY_SEED, lo, hi))) == want
             if (family, n) == ("gb2", 100):
                 assert any(row is None for _, row in want)
 
@@ -259,9 +256,10 @@ class TestRows:
         # samples of 3 the maximum equals the median: no log-logistic start
         model = SeverityModel("loglogistic", (3e15, 1.0), 0.0)
         xs = np.array([sample(model, 3, replication_rng(4, rep)) for rep in range(100)])
-        invalid = [isinstance(o, InvalidStart) for o in fit_rows("loglogistic", xs, 0.0)]
+        classes = fit_rows("loglogistic", xs, 0.0).classes
+        invalid = (classes == mle.OUTCOMES.index("invalid_start")).tolist()
         assert 0 < sum(invalid) < 50
-        rows = _run_chunk((model, 3, 4, 0, 100))
+        rows = replications(_run_chunk((model, 3, 4, 0, 100)))
         assert [row is None for _, row in rows] == invalid
         assert [kind == "invalid_start" for kind, _ in rows] == invalid
         assert run_bootstrap(model, 3, 100, seed=4).m_converged == 100 - sum(invalid)
@@ -398,8 +396,8 @@ def test_ridge_replications_leave_the_gb2_cell(study_matrices):
     model = conftest.TRUE_MODELS["gb2"]
     xs = np.array([sample(model, 100, replication_rng(STUDY_SEED, rep))
                    for rep in RIDGE_REPLICATIONS])
-    outcomes = fit_rows("gb2", xs, model.threshold)
-    assert [mle.outcome_class(o) for o in outcomes] == \
+    classes = fit_rows("gb2", xs, model.threshold).classes
+    assert [mle.OUTCOMES[c] for c in classes] == \
         ["boundary_double_pareto"] * len(RIDGE_REPLICATIONS)
     bm = study_matrices[("gb2", 100)]
     # the cell classifies the escaping runs and holds no row from the ridge:

@@ -672,6 +672,21 @@ class TestPipeline:
         cfg.write_text("bogus_key = 1\n")
         assert main(["bootstrap", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028"], ids=["form_feed", "u2028"])
+    def test_config_lines_end_at_newline_only(self, tmp_path, capsys, separator):
+        # as in the loss reader, a form feed or U+2028 does not end a line
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"seed = 1{separator}replications = 200\n", encoding="utf-8")
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: bad value for 'seed'")
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
     def test_too_few_converged_to_analyse_exits_4(self, tmp_path, capsys):
         # 88 of 100 converged: fewer than the 100 an analysis needs
         rows = np.random.default_rng(0).uniform(0.5, 2.0, (88, 4)) * [1.0, 1e5, 1.0, 1.0]

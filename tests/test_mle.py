@@ -8,7 +8,9 @@ from tailfit import SeverityModel, asymptotic_covariance, log_likelihood, mle, o
 from tailfit.bootstrap import replication_rng
 from tailfit.distributions import FAMILY_TABLE, logistic_sums
 from tailfit.mle import (
+    ENDINGS,
     LOCAL_MINIMUM_RISK,
+    OUTCOMES,
     WEIBULL_INCONSISTENT,
     DegenerateSample,
     FitError,
@@ -17,9 +19,9 @@ from tailfit.mle import (
     _newton_objective,
     fit,
     fit_rows,
-    outcome_class,
 )
 from tailfit.optimizer import InvalidStart, nelder_mead, newton_rows
+from tailfit.special_functions import libm_log
 
 from conftest import STUDY_SEED, TRUE_MODELS, gb2_init, log_start, loglogistic_init
 
@@ -217,19 +219,78 @@ class TestDispatch:
             fit("normal", [1.0], 0.0)
 
 
-def assert_same_outcome(batched, family, xs):
-    """A fit_rows entry equals the one-sample fit of its row: the same
-    exception class, or bit-identical parameters and nll, and the same flags."""
-    try:
-        one = fit(family, xs, T)
-    except FitError as exc:
-        assert type(batched) is type(exc)
-        return
-    assert not isinstance(batched, Exception)
-    assert batched.model.params == one.model.params
-    assert batched.nll == one.nll
-    assert batched.converged == one.converged
-    assert batched.warnings == one.warnings
+def gb2_study_replication(rep):
+    """Replication `rep` of the study's GB2 n = 100 cell."""
+    return sample(TRUE_MODELS["gb2"], 100, replication_rng(STUDY_SEED, rep))
+
+
+# Every way a fit ends without an estimate that a sample reaches: the sample,
+# the exception `fit` raises, its exact message and its other attributes.  No
+# sample tried reaches the other two endings: a converged Newton optimum that
+# exp takes outside (0, inf), and a start at which the log-likelihood, its
+# score or its Hessian is not finite.
+FIT_ENDINGS = {
+    "row_check_empty": ("pareto", lambda: [], T, DegenerateSample,
+                        "pareto fit needs at least 1 finite values in its support above "
+                        "T=100000.0", {}),
+    "row_check_nan": ("gb2", lambda: [2e5] * 8 + [np.nan], T, DegenerateSample,
+                      "gb2 fit needs at least 8 finite values in its support above T=100000.0",
+                      {}),
+    "pareto_at_threshold": ("pareto", lambda: [T] * 3, T, DegenerateSample,
+                            "all observations at the threshold; shape is infinite", {}),
+    "lognormal_zero_variance": ("lognormal", lambda: [T + 5.0] * 100, T, DegenerateSample,
+                                "zero variance in log data", {}),
+    "weibull_constant": ("weibull", lambda: [2.0, 2.0], 0.0, DegenerateSample,
+                         "weibull fit needs 2 distinct observations", {}),
+    "weibull_not_bracketed": ("weibull", lambda: [1.0, 1.0 + 1e-9], 0.0, NoConvergence,
+                              "weibull profile root not bracketed in [1e-3, 1e3]", {}),
+    "newton_unconverged": ("gb2", lambda: gb2_study_replication(91), T, NoConvergence,
+                           "gb2 Newton stopped unconverged after 100 steps at "
+                           "(0.09614641889921027, 142179085510.96237, 44.35264777558784, "
+                           "175.59607941657663)", {}),
+    "max_at_median": ("loglogistic", lambda: [T + 1.0] * 5, T, InvalidStart,
+                      "max(y) must exceed median(y)", {}),
+    # max / median overflows to inf, so a0 = 0
+    "unusable_start": ("loglogistic", lambda: [1e-300] * 4 + [1e300], 0.0, InvalidStart,
+                       "loglogistic start point (0.0, 1e-300) is unusable", {}),
+    "nested_limit": ("gb2", lambda: gb2_study_replication(1), T, NestedLimit,
+                     "gb2 Newton escaped toward boundary_gg after 21 steps at "
+                     "(0.2652067597300243, 470150181.21602404, 5.139318584380814, "
+                     "44.48164926288894)",
+                     {"limit": "boundary_gg",
+                      "params": (0.2652067597300243, 470150181.21602404, 5.139318584380814,
+                                 44.48164926288894),
+                      "nll": 1352.211506417741}),
+}
+
+
+@pytest.mark.parametrize("case", list(FIT_ENDINGS))
+def test_fit_endings_raise_their_class_and_message(case):
+    family, xs, threshold, error, message, attributes = FIT_ENDINGS[case]
+    with np.errstate(over="ignore"), pytest.raises(FitError) as raised:
+        fit(family, xs(), threshold)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+    for name, value in attributes.items():
+        assert getattr(raised.value, name) == value, name
+
+
+def errors(rows):
+    """The FitError class that ends each row of a fit_rows record, None for
+    an estimate."""
+    return [ENDINGS[e].error for e in rows.ending.tolist()]
+
+
+def assert_same_outcome(rows, i, family, xs):
+    """Row i of a fit_rows record equals the fit of its sample alone: the same
+    ending and bit-identical columns, and for an estimate `fit`'s parameters."""
+    one = fit_rows(family, np.asarray(xs)[None, :], T)
+    assert rows.ending[i] == one.ending[0]
+    for column in ("params", "nll", "iterations", "warnings"):
+        assert np.array_equal(getattr(rows, column)[i], getattr(one, column)[0],
+                              equal_nan=True), column
+    if ENDINGS[rows.ending[i]].error is None:
+        assert tuple(rows.params[i].tolist()) == fit(family, xs, T).model.params
 
 
 def reference_weibull_profile(y):
@@ -282,45 +343,49 @@ class TestFitRows:
     @pytest.mark.parametrize("family", list(TRUE_MODELS))
     def test_mixed_rows_match_one_sample_fits(self, family):
         xs = self.mixed_rows(family)
-        outcomes = fit_rows(family, xs, T)
-        assert len(outcomes) == len(xs)
-        for x, outcome in zip(xs, outcomes):
-            assert_same_outcome(outcome, family, x)
-        assert isinstance(outcomes[3], DegenerateSample)
+        rows = fit_rows(family, xs, T)
+        assert rows.ending.shape == (len(xs),)
+        assert rows.params.shape == (len(xs), len(TRUE_MODELS[family].params))
+        for i, x in enumerate(xs):
+            assert_same_outcome(rows, i, family, x)
+        ends = errors(rows)
+        assert ends[3] is DegenerateSample
         expected_equal_row = {"loglogistic": InvalidStart, "gb2": InvalidStart}
-        assert isinstance(outcomes[2], expected_equal_row.get(family, DegenerateSample))
+        assert ends[2] is expected_equal_row.get(family, DegenerateSample)
         if family == "gb2":
-            assert all(isinstance(outcomes[i], NoConvergence) for i in (1, 5, 6, 7))
+            assert all(issubclass(ends[i], NoConvergence) for i in (1, 5, 6, 7))
         if family == "weibull":
             # the oracle's bisection stops within its own 1e-12 tolerance
             for i in (0, 1, 4, 5, 6, 7):
                 ref = reference_weibull_shape(xs[i] - T)
-                assert abs(outcomes[i].model.params[0] - ref) <= 1e-12 * max(1.0, ref)
+                assert abs(rows.params[i, 0] - ref) <= 1e-12 * max(1.0, ref)
 
     @pytest.mark.parametrize("family", ["weibull", "loglogistic", "gb2"])
     def test_newton_never_above_nelder_mead(self, family):
         # the one-run Nelder-Mead on the package's own likelihood stops short
         # of Newton: from the fit's own start, or from (1, median y)
         xs = self.mixed_rows(family)
-        fitted = [(x, o) for x, o in zip(xs, fit_rows(family, xs, T))
-                  if not isinstance(o, Exception)]
+        rows = fit_rows(family, xs, T)
+        fitted = [(x, SeverityModel(family, tuple(p), T))
+                  for x, p, e in zip(xs, rows.params, errors(rows)) if e is None]
         assert len(fitted) == (2 if family == "gb2" else 6)
         starts = {"loglogistic": loglogistic_init, "gb2": gb2_init,
                   "weibull": lambda y: (1.0, float(np.median(y)))}
-        for x, res in fitted:
+        for x, model in fitted:
             start = starts[family](x - T)
 
-            def nll(theta, x=x, model=res.model):
+            def nll(theta, x=x, model=model):
                 if np.any(theta <= 0.0):
                     return 1e10
                 return -log_likelihood(model.replace_params(theta), x)
 
             nm = nelder_mead(nll, np.array(start))
             assert nm.converged
-            assert nll(np.array(res.model.params)) <= nm.fmin
+            assert nll(np.array(model.params)) <= nm.fmin
 
     def test_empty_batch_and_unknown_family(self):
-        assert fit_rows("gb2", np.empty((0, 20)), T) == []
+        rows = fit_rows("gb2", np.empty((0, 20)), T)
+        assert rows.ending.shape == (0,) and rows.params.shape == (0, 4)
         with pytest.raises(ValueError):
             fit_rows("normal", np.ones((2, 3)), 0.0)
 
@@ -329,9 +394,9 @@ class TestFitRows:
     def test_non_finite_values_are_degenerate(self, family):
         # a non-finite value ends only its own row, and warns of nothing
         xs = np.array([[2, 3, v, 5, 9, 4, 6, 7, 8, 10] for v in (np.inf, np.nan, -np.inf, 11)])
-        outcomes = fit_rows(family, xs, 1.0)
-        assert all(isinstance(o, DegenerateSample) for o in outcomes[:3])
-        assert not isinstance(outcomes[3], DegenerateSample)
+        ends = errors(fit_rows(family, xs, 1.0))
+        assert ends[:3] == [DegenerateSample] * 3
+        assert ends[3] is not DegenerateSample
 
     # the fewest values each family fits
     MIN_N = {"pareto": 1, "weibull": 2, "lognormal": 2, "loglogistic": 3, "gb2": 8}
@@ -346,12 +411,13 @@ class TestFitRows:
         row = {"too_few": distinct[1:], "fewest": distinct,
                "at_threshold": np.append(T, distinct)}[case]
         # beside a row of NaN, which fails the check at any length
-        outcomes = fit_rows(family, np.array([row, np.full_like(row, np.nan), row]), T)
+        rows = fit_rows(family, np.array([row, np.full_like(row, np.nan), row]), T)
         degenerate = case == "too_few" or (case == "at_threshold" and family != "pareto")
-        for outcome in outcomes[::2]:
-            assert isinstance(outcome, DegenerateSample) == degenerate
-            assert_same_outcome(outcome, family, row)
-        assert isinstance(outcomes[1], DegenerateSample)
+        ends = errors(rows)
+        for i in (0, 2):
+            assert (ends[i] is DegenerateSample) == degenerate
+            assert_same_outcome(rows, i, family, row)
+        assert ends[1] is DegenerateSample
 
 
 class TestBatchedPaths:
@@ -361,15 +427,17 @@ class TestBatchedPaths:
 
     @pytest.mark.parametrize("family", ["pareto", "weibull", "lognormal"])
     def test_nll_equals_log_likelihood(self, family):
+        # the nll of a fit without Newton: the batched log-density pass
         model = TRUE_MODELS[family]
         for n, reps in ((3, 200), (100, 300), (2500, 30), (40_000, 1)):
             xs = np.array([sample(model, n, replication_rng(STUDY_SEED, rep))
                            for rep in range(reps)])
-            fitted = [(x, o) for x, o in zip(xs, fit_rows(family, xs, T))
-                      if not isinstance(o, Exception)]
-            assert len(fitted) >= 0.9 * reps
-            for x, res in fitted:
-                assert res.nll == -log_likelihood(res.model, x)
+            rows = fit_rows(family, xs, T)
+            fitted = np.array([e is None for e in errors(rows)])
+            assert fitted.sum() >= 0.9 * reps
+            nll = mle._nll_rows(family, rows.params[fitted], xs[fitted], T)
+            for x, params, got in zip(xs[fitted], rows.params[fitted], nll):
+                assert got == -log_likelihood(SeverityModel(family, tuple(params), T), x)
 
     @pytest.mark.parametrize("family,init", [("loglogistic", loglogistic_init),
                                              ("gb2", gb2_init)])
@@ -381,18 +449,18 @@ class TestBatchedPaths:
         y[1] = 7.0  # max(y) does not exceed the median
         y[2, :-1], y[2, -1] = 1e-300, 1e300  # max / median is inf, so a0 = 0
         with np.errstate(over="ignore"):
-            starts, failed = mle._log_starts(family, y)
-        got = iter(starts.tolist())
-        for row, error in zip(y, failed):
+            starts, ending = mle._log_starts(family, y)
+        for row, start, code in zip(y, starts, ending.tolist()):
             try:
                 with np.errstate(over="ignore"):
                     want = log_start(family, init, row)
             except InvalidStart as exc:
-                assert type(error) is InvalidStart and str(error) == str(exc)
+                assert ENDINGS[code].error is InvalidStart
+                assert ENDINGS[code].message.format(
+                    family=family, point=tuple(start.tolist())) == str(exc)
                 continue
-            assert error is None and next(got) == want
-        assert next(got, None) is None
-        assert [type(e) for e in failed[1:3]] == [InvalidStart] * 2
+            assert ENDINGS[code].error is None and libm_log(start).tolist() == want
+        assert [ENDINGS[code].error for code in ending[1:3]] == [InvalidStart] * 2
 
 
 def loglik_one(family, lt, y):
@@ -564,10 +632,12 @@ class TestNestedLimits:
         # likelihood was still rising toward it
         model = TRUE_MODELS["gb2"]
         xs = np.array([sample(model, 100, replication_rng(STUDY_SEED, rep)) for rep in self.ROWS])
-        for (rep, limit), x, outcome in zip(self.ROWS.items(), xs, fit_rows("gb2", xs, T)):
-            assert isinstance(outcome, NestedLimit) and outcome_class(outcome) == limit, rep
+        rows = fit_rows("gb2", xs, T)
+        for i, ((rep, limit), x) in enumerate(zip(self.ROWS.items(), xs)):
+            assert errors(rows)[i] is NestedLimit and OUTCOMES[rows.classes[i]] == limit, rep
             y = x - T
-            a, b, p, q = outcome.params
+            a, b, p, q = rows.params[i].tolist()
+            stop_nll = float(rows.nll[i])
             if limit == "boundary_double_pareto":
                 best = nelder_mead(lambda t: double_pareto_nll(t[0], y), np.array([math.log(b)]))
                 assert a > 1e3 and p < 1e-3 and q < 1e-3
@@ -575,9 +645,9 @@ class TestNestedLimits:
                 # the corner a -> 0, p, q -> inf: the run has passed the plain
                 # lognormal, and the generalized gamma, which holds it at
                 # Q = 0, still bounds the stop at a Q near 0
-                ln_gap = outcome.nll - lognormal_nll(y)
+                ln_gap = stop_nll - lognormal_nll(y)
                 print(f"{limit} rep {rep}: lognormal gap {ln_gap:.4g}")
-                assert abs(ln_gap) < 1e-4 * outcome.nll
+                assert abs(ln_gap) < 1e-4 * stop_nll
                 ly = np.log(y)
                 best = nelder_mead(lambda t: prentice_nll(t, y),
                                    np.array([np.mean(ly), math.log(np.std(ly)), 0.05]))
@@ -586,10 +656,10 @@ class TestNestedLimits:
                 best = nelder_mead(lambda t: prentice_nll(t, y),
                                    prentice_start(limit, a, b, p, q))
                 assert (best.argmin[2] > 0.0) == (limit == "boundary_gg")
-            gap = outcome.nll - best.fmin
-            print(f"{limit} rep {rep}: GB2 nll at the stop {outcome.nll:.6f}, "
+            gap = stop_nll - best.fmin
+            print(f"{limit} rep {rep}: GB2 nll at the stop {stop_nll:.6f}, "
                   f"limit {best.fmin:.6f}, gap {gap:.4g}")
-            assert best.converged and 0.0 <= gap < 1e-4 * outcome.nll
+            assert best.converged and 0.0 <= gap < 1e-4 * stop_nll
 
     @pytest.mark.parametrize("direction,code", [
         ((0.0, 1.0, 0.0, 0.5), 1),     # q up with b up: generalized gamma

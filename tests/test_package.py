@@ -89,9 +89,12 @@ def test_benchmark_tracer_finds_what_it_patches(monkeypatch):
     with tracer_module.patched(tracer_module.instrument(tracer)):
         assert mle.fit is not fit and mle.nelder_mead is not nelder_mead
         mle.fit("pareto", [2e5, 3e5], 1e5)
+        # a failed fit is kept under the class name that bench/layers.py reads
+        with pytest.raises(mle.DegenerateSample):
+            mle.fit("pareto", [1e5, 1e5], 1e5)
     assert (mle.fit, mle.nelder_mead) == (fit, nelder_mead)
-    assert tracer.names == ["mle.fit"]
-    assert tracer.data == {0: {"converged": True}}
+    assert tracer.names == ["mle.fit", "mle.fit"]
+    assert tracer.data == {0: {"converged": True}, 1: {"raised": "DegenerateSample"}}
 
 
 def test_benchmark_tracer_sees_the_overlay_kde(monkeypatch):

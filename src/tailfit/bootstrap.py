@@ -18,7 +18,6 @@ analysis of a matrix (normality, density, CI width) that its rows cause.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import mle
 from .distributions import FAMILIES, PARAM_NAMES, SeverityModel, in_support, sample
 from .mle import FitResult
-from .textio import read_rows, write_rows
+from .textio import read_json, read_rows, write_json, write_rows
 
 __all__ = [
     "DegenerateCell",
@@ -56,9 +55,9 @@ class MalformedMatrix(ValueError):
     """A bootstrap matrix file that is missing or cannot be opened, or is not
     the matrix its sidecar describes: a wrong header, a row that is not one
     finite number per parameter, or a row count other than the sidecar's
-    m_converged; or a sidecar that is not a JSON object with every field, a
-    known family, integer counts that do not contradict each other, a
-    nonnegative integer seed, and a valid theta* of the family."""
+    m_converged; or a sidecar that is not a UTF-8 JSON object with every
+    field, a known family, integer counts that do not contradict each other,
+    a nonnegative integer seed, and a valid theta* of the family."""
 
 
 def _unopened(path: Path, exc: OSError) -> MalformedMatrix:
@@ -117,7 +116,7 @@ class BootstrapMatrix:
             meta["outcomes"] = self.outcomes
         if extra_meta:
             meta.update(extra_meta)
-        json_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        write_json(json_path, meta)
 
     @classmethod
     def read(cls, path_base: Path) -> "BootstrapMatrix":
@@ -149,13 +148,11 @@ def _read_sidecar(json_path: Path) -> dict:
     nonnegative integer seed, and a true_params and threshold that make a
     SeverityModel of the family."""
     try:
-        meta = json.loads(json_path.read_text())
+        meta = read_json(json_path)
     except OSError as exc:
         raise _unopened(json_path, exc) from None
     except ValueError as exc:
-        raise MalformedMatrix(f"{json_path}: not JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise MalformedMatrix(f"{json_path}: not a JSON object")
+        raise MalformedMatrix(str(exc)) from None
     missing = [key for key in _SIDECAR_KEYS if key not in meta]
     if missing:
         raise MalformedMatrix(f"{json_path}: no {', '.join(missing)}")

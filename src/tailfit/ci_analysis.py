@@ -7,7 +7,6 @@ so positive entries mean the normal intervals are too wide.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from .bootstrap import BootstrapMatrix, DegenerateCell
 from .distributions import SeverityModel
 from .fisher import asymptotic_covariance
 from .special_functions import std_normal_quantile
+from .textio import json_text
 
 __all__ = ["CiErrorRow", "normal_ci_width", "bootstrap_ci_width", "ci_error_table"]
 
@@ -93,4 +93,4 @@ def table_json(rows: list[CiErrorRow]) -> str:
         "sign_convention": "percent_error = 100 * (normal_width - boot_width) / boot_width",
         "rows": [asdict(r) for r in rows],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)

@@ -1,13 +1,15 @@
 """Batch front-end.
 
 Commands: generate, fit, bootstrap, normality, cierror, overlays.
-Exit codes: 0 success, 2 ingestion/config error, 3 fit failure,
-4 too few converged replications in a bootstrap run, or a cell that
-normality, cierror or overlays cannot analyse (`DegenerateCell`, or a theta*
-whose information is singular), 5 a required bootstrap matrix file missing,
-unopenable or malformed.  Commands raise; `main` alone prints the one
-`error:` line and picks the code from `EXIT_CODES`, and `_in_cell` alone
-names the cell of an analysis error.
+Exit codes: 0 success, 2 ingestion/config error or a file that cannot be
+read or written (any `OSError`), 3 fit failure, 4 too few converged
+replications in a bootstrap run, or a cell that normality, cierror or
+overlays cannot analyse (`DegenerateCell`, or a theta* whose information is
+singular), 5 a required bootstrap matrix file missing, unopenable or
+malformed.  Commands raise; `main` alone prints the one `error:` line and
+picks the code from `EXIT_CODES`, and `_in_cell` alone names the cell of an
+analysis error.  `textio` reads and writes every JSON file and the CSVs that
+are read back (the loss file and the matrices), each read as UTF-8.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .distributions import FAMILIES, PARAM_NAMES, SeverityModel
 from .fisher import SingularInformation
 from .generate import PROFILES, generate_losses
 from .normality import normality_suite, reports_to_csv
-from .textio import not_utf8, read_rows, write_rows
+from .textio import not_utf8, read_json, read_rows, write_json, write_rows
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -59,6 +61,7 @@ EXIT_CODES = {
     DegenerateCell: EXIT_CONVERGENCE,
     SingularInformation: EXIT_CONVERGENCE,
     MalformedMatrix: EXIT_MISSING,
+    OSError: EXIT_INGEST,
 }
 
 
@@ -166,8 +169,6 @@ def read_losses(path: Path) -> np.ndarray:
     try:
         rows = read_rows(path, ("loss",), lambda a: (a > 0.0) & np.isfinite(a),
                          "losses must be positive, got {!r}")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return rows.ravel()
@@ -178,7 +179,7 @@ def _write_meta(cfg: StudyConfig, out: Path, command: str) -> None:
                 "tailfit": __version__}
     meta = {"command": command, "config_hash": cfg.config_hash, "seed": cfg.seed,
             "threads": cfg.threads, "versions": versions}
-    (out / f"run_meta_{command}.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(out / f"run_meta_{command}.json", meta)
 
 
 def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> None:
@@ -224,7 +225,7 @@ def cmd_fit(cfg: StudyConfig) -> None:
             "n_excluded": tm.n_excluded,
         }
     payload = {"config_hash": cfg.config_hash, "seed": cfg.seed, "families": entries}
-    (out / "true_params.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out / "true_params.json", payload)
     _write_meta(cfg, out, "fit")
     print(f"wrote {out / 'true_params.json'}")
 
@@ -234,7 +235,11 @@ def _load_true_models(cfg: StudyConfig) -> dict[str, SeverityModel]:
     if not path.exists():
         raise ConfigError(f"{path} missing and no input losses configured")
     try:
-        entries = json.loads(path.read_text())["families"]
+        payload = read_json(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    try:
+        entries = payload["families"]
         missing = [f for f in cfg.families if f not in entries]
         if missing:
             raise ConfigError(f"{path} has no true parameters for {', '.join(missing)}")
@@ -246,8 +251,6 @@ def _load_true_models(cfg: StudyConfig) -> dict[str, SeverityModel]:
                 raise ConfigError(f"{path}: {family} was fitted at threshold {model.threshold}, "
                                   f"the study's threshold is {cfg.threshold}")
         return models
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not JSON: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"{path}: no key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -361,8 +364,6 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
     if args.config is not None:
         try:
             text = args.config.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(str(exc)) from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(not_utf8(args.config, exc)) from None
         keys = _config_keys(text)

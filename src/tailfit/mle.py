@@ -322,7 +322,8 @@ def _log_starts(family: str, y: np.ndarray) -> tuple:
     order statistic; GB2 embeds it at p = q = 1."""
     k = len(FAMILY_TABLE[family].names)
     s0 = np.median(y, axis=1)
-    ratio = np.max(y, axis=1) / s0
+    with np.errstate(over="ignore"):  # an infinite ratio gives a0 = 0, unusable
+        ratio = np.max(y, axis=1) / s0
     low = ratio <= 1.0
     a0 = np.full(len(y), np.nan)
     a0[~low] = math.log(y.shape[1] - 1) / libm_log(ratio[~low])

@@ -1,4 +1,12 @@
-"""CSV text of float arrays, both ways: a header line over rows of numbers.
+"""The package's files, both ways: CSV text of float arrays, a header line
+over rows of numbers, and JSON objects.
+
+JSON.  `read_json(path)` returns the object in a file read as UTF-8, and
+raises ValueError naming the file if the text is not UTF-8 (in the CSV
+reader's wording), not JSON or not an object; an OSError passes to the
+caller.  `json_text(obj)` is the one format every JSON file is written in,
+keys sorted, indented by two spaces and ending in a newline; `write_json`
+writes it.
 
 Reading.  `read_rows(path, names, valid, invalid)` checks the header, then
 takes the rows from the CSV's binary twin (below) if it has a valid one.
@@ -67,13 +75,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CHUNK_ELEMENTS", "SMALL_ELEMENTS", "format_rows", "not_utf8", "read_rows",
-           "twin_path", "write_rows"]
+__all__ = ["CHUNK_ELEMENTS", "SMALL_ELEMENTS", "format_rows", "json_text", "not_utf8",
+           "read_json", "read_rows", "twin_path", "write_json", "write_rows"]
 
 # Values formatted per chunk.  A chunk's temporaries peak at about 0.9 MB,
 # less than the strings a repr loop builds for a 5,000 x 4 matrix; 2^14
@@ -382,6 +391,33 @@ def read_rows(path, names, valid, invalid: str) -> np.ndarray:
 def not_utf8(path, exc: UnicodeDecodeError) -> str:
     """The error message for the file at `path` that is not UTF-8 text."""
     return f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file at `path`.  ValueError, naming the file,
+    if its text is not UTF-8, not JSON or not an object; OSError passes."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(not_utf8(path, exc)) from None
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return obj
+
+
+def json_text(obj) -> str:
+    """The package's JSON format: keys sorted, two-space indent, a final
+    newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, obj) -> None:
+    """`obj` in the package's JSON format at `path`."""
+    Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
 def _walk(path, k: int, valid, invalid: str) -> np.ndarray:

@@ -611,6 +611,61 @@ class TestPipeline:
         assert err.endswith(self.TRUE_PARAMS_TEXT.get(defect, ""))
         assert not list(out.glob("boot_*"))
 
+    # true_params.json that is not UTF-8 or whose top level is not an object:
+    # the file's contents, and the text that follows the path
+    TRUE_PARAMS_FILES = {
+        "not_utf8": (b'{"families": {}}\xff\n', "not UTF-8 text (byte 0xff: invalid start byte)"),
+        "list": (b"[]\n", "not a JSON object"),
+    }
+
+    @pytest.mark.parametrize("defect", TRUE_PARAMS_FILES)
+    def test_true_params_not_a_json_object_exits_2(self, tmp_path, capsys, defect):
+        content, message = self.TRUE_PARAMS_FILES[defect]
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "true_params.json"
+        path.write_bytes(content)
+        cfg = write_config(tmp_path, families="pareto")
+        assert main(["bootstrap", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not list(out.glob("boot_*"))
+
+    def test_unreadable_true_params_exits_2(self, tmp_path, capsys):
+        # true_params.json that is a directory: one line naming it
+        path = tmp_path / "out" / "true_params.json"
+        path.mkdir(parents=True)
+        cfg = write_config(tmp_path, families="pareto")
+        assert main(["bootstrap", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert str(path) in err
+        assert not list(path.parent.glob("boot_*"))
+
+    def test_non_utf8_sidecar_names_the_file(self, tmp_path, capsys):
+        base = tmp_path / "out" / "boot_pareto_n100"
+        base.parent.mkdir()
+        BootstrapMatrix("pareto", (1.11,), 1e5, 100, 3, 3, np.ones((3, 1)), 777).write(base)
+        json_path = BootstrapMatrix.files(base)[1]
+        json_path.write_bytes(json_path.read_bytes() + b"\xff")
+        cfg = write_config(tmp_path, families="pareto")
+        assert main(["normality", "--config", str(cfg)]) == 5
+        assert capsys.readouterr().err == \
+            f"error: {json_path}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "bootstrap"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, losses_file, command):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        cfg = write_config(tmp_path, families="pareto")
+        extra = ["--n", "100"] if command == "generate" else []
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert str(out) in err
+        assert out.read_text() == "not a directory\n"
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=-1)
         assert main(["bootstrap", "--config", str(cfg)]) == 2

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -267,12 +268,25 @@ FIT_ENDINGS = {
 @pytest.mark.parametrize("case", list(FIT_ENDINGS))
 def test_fit_endings_raise_their_class_and_message(case):
     family, xs, threshold, error, message, attributes = FIT_ENDINGS[case]
-    with np.errstate(over="ignore"), pytest.raises(FitError) as raised:
+    with pytest.raises(FitError) as raised:
         fit(family, xs(), threshold)
     assert type(raised.value) is error
     assert str(raised.value) == message
     for name, value in attributes.items():
         assert getattr(raised.value, name) == value, name
+
+
+@pytest.mark.parametrize("family, point", [("loglogistic", (0.0, 1e-300)),
+                                           ("gb2", (0.0, 1e-300, 1.0, 1.0))])
+def test_overflowing_start_ratio_is_unusable_without_a_warning(family, point):
+    # max(y) / median(y) overflows to inf, so a0 = 0: the unusable-start
+    # ending, not a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidStart) as raised:
+            fit(family, [1e-300] * 8 + [1e300], 0.0)
+    assert str(raised.value) == ENDINGS[mle._UNUSABLE_START].message.format(
+        family=family, point=point)
 
 
 def errors(rows):

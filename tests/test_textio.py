@@ -130,6 +130,37 @@ FINITE = np.concatenate([
 ])
 
 
+class TestJson:
+    def test_format_and_round_trip(self, tmp_path):
+        path = tmp_path / "a.json"
+        obj = {"b": 1, "a": [1.5, "\u00e9"]}
+        textio.write_json(path, obj)
+        assert path.read_bytes() == b'{\n  "a": [\n    1.5,\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
+        assert textio.read_json(path) == obj
+
+    # the file's bytes and the message after its path
+    BAD = {
+        "not_utf8": (b'{"a": 1}\xff', "not UTF-8 text (byte 0xff: invalid start byte)"),
+        "not_json": (b"{", "not JSON: Expecting property name enclosed in double quotes: "
+                           "line 1 column 2 (char 1)"),
+        "list": (b"[1]", "not a JSON object"),
+        "too_deep": (b"[" * 100_000, "not JSON: maximum recursion depth exceeded"),
+    }
+
+    @pytest.mark.parametrize("defect", BAD)
+    def test_errors_name_the_file(self, tmp_path, defect):
+        content, message = self.BAD[defect]
+        path = tmp_path / "a.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as raised:
+            textio.read_json(path)
+        assert str(raised.value).startswith(f"{path}: {message}")
+
+    def test_os_error_passes(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            textio.read_json(tmp_path / "absent.json")
+
+
 class TestReadRows:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_round_trip(self, tmp_path, k):

@@ -14,7 +14,7 @@ import numpy as np
 from .bootstrap import BootstrapMatrix, DegenerateCell
 from .distributions import SeverityModel
 from .fisher import asymptotic_covariance
-from .special_functions import std_normal_quantile
+from .special_functions import quantiles, std_normal_quantile
 from .textio import json_text
 
 __all__ = ["CiErrorRow", "normal_ci_width", "bootstrap_ci_width", "ci_error_table"]
@@ -39,10 +39,11 @@ def normal_ci_width(model: SeverityModel, n: int, j: int, level: float = 0.95) -
 
 def bootstrap_ci_width(bm: BootstrapMatrix, j: int, level: float = 0.95) -> float:
     """Empirical quantile width with linear interpolation between order
-    statistics (position h = (m - 1) u + 1)."""
+    statistics (position h = (m - 1) u + 1), by `quantiles`, which equals
+    np.quantile(method="linear") bit for bit."""
     bm.check_analysable()
     tail = 0.5 * (1.0 - level)
-    lo, hi = np.quantile(bm.rows[:, j], [tail, 1.0 - tail], method="linear")
+    lo, hi = quantiles(bm.rows[:, j], [tail, 1.0 - tail])
     return float(hi - lo)
 
 

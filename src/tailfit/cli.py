@@ -33,6 +33,7 @@ from .distributions import FAMILIES, PARAM_NAMES, SeverityModel
 from .fisher import SingularInformation
 from .generate import PROFILES, generate_losses
 from .normality import normality_suite, reports_to_csv
+from .special_functions import median
 from .textio import not_utf8, read_json, read_rows, write_json, write_rows
 
 EXIT_OK = 0
@@ -183,6 +184,8 @@ def _write_meta(cfg: StudyConfig, out: Path, command: str) -> None:
 
 
 def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> None:
+    """`losses.csv` of n losses from `profile`, and a summary line whose
+    median is `median`'s, np.median's bits without loading numpy.ma."""
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; known: {sorted(PROFILES)}")
     if n < 1:
@@ -195,7 +198,7 @@ def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> None:
     _write_meta(cfg, out, "generate")
     frac_tail = float(np.mean(losses >= PROFILES[profile].threshold))
     print(f"wrote {path} ({n} losses)")
-    print(f"  mean {np.mean(losses):.1f}  median {np.median(losses):.1f}  "
+    print(f"  mean {np.mean(losses):.1f}  median {median(losses):.1f}  "
           f"max {np.max(losses):.1f}  tail fraction {frac_tail:.3f}")
 
 
@@ -262,17 +265,25 @@ def matrix_path(out: Path, family: str, n: int) -> Path:
 
 
 def cmd_bootstrap(cfg: StudyConfig) -> None:
+    """Every cell runs before any `boot_*` file is written, so a cell with too
+    few converged replications leaves no cell's files behind.  The cells'
+    rows are held until then, 8 B per parameter and replication: 18 KB for
+    the five families at two sizes and m = 100, 25 MB at seven sizes and the
+    paper's m = 40,000."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.input and not (out / "true_params.json").exists():
         cmd_fit(cfg)
     models = _load_true_models(cfg)
+    cells = []
     for family in cfg.families:
         for n in cfg.sample_sizes:
             bm = run_bootstrap(models[family], n, cfg.replications, cfg.seed,
                                workers=cfg.threads)
-            bm.write(matrix_path(out, family, n), extra_meta={"config_hash": cfg.config_hash})
             print(f"bootstrap {family} n={n}: {bm.m_converged}/{bm.m_requested} converged")
+            cells.append(bm)
+    for bm in cells:
+        bm.write(matrix_path(out, bm.family, bm.n), extra_meta={"config_hash": cfg.config_hash})
     _write_meta(cfg, out, "bootstrap")
 
 

@@ -47,7 +47,7 @@ from .distributions import FAMILY_TABLE, SeverityModel, in_support, logistic_sum
 # `nelder_mead` (the one-run optimizer) is not called here; the benchmark's
 # tracer (bench/tracer.py) looks it up under this name.
 from .optimizer import FitError, InvalidStart, nelder_mead, newton_rows  # noqa: F401
-from .special_functions import libm_log
+from .special_functions import libm_log, median
 
 __all__ = [
     "FitError",
@@ -318,10 +318,11 @@ def _newton_objective(family: str, ly: np.ndarray, sly: np.ndarray):
 def _log_starts(family: str, y: np.ndarray) -> tuple:
     """Newton's start for every row of y = x - T, and per row _ESTIMATE or the
     invalid start that rules the row out.  The start is the log-logistic's,
-    s0 the sample median and a0 = ln(n - 1) / ln(max(y) / s0) from the top
-    order statistic; GB2 embeds it at p = q = 1."""
+    s0 the sample median (`median`, np.median's bits) and
+    a0 = ln(n - 1) / ln(max(y) / s0) from the top order statistic; GB2 embeds
+    it at p = q = 1."""
     k = len(FAMILY_TABLE[family].names)
-    s0 = np.median(y, axis=1)
+    s0 = median(y)
     with np.errstate(over="ignore"):  # an infinite ratio gives a0 = 0, unusable
         ratio = np.max(y, axis=1) / s0
     low = ratio <= 1.0

@@ -3,8 +3,8 @@
 Every function here is pure.  The normal pdf, cdf and quantile and libm_log
 take a float or an array of any shape and return the same;
 polygamma_rows and beta_polygamma_rows take 1-D arrays, and polygamma_rows
-is the package's one evaluation of psi and psi'; the others take scalar
-floats.
+is the package's one evaluation of psi and psi'; quantiles and median are the
+package's order statistics; the others take scalar floats.
 Accuracy targets: log-gamma (math.lgamma, called directly) 1e-12 absolute for
 moderate arguments, psi and psi' 1e-10 absolute, regularized incomplete beta /
 gamma 1e-10, normal cdf 1e-12 and quantile inverse-consistent to 1e-9.
@@ -13,6 +13,12 @@ The array functions do their arithmetic with numpy ufuncs, whose + - * / and
 sqrt round exactly as Python floats do, but apply erfc, log, log1p and exp
 per element through `math`: numpy has no erfc, and its SIMD log and exp need
 not round as libm does.  So a value gets the same bits alone or in an array.
+
+quantiles and median equal np.quantile(method="linear") and np.median bit
+for bit, by numpy's own partition, lerp and NaN rule, without the np.unique
+and np.ma calls that make numpy's versions import numpy.ma: about 1 MB of
+resident memory and 9-13 ms in every process that calls them (numpy 2.4,
+2 vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_quantile",
+    "quantiles",
+    "median",
 ]
 
 _SQRT_2 = math.sqrt(2.0)
@@ -316,3 +324,47 @@ def std_normal_quantile(u):
     step = pdf > 0.0
     x[step] -= err[step] / pdf[step]
     return x
+
+
+def quantiles(x, qs) -> np.ndarray:
+    """np.quantile(x, qs, method="linear") of a 1-D x, bit for bit: x is
+    partitioned at 0, at -1 and around each virtual index v = (n - 1) q, and
+    each quantile is numpy's lerp of its two neighbours a and b at the weight
+    t = v - floor(v): a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5.
+    Any NaN in x sorts to index -1 and makes every quantile that NaN."""
+    part = np.array(x, dtype=float)
+    n = part.size
+    v = (n - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(v)
+    hi = lo + 1
+    # at the top, numpy takes the last order statistic for both, and its
+    # weight becomes v + 1
+    top = v >= n - 1
+    lo[top] = hi[top] = -1
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    part.partition(sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    t = v - lo
+    a, b = part[lo], part[hi]
+    d = b - a
+    out = a + d * t
+    np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(part[-1]):
+        out[:] = part[-1]
+    return out
+
+
+def median(a):
+    """np.median(a, axis=-1), bit for bit: the mean of the two middle order
+    statistics of each row, summed from +0.0 and divided by 2 as np.mean
+    does, or the middle one plus 0.0 for odd n; a row holding a NaN gets the
+    NaN that partitions to its end.  A 1-D a gives a numpy scalar."""
+    part = np.array(a, dtype=float)
+    n = part.shape[-1]
+    half = n // 2
+    part.partition([half - 1, half, -1] if n % 2 == 0 else [half, -1], axis=-1)
+    if n % 2 == 0:
+        mid = (part[..., half - 1] + part[..., half] + 0.0) / 2
+    else:
+        mid = part[..., half] + 0.0
+    last = part[..., -1]
+    return np.where(np.isnan(last), last, mid)[()]

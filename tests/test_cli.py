@@ -13,8 +13,11 @@ import tailfit
 from tailfit.bootstrap import BootstrapMatrix
 from tailfit.cli import (ConfigError, StudyConfig, _study_config, build_parser, main,
                          parse_config, read_losses)
+from tailfit.distributions import PARAM_NAMES
 from tailfit.generate import generate_losses
 from tailfit.mle import OUTCOMES
+
+from conftest import STUDY_SEED, TRUE_MODELS
 
 
 def write_config(tmp_path, **overrides):
@@ -571,6 +574,22 @@ class TestPipeline:
         assert main(["bootstrap", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err.count("error:") == 1
         assert not list((tmp_path / "out").glob("boot_*"))
+
+    def test_too_few_converged_leaves_no_cell_files(self, tmp_path, capsys):
+        # gb2 at n = 20 converges on 10 of 100 replications; the pareto cell
+        # before it ran, but every cell runs before any boot_* file is written
+        out = tmp_path / "out"
+        out.mkdir()
+        families = {family: {"params": dict(zip(PARAM_NAMES[family], model.params)),
+                             "threshold": model.threshold}
+                    for family, model in TRUE_MODELS.items()}
+        (out / "true_params.json").write_text(json.dumps({"families": families}))
+        cfg = write_config(tmp_path, seed=STUDY_SEED, families="pareto, gb2",
+                           sample_sizes=20, replications=100, input="")
+        assert main(["bootstrap", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == \
+            "error: gb2 at n=20: only 10/100 replications converged\n"
+        assert sorted(p.name for p in out.iterdir()) == ["true_params.json"]
 
     def test_family_missing_from_true_params_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

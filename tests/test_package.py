@@ -48,23 +48,56 @@ def test_runtime_imports_are_stdlib_or_numpy():
     assert outside == []
 
 
+# numpy functions that import numpy.ma on first call, and so cost every
+# process that calls one about 1.2 MB of resident memory
+_LOADS_NUMPY_MA = {"quantile", "median", "percentile", "nanquantile", "nanmedian",
+                   "nanpercentile", "unique"}
+
+
+def test_no_numpy_call_loads_numpy_ma():
+    # special_functions.quantiles and .median give these functions' bits
+    # without numpy.ma; a scan of the source also covers the branches that
+    # test_one_worker_stages_never_load_the_process_pool does not run
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "tailfit").glob("*.py"))
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy") \
+                    and (node.attr in _LOADS_NUMPY_MA or node.attr == "ma"):
+                found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}: import {alias.name}"
+                          for alias in node.names if alias.name.startswith("numpy.ma")]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found += [f"{path.name}:{node.lineno}: from {node.module} import {alias.name}"
+                          for alias in node.names
+                          if f"{node.module}.{alias.name}".startswith("numpy.ma")
+                          or node.module == "numpy" and alias.name in _LOADS_NUMPY_MA]
+    assert found == []
+
+
 def test_one_worker_stages_never_load_the_process_pool(tmp_path):
     # bootstrap imports ProcessPoolExecutor only for a multi-worker run, so
     # no stage of a one-worker study pays for multiprocessing and its
     # dependencies; test_bootstrap_deterministic_across_threads runs the pool.
     # numpy loads numpy.fft on first use, and no stage uses it: the binned
-    # kde convolves without it, which keeps its pages out of every stage
+    # kde convolves without it, which keeps its pages out of every stage.
+    # numpy.ma loads with the first np.quantile or np.median, and no stage
+    # calls them; loglogistic runs the Newton starts' median, Mardia's test
+    # and a two-column overlay
     script = textwrap.dedent("""
         import sys
         from tailfit.cli import main
 
         open("study.cfg", "w").write(
-            "seed = 777\\nfamilies = pareto\\nsample_sizes = 100\\n"
+            "seed = 777\\nfamilies = pareto, loglogistic\\nsample_sizes = 100\\n"
             "replications = 100\\ninput = out/losses.csv\\nout = out\\n")
         assert main(["generate", "--out", "out", "--seed", "777", "--n", "20000"]) == 0
         for stage in ("fit", "bootstrap", "normality", "cierror", "overlays"):
             assert main([stage, "--config", "study.cfg"]) == 0, stage
-        loaded = {"multiprocessing", "concurrent.futures", "numpy.fft"} & set(sys.modules)
+        loaded = {"multiprocessing", "concurrent.futures", "numpy.fft",
+                  "numpy.ma"} & set(sys.modules)
         assert not loaded, sorted(loaded)
     """)
     src = str(Path(tailfit.__file__).parents[1])

@@ -361,3 +361,67 @@ def test_log_beta_definition():
         expected = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
         assert sf.log_beta(p, q) == expected
         assert sf.log_beta(p, q) == pytest.approx(float(mp.log(mp.beta(p, q))), abs=1e-12)
+
+
+class TestOrderStatistics:
+    """quantiles and median stand in for np.quantile(method="linear") and
+    np.median, which import numpy.ma; they must give numpy's bits."""
+
+    Q = [0.025, 0.25, 0.5, 0.75, 0.975]
+
+    @staticmethod
+    def _column(rng, n, i):
+        x = rng.standard_cauchy(n)
+        if i % 5 == 0:
+            x = np.round(x)  # ties, and zeros of either sign
+        if i % 7 == 0:
+            x[rng.integers(n)] = np.nan
+        return x
+
+    def test_quantiles_equal_numpy_on_cauchy_columns(self):
+        rng = np.random.default_rng(20260823)
+        # n log-uniform on 1..6000, so that small and even n are common
+        sizes = np.exp(rng.uniform(0.0, math.log(6000.5), 20_000)).astype(int)
+        assert sizes.min() == 1 and sizes.max() > 5000
+        for i, n in enumerate(sizes.tolist()):
+            x = self._column(rng, n, i)
+            want = np.quantile(x, self.Q, method="linear")
+            assert sf.quantiles(x, self.Q).tobytes() == want.tobytes(), (n, x)
+            assert np.float64(sf.median(x)).tobytes() == np.median(x).tobytes(), (n, x)
+
+    def test_row_medians_equal_numpy(self):
+        rng = np.random.default_rng(7)
+        for i in range(3000):
+            rows, n = int(rng.integers(1, 30)), int(rng.integers(1, 200))
+            y = rng.standard_cauchy((rows, n))
+            if i % 3 == 0:
+                y[rng.integers(rows), rng.integers(n)] = np.nan
+            if i % 5 == 0:
+                y = np.round(y * 0.01)
+            assert sf.median(y).tobytes() == np.median(y, axis=1).tobytes(), y
+        # even and odd n, and a NaN in one row only
+        y = np.array([[3.0, 1.0, 2.0, 4.0], [1.0, np.nan, 0.0, 5.0]])
+        assert sf.median(y).tolist()[0] == 2.5 and math.isnan(sf.median(y)[1])
+        assert sf.median(y[:, :3]).tolist()[0] == 2.0
+
+    @pytest.mark.parametrize("x", [
+        [-0.0, -0.0], [-0.0], [-5e-324, 0.0], [-5e-324, -0.0], [1e308, 1e308],
+        [5e-324, 5e-324, 1.0, 1.0], [2.0, np.nan, 1.0], [np.nan], [1.0, np.inf],
+        [np.inf, -np.inf], [-np.inf, 1.0, 2.0],
+    ])
+    def test_edge_values(self, x):
+        # the median sums from +0.0 as np.mean does, so -0.0 pairs give +0.0
+        # and a subnormal halves to -0.0; the lerp meets inf - inf as numpy does
+        x = np.array(x)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for q in (self.Q, [0.0, 1.0], [0.5]):
+                assert sf.quantiles(x, q).tobytes() == np.quantile(x, q).tobytes()
+            assert np.float64(sf.median(x)).tobytes() == np.median(x).tobytes()
+            assert sf.median(x[None, :]).tobytes() == np.median(x[None, :], axis=1).tobytes()
+
+    def test_inputs_are_left_alone(self):
+        x = np.array([3.0, 1.0, 2.0])
+        y = np.array([[3.0, 1.0, 2.0, 0.0]])
+        sf.quantiles(x, [0.5])
+        sf.median(y)
+        assert x.tolist() == [3.0, 1.0, 2.0] and y.tolist() == [[3.0, 1.0, 2.0, 0.0]]

@@ -18,6 +18,7 @@ analysis of a matrix (normality, density, CI width) that its rows cause.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,13 +168,8 @@ def _read_sidecar(json_path: Path) -> dict:
                               f"between 0 and m_requested = {meta['m_requested']}")
     if meta["seed"] < 0:
         raise MalformedMatrix(f"{json_path}: seed must be nonnegative, got {meta['seed']}")
-    params, threshold = meta["true_params"], meta["threshold"]
-    if not (isinstance(params, list)
-            and all(type(v) in (int, float) for v in [*params, threshold])):
-        raise MalformedMatrix(f"{json_path}: true_params must be a list of numbers and "
-                              f"threshold a number")
     try:
-        SeverityModel(meta["family"], params, threshold)
+        SeverityModel(meta["family"], meta["true_params"], meta["threshold"])
     except ValueError as exc:
         raise MalformedMatrix(f"{json_path}: true_params or threshold: {exc}") from None
     outcomes = meta.get("outcomes")
@@ -292,6 +288,14 @@ def _chunks(n: int, m: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_bootstrap(
     model: SeverityModel,
     n: int,
@@ -299,7 +303,11 @@ def run_bootstrap(
     seed: int,
     workers: int = 1,
 ) -> BootstrapMatrix:
-    """m sample-and-refit replications of size n from `model` (theta*)."""
+    """m sample-and-refit replications of size n from `model` (theta*), on
+    at most `workers` processes and no more than the usable CPUs: the rows
+    are the same at any count, and `_chunks` makes at least one chunk per
+    worker, so an unbounded count would start up to m processes."""
+    workers = min(workers, _usable_cpus())
     if workers <= 1:
         chunks = [_run_chunk((model, n, seed, 0, m))]
     else:

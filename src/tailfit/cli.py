@@ -8,8 +8,12 @@ overlays cannot analyse (`DegenerateCell`, or a theta* whose information is
 singular), 5 a required bootstrap matrix file missing, unopenable or
 malformed.  Commands raise; `main` alone prints the one `error:` line and
 picks the code from `EXIT_CODES`, and `_in_cell` alone names the cell of an
-analysis error.  `textio` reads and writes every JSON file and the CSVs that
-are read back (the loss file and the matrices), each read as UTF-8.
+analysis error.  `main` owns the run: it resolves the out directory, runs
+the command's stage from `STAGES` and, once the stage returns, writes the
+run record `run_meta_<command>.json`; the fit that `bootstrap` runs itself
+writes the one other record, `run_meta_fit.json`.  `textio`
+reads and writes every JSON file and the CSVs that are read back (the loss
+file and the matrices), each read as UTF-8.
 """
 
 from __future__ import annotations
@@ -183,26 +187,25 @@ def _write_meta(cfg: StudyConfig, out: Path, command: str) -> None:
     write_json(out / f"run_meta_{command}.json", meta)
 
 
-def cmd_generate(cfg: StudyConfig, profile: str, n: int) -> None:
-    """`losses.csv` of n losses from `profile`, and a summary line whose
-    median is `median`'s, np.median's bits without loading numpy.ma."""
+def cmd_generate(cfg: StudyConfig, out: Path, args: argparse.Namespace) -> None:
+    """`losses.csv` of `--n` losses from `--profile`, and a summary line
+    whose median is `median`'s, np.median's bits without loading numpy.ma."""
+    profile, n = args.profile, args.n
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; known: {sorted(PROFILES)}")
     if n < 1:
         raise ConfigError(f"--n must be at least 1, got {n}")
     losses = generate_losses(profile, n, cfg.seed)
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "losses.csv"
     write_rows(path, ("loss",), losses)
-    _write_meta(cfg, out, "generate")
     frac_tail = float(np.mean(losses >= PROFILES[profile].threshold))
     print(f"wrote {path} ({n} losses)")
     print(f"  mean {np.mean(losses):.1f}  median {median(losses):.1f}  "
           f"max {np.max(losses):.1f}  tail fraction {frac_tail:.3f}")
 
 
-def cmd_fit(cfg: StudyConfig) -> None:
+def cmd_fit(cfg: StudyConfig, out: Path, args: argparse.Namespace) -> None:
     if not cfg.input:
         raise ConfigError("no input loss file configured")
     losses = read_losses(Path(cfg.input))
@@ -210,7 +213,6 @@ def cmd_fit(cfg: StudyConfig) -> None:
     if tail_count < 10:
         raise ConfigError(f"only {tail_count} tail losses at threshold {cfg.threshold}")
 
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = {}
     for family in cfg.families:
@@ -229,12 +231,11 @@ def cmd_fit(cfg: StudyConfig) -> None:
         }
     payload = {"config_hash": cfg.config_hash, "seed": cfg.seed, "families": entries}
     write_json(out / "true_params.json", payload)
-    _write_meta(cfg, out, "fit")
     print(f"wrote {out / 'true_params.json'}")
 
 
-def _load_true_models(cfg: StudyConfig) -> dict[str, SeverityModel]:
-    path = Path(cfg.out) / "true_params.json"
+def _load_true_models(cfg: StudyConfig, out: Path) -> dict[str, SeverityModel]:
+    path = out / "true_params.json"
     if not path.exists():
         raise ConfigError(f"{path} missing and no input losses configured")
     try:
@@ -264,17 +265,18 @@ def matrix_path(out: Path, family: str, n: int) -> Path:
     return out / f"boot_{family}_n{n}"
 
 
-def cmd_bootstrap(cfg: StudyConfig) -> None:
+def cmd_bootstrap(cfg: StudyConfig, out: Path, args: argparse.Namespace) -> None:
     """Every cell runs before any `boot_*` file is written, so a cell with too
     few converged replications leaves no cell's files behind.  The cells'
     rows are held until then, 8 B per parameter and replication: 18 KB for
     the five families at two sizes and m = 100, 25 MB at seven sizes and the
-    paper's m = 40,000."""
-    out = Path(cfg.out)
+    paper's m = 40,000.  The fit of `input` that runs first when
+    `true_params.json` is missing records itself as a `fit` run."""
     out.mkdir(parents=True, exist_ok=True)
     if cfg.input and not (out / "true_params.json").exists():
-        cmd_fit(cfg)
-    models = _load_true_models(cfg)
+        cmd_fit(cfg, out, args)
+        _write_meta(cfg, out, "fit")
+    models = _load_true_models(cfg, out)
     cells = []
     for family in cfg.families:
         for n in cfg.sample_sizes:
@@ -284,11 +286,9 @@ def cmd_bootstrap(cfg: StudyConfig) -> None:
             cells.append(bm)
     for bm in cells:
         bm.write(matrix_path(out, bm.family, bm.n), extra_meta={"config_hash": cfg.config_hash})
-    _write_meta(cfg, out, "bootstrap")
 
 
-def _load_matrices(cfg: StudyConfig) -> list[BootstrapMatrix]:
-    out = Path(cfg.out)
+def _load_matrices(cfg: StudyConfig, out: Path) -> list[BootstrapMatrix]:
     bms = []
     for family in cfg.families:
         for n in cfg.sample_sizes:
@@ -310,36 +310,32 @@ def _in_cell(bm: BootstrapMatrix, analyse, *args):
         raise type(exc)(f"{bm.family} at n={bm.n}: {exc}") from exc
 
 
-def cmd_normality(cfg: StudyConfig) -> None:
-    reports = [r for bm in _load_matrices(cfg) for r in _in_cell(bm, normality_suite, bm)]
-    out = Path(cfg.out)
+def cmd_normality(cfg: StudyConfig, out: Path, args: argparse.Namespace) -> None:
+    reports = [r for bm in _load_matrices(cfg, out) for r in _in_cell(bm, normality_suite, bm)]
     (out / "normality.csv").write_text(reports_to_csv(reports))
-    _write_meta(cfg, out, "normality")
     print(f"wrote {out / 'normality.csv'} ({len(reports)} reports)")
 
 
-def cmd_cierror(cfg: StudyConfig) -> None:
-    rows = [r for bm in _load_matrices(cfg)
+def cmd_cierror(cfg: StudyConfig, out: Path, args: argparse.Namespace) -> None:
+    rows = [r for bm in _load_matrices(cfg, out)
             for r in _in_cell(bm, ci_error_table, [bm], cfg.level)]
-    out = Path(cfg.out)
     (out / "ci_error.csv").write_text(table_csv(rows))
     (out / "ci_error.json").write_text(table_json(rows))
-    _write_meta(cfg, out, "cierror")
     print(f"wrote {out / 'ci_error.csv'} ({len(rows)} rows)")
 
 
-def cmd_overlays(cfg: StudyConfig) -> None:
+def cmd_overlays(cfg: StudyConfig, out: Path, args: argparse.Namespace) -> None:
     overlays = [_in_cell(bm, overlay, bm, j)
-                for bm in _load_matrices(cfg) for j in range(len(bm.param_names))]
-    out = Path(cfg.out)
+                for bm in _load_matrices(cfg, out) for j in range(len(bm.param_names))]
     for ov in overlays:
         (out / f"overlay_{ov.family}_{ov.param_name}_{ov.n}.csv").write_text(ov.to_csv())
-    _write_meta(cfg, out, "overlays")
     print(f"wrote {len(overlays)} overlay files to {out}")
 
 
-# the stages that take only the study config; generate also takes --profile and --n
+# every command: a stage writes its outputs to the study's out directory, and
+# only generate reads its own flags, --profile and --n
 STAGES = {
+    "generate": cmd_generate,
     "fit": cmd_fit,
     "bootstrap": cmd_bootstrap,
     "normality": cmd_normality,
@@ -351,7 +347,7 @@ STAGES = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tailfit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*STAGES, "generate"):
+    for name in STAGES:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path)
         p.add_argument("--seed", type=int)
@@ -388,10 +384,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _study_config(args)
-        if args.command == "generate":
-            cmd_generate(cfg, args.profile, args.n)
-        else:
-            STAGES[args.command](cfg)
+        out = Path(cfg.out)
+        STAGES[args.command](cfg, out, args)
+        _write_meta(cfg, out, args.command)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

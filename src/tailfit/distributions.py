@@ -12,6 +12,7 @@ formulas.  The module functions are one table lookup each.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,17 +412,35 @@ def _validate(family: str, params: tuple[float, ...], threshold: float) -> None:
             raise ValueError(f"{family} {name} must be positive, got {params}")
 
 
+def _real(family: str, what: str, value) -> float:
+    """`value` as a float, if it is a real number other than a bool: float()
+    alone would also take "1.5", b"1.5" and True."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{family} {what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{family} {what} must be finite, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SeverityModel:
-    """A distribution family tag, a parameter vector, and the support shift T."""
+    """A distribution family tag, a parameter vector, and the support shift T.
+    The one rule for every theta*, from a file or not: the parameters are a
+    list, tuple or array of real numbers and the threshold a real number,
+    none a bool; anything else raises ValueError naming the family."""
 
     family: str
     params: tuple[float, ...]
     threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        _validate(self.family, self.params, self.threshold)
+        if not isinstance(self.params, (list, tuple, np.ndarray)):
+            raise ValueError(f"{self.family} parameters must be a list of real numbers, "
+                             f"got {self.params!r}")
+        params = tuple(_real(self.family, "parameter", p) for p in self.params)
+        object.__setattr__(self, "params", params)
+        _validate(self.family, params, _real(self.family, "threshold", self.threshold))
 
     def replace_params(self, params) -> "SeverityModel":
         return SeverityModel(self.family, tuple(params), self.threshold)

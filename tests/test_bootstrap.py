@@ -69,10 +69,10 @@ class TestDeterminism:
             assert serial.outcomes["interior"] == serial.m_converged
             assert sum(serial.outcomes.values()) == m
 
-    def test_pool_never_exceeds_the_chunks(self, tmp_path, monkeypatch):
-        # a fork pool starts every worker at its first submit, so 200 workers
-        # for the 100 one-replication chunks of m = 100 must ask for 100; the
-        # stand-in pool maps in this process and starts none
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        """The process counts that run_bootstrap asks its pools for, each
+        pool a stand-in that maps in this process and starts none."""
         import concurrent.futures
 
         asked = []
@@ -91,14 +91,33 @@ class TestDeterminism:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return asked
+
+    @staticmethod
+    def written(tmp_path, workers) -> list[bytes]:
+        """The files of one m = 100 lognormal matrix run on `workers`."""
         model = SeverityModel("lognormal", (11.3, 1.8), T)
-        written = []
-        for workers in (1, 200, 2):
-            base = tmp_path / f"w{workers}"
-            run_bootstrap(model, 100, 100, seed=7, workers=workers).write(base)
-            written.append([p.read_bytes() for p in (*BootstrapMatrix.files(base),
-                                                     twin_path(f"{base}.csv"))])
-        assert asked == [100, 2]
+        base = tmp_path / f"w{workers}"
+        run_bootstrap(model, 100, 100, seed=7, workers=workers).write(base)
+        return [p.read_bytes() for p in (*BootstrapMatrix.files(base), twin_path(f"{base}.csv"))]
+
+    def test_pool_never_exceeds_the_chunks(self, tmp_path, monkeypatch, pool_sizes):
+        # a fork pool starts every worker at its first submit, so 200 workers
+        # for the 100 one-replication chunks of m = 100 must ask for 100
+        # (on 200 usable CPUs, so that the CPU bound does not apply)
+        monkeypatch.setattr(bootstrap, "_usable_cpus", lambda: 200, raising=False)
+        written = [self.written(tmp_path, workers) for workers in (1, 200, 2)]
+        assert pool_sizes == [100, 2]
+        assert written[1] == written[0] and written[2] == written[0]
+
+    def test_pool_never_exceeds_the_cpus(self, tmp_path, monkeypatch, pool_sizes):
+        # a million workers on 2 usable CPUs ask for 2 processes, not the
+        # 100 that as many chunks would; one usable CPU takes the serial path
+        monkeypatch.setattr(bootstrap, "_usable_cpus", lambda: 2, raising=False)
+        written = [self.written(tmp_path, workers) for workers in (1, 10**6)]
+        monkeypatch.setattr(bootstrap, "_usable_cpus", lambda: 1, raising=False)
+        written.append(self.written(tmp_path, 3))
+        assert pool_sizes == [2]
         assert written[1] == written[0] and written[2] == written[0]
 
     def test_chunks_fill_whole_batches(self):

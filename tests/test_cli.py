@@ -517,7 +517,9 @@ class TestPipeline:
             {**meta, "outcomes": {**dict.fromkeys(OUTCOMES, 0), "interior": 2}}),
         "three_params": lambda meta: json.dumps({**meta, "true_params": [0.56, 2e5, 1.0]}),
         "string_param": lambda meta: json.dumps({**meta, "true_params": ["0.56", 2e5]}),
+        "bool_param": lambda meta: json.dumps({**meta, "true_params": [True, 2e5]}),
         "null_params": lambda meta: json.dumps({**meta, "true_params": None}),
+        "bool_threshold": lambda meta: json.dumps({**meta, "threshold": True}),
         "negative_threshold": lambda meta: json.dumps({**meta, "threshold": -5.0}),
         "infinite_threshold": lambda meta: json.dumps({**meta, "threshold": float("inf")}),
         "string_n": lambda meta: json.dumps({**meta, "n": "100"}),
@@ -527,7 +529,8 @@ class TestPipeline:
     }
     # the field that the error names, where it names one
     SIDECAR_FIELDS = {"three_params": "true_params", "string_param": "true_params",
-                      "null_params": "true_params", "negative_threshold": "threshold",
+                      "bool_param": "true_params", "null_params": "true_params",
+                      "bool_threshold": "threshold", "negative_threshold": "threshold",
                       "infinite_threshold": "threshold", "string_n": "n must be",
                       "negative_m_requested": "m_requested = -1",
                       "m_requested_below_m_converged": "m_requested = 2",
@@ -603,18 +606,25 @@ class TestPipeline:
         assert "gb2" in err
         assert not list(out.glob("boot_*"))
 
-    # true_params.json that is not JSON, lacks a parameter, or has a shape <= 0
+    # true_params.json that is not JSON, lacks a parameter, has a shape <= 0
+    # or a shape that is not a number, or was fitted at another threshold
     TRUE_PARAMS = {
         "not_json": "{",
         "no_param": json.dumps({"families": {"pareto": {"params": {}, "threshold": 1e5}}}),
         "bad_shape": json.dumps({"families": {"pareto": {"params": {"shape": -1.0},
                                                          "threshold": 1e5}}}),
+        "string_shape": json.dumps({"families": {"pareto": {"params": {"shape": "1.11"},
+                                                            "threshold": 1e5}}}),
+        "bool_shape": json.dumps({"families": {"pareto": {"params": {"shape": True},
+                                                          "threshold": 1e5}}}),
         "other_threshold": json.dumps({"families": {"pareto": {"params": {"shape": 1.11},
                                                                "threshold": 2e5}}}),
     }
     # the text that follows the path, where the test pins it
     TRUE_PARAMS_TEXT = {"other_threshold": "pareto was fitted at threshold 200000.0, "
-                                           "the study's threshold is 100000.0\n"}
+                                           "the study's threshold is 100000.0\n",
+                        "string_shape": "pareto parameter must be a real number, got '1.11'\n",
+                        "bool_shape": "pareto parameter must be a real number, got True\n"}
 
     @pytest.mark.parametrize("defect", TRUE_PARAMS)
     def test_malformed_true_params_exits_2(self, tmp_path, capsys, defect):
@@ -629,6 +639,20 @@ class TestPipeline:
         assert err.startswith(f"error: {path}: ")
         assert err.endswith(self.TRUE_PARAMS_TEXT.get(defect, ""))
         assert not list(out.glob("boot_*"))
+
+    def test_bool_threshold_in_true_params_exits_2(self, tmp_path, capsys):
+        # true equals the study's threshold of 1, but is not a number: no
+        # sidecar that the analysis stages would reject gets written
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "true_params.json"
+        path.write_text(json.dumps({"families": {"pareto": {"params": {"shape": 1.11},
+                                                            "threshold": True}}}))
+        cfg = write_config(tmp_path, families="pareto", threshold=1)
+        assert main(["bootstrap", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: pareto threshold must be a real number, got True\n"
+        assert sorted(p.name for p in out.iterdir()) == ["true_params.json"]
 
     # true_params.json that is not UTF-8 or whose top level is not an object:
     # the file's contents, and the text that follows the path
@@ -776,6 +800,57 @@ class TestPipeline:
                 in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("overlay_*"))
         assert not (tmp_path / "out" / "ci_error.csv").exists()
+
+
+def run_records(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.glob("run_meta_*.json")}
+
+
+class TestRunRecord:
+    # case -> (config overrides, what runs before the command, the command
+    # and its flags, its exit code, the commands whose run records it adds).
+    # "losses" writes the loss file, "true_models" a true_params.json of the
+    # reference models; any other step is a command run on the study.
+    CASES = {
+        "generate": ({}, (), ["generate", "--n", "1000"], 0, ["generate"]),
+        "generate_n_zero": ({}, (), ["generate", "--n", "0"], 2, []),
+        "fit": ({}, ("losses",), ["fit"], 0, ["fit"]),
+        "fit_missing_loss_file": ({}, (), ["fit"], 2, []),
+        "bootstrap": ({}, ("losses", "fit"), ["bootstrap"], 0, ["bootstrap"]),
+        "bootstrap_fits_first": ({}, ("losses",), ["bootstrap"], 0, ["bootstrap", "fit"]),
+        "bootstrap_too_few_converged": (
+            {"seed": STUDY_SEED, "families": "pareto, gb2", "sample_sizes": 20,
+             "replications": 100, "input": ""}, ("true_models",), ["bootstrap"], 4, []),
+        **{stage: ({}, ("losses", "fit", "bootstrap"), [stage], 0, [stage])
+           for stage in ("normality", "cierror", "overlays")},
+        **{f"{stage}_missing_matrix": ({}, ("losses", "fit"), [stage], 5, [])
+           for stage in ("normality", "cierror", "overlays")},
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_adds_exactly_its_run_records(self, tmp_path, case):
+        overrides, before, argv, code, added = self.CASES[case]
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        for step in before:
+            if step == "losses":
+                assert main(["generate", "--out", str(tmp_path), "--seed", "777",
+                             "--n", "20000"]) == 0
+            elif step == "true_models":
+                out.mkdir()
+                families = {family: {"params": dict(zip(PARAM_NAMES[family], model.params)),
+                                     "threshold": model.threshold}
+                            for family, model in TRUE_MODELS.items()}
+                (out / "true_params.json").write_text(json.dumps({"families": families}))
+            else:
+                assert main([step, "--config", str(cfg)]) == 0
+        records = run_records(out)
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == code
+        after = run_records(out)
+        assert sorted(set(after) - set(records)) == [f"run_meta_{c}.json" for c in added]
+        assert {name: after[name] for name in records} == records
+        for command in added:
+            assert json.loads(after[f"run_meta_{command}.json"])["command"] == command
 
 
 class TestParser:

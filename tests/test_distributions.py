@@ -85,6 +85,47 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="threshold"):
             SeverityModel("weibull", (0.56, 2e5), threshold)
 
+    # parameters that float() would take, or that are no number at all: a
+    # str, bytes, bool, None or dict in place of a number, or in place of
+    # the parameter list; an int past float's range
+    @pytest.mark.parametrize("params,message", [
+        (("1.11",), "pareto parameter must be a real number, got '1.11'"),
+        ((b"1.11",), "pareto parameter must be a real number, got b'1.11'"),
+        ((True,), "pareto parameter must be a real number, got True"),
+        ((np.True_,), "pareto parameter must be a real number"),
+        ((None,), "pareto parameter must be a real number, got None"),
+        (({"shape": 1.11},), "pareto parameter must be a real number"),
+        ("1.11", "pareto parameters must be a list of real numbers, got '1.11'"),
+        (b"1.11", "pareto parameters must be a list of real numbers"),
+        (None, "pareto parameters must be a list of real numbers, got None"),
+        ({"shape": 1.11}, "pareto parameters must be a list of real numbers"),
+        ((10**400,), "pareto parameter must be finite"),
+    ], ids=["str", "bytes", "bool", "numpy_bool", "none", "dict", "str_list", "bytes_list",
+            "none_list", "dict_list", "huge_int"])
+    def test_parameters_are_real_numbers(self, params, message):
+        with pytest.raises(ValueError) as exc:
+            SeverityModel("pareto", params, T)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("threshold,message", [
+        ("1e5", "pareto threshold must be a real number, got '1e5'"),
+        (True, "pareto threshold must be a real number, got True"),
+        (None, "pareto threshold must be a real number, got None"),
+        (10**400, "pareto threshold must be finite"),
+    ], ids=["str", "bool", "none", "huge_int"])
+    def test_threshold_is_a_real_number(self, threshold, message):
+        with pytest.raises(ValueError) as exc:
+            SeverityModel("pareto", (1.11,), threshold)
+        assert str(exc.value).startswith(message)
+
+    def test_real_numbers_of_any_type(self):
+        # ints and numpy scalars are real numbers: the parameters become
+        # floats, the threshold keeps its value
+        model = SeverityModel("pareto", np.array([2]), np.int64(3))
+        assert model.params == (2.0,) and type(model.params[0]) is float
+        assert model.threshold == 3
+        assert SeverityModel("pareto", [np.float32(1.5)], 1).params == (1.5,)
+
 
 class TestPdf:
     def test_pareto_at_left_endpoint(self):
